@@ -30,7 +30,7 @@ from .propagator import (
     xi_expansion_check,
     gaussian_jet,
 )
-from .solver import SolverConfig, Trajectory, BlowUpError, nonlinear_term, step, evolve
+from .solver import SolverConfig, Trajectory, BlowUpError, nonlinear_term, evolve
 from .diagnostics import (
     WeightSpec,
     SobolevSpec,

@@ -1,7 +1,10 @@
 """Command-line interface.
 
 Subcommands: simulate, uc-compare, stein-profile, expansion-check, norms.
-Exit codes: 0 success, 2 configuration error, 3 numerical blow-up.
+Exit codes: 0 success, 2 configuration error, 3 numerical blow-up.  Malformed
+input (configs, batch files, snapshots, `norms` weight and Sobolev specs,
+GBOZK_WORKERS) ends in a one-line "config error" and exit 2; a blow-up in
+`simulate` or `uc-compare` still writes the rows reached before exiting 3.
 The only environment variable honoured is GBOZK_WORKERS (batch parallelism).
 """
 
@@ -10,9 +13,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .config import ConfigError, load_config
+from .snapshot import SnapshotFormatError
 from .solver import BlowUpError
 
 EXIT_OK = 0
@@ -91,6 +93,17 @@ def _cmd_expansion_check(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else 1
 
 
+def _parse_spec(cls, text: str, n_min: int, n_max: int):
+    """``cls`` built from ``n_min``..``n_max`` colon-separated numbers."""
+    parts = text.split(":")
+    try:
+        if not n_min <= len(parts) <= n_max:
+            raise ValueError(f"expected {n_min}..{n_max} colon-separated numbers")
+        return cls(*(float(tok) for tok in parts))
+    except ValueError as exc:
+        raise ConfigError(f"malformed spec {text!r}: {exc}") from None
+
+
 def _cmd_norms(args) -> int:
     from .diagnostics import (
         SobolevSpec,
@@ -101,21 +114,21 @@ def _cmd_norms(args) -> int:
     )
     from .snapshot import read_snapshot
 
+    weights = [_parse_spec(WeightSpec, w, 1, 3) for w in args.weights]
+    sobolev = None if args.sobolev is None else _parse_spec(SobolevSpec, args.sobolev, 2, 2)
     snap = read_snapshot(args.snapshot)
     u = snap.field
     print("quantity,value")
     print(f"t,{snap.t:.17g}")
     print(f"mass,{mass(u):.17g}")
-    for spec_str in args.weights:
-        parts = spec_str.split(":")
-        r1 = float(parts[0])
-        r2 = float(parts[1]) if len(parts) > 1 else 0.0
-        N = float(parts[2]) if len(parts) > 2 else np.inf
-        w = weighted_norm(u, WeightSpec(r1, r2, N))
-        print(f"wnorm_r1={r1:g}_r2={r2:g}_N={N:g},{w:.17g}")
-    if args.sobolev is not None:
-        s1, s2 = (float(tok) for tok in args.sobolev.split(":"))
-        print(f"sobolev_s1={s1:g}_s2={s2:g},{sobolev_norm(u, SobolevSpec(s1, s2)):.17g}")
+    for spec in weights:
+        w = weighted_norm(u, spec)
+        print(f"wnorm_r1={spec.r1:g}_r2={spec.r2:g}_N={spec.N:g},{w:.17g}")
+    if sobolev is not None:
+        print(
+            f"sobolev_s1={sobolev.s1:g}_s2={sobolev.s2:g},"
+            f"{sobolev_norm(u, sobolev):.17g}"
+        )
     return EXIT_OK
 
 
@@ -169,7 +182,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, SnapshotFormatError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .propagator import DispersionParams
-from .spectral import RealField2D, to_spectral
+from .spectral import RealField2D, SpectralField2D, to_spectral
 
 __all__ = [
     "WeightSpec",
@@ -36,6 +36,7 @@ __all__ = [
     "weighted_norm",
     "truncated_x_norm",
     "sobolev_norm",
+    "multiplier_norm",
     "mass",
     "hamiltonian",
     "zero_mode_slice",
@@ -217,25 +218,31 @@ def truncated_y_norm(u: RealField2D, r2: float, N: float = np.inf) -> float:
     return float(np.sqrt(np.sum((w[:, None] * u.samples) ** 2) * g.dx * g.dy))
 
 
+def multiplier_norm(spec: SpectralField2D, m) -> np.float64:
+    """L^2 norm of the operator with squared Fourier multiplier ``m``.
+
+    Computes sqrt(sum m |c|^2 / (lx ly)); ``m`` broadcasts against the
+    coefficients.
+    """
+    g = spec.grid
+    return np.sqrt(np.sum(m * np.abs(spec.coeffs) ** 2) / (g.lx * g.ly))
+
+
 def sobolev_norm(u: RealField2D, spec: SobolevSpec) -> float:
     """Anisotropic norm sqrt(||u||^2 + ||J_x^{s1} u||^2 + ||J_y^{s2} u||^2)."""
     g = u.grid
-    c = to_spectral(u).coeffs
     mx = (1.0 + g.xi**2) ** spec.s1  # squared multiplier
     my = (1.0 + g.eta**2) ** spec.s2
-    total = np.sum((1.0 + mx[None, :] + my[:, None]) * np.abs(c) ** 2)
-    return float(np.sqrt(total / (g.lx * g.ly)))
+    return float(multiplier_norm(to_spectral(u), 1.0 + mx[None, :] + my[:, None]))
 
 
 def directional_sobolev_norms(u: RealField2D, spec: SobolevSpec) -> tuple[float, float]:
     """(||J_x^{s1} u||, ||J_y^{s2} u||), the two directional pieces."""
     g = u.grid
-    c = to_spectral(u).coeffs
+    uhat = to_spectral(u)
     mx = (1.0 + g.xi**2) ** spec.s1
     my = (1.0 + g.eta**2) ** spec.s2
-    nx = np.sqrt(np.sum(mx[None, :] * np.abs(c) ** 2) / (g.lx * g.ly))
-    ny = np.sqrt(np.sum(my[:, None] * np.abs(c) ** 2) / (g.lx * g.ly))
-    return float(nx), float(ny)
+    return float(multiplier_norm(uhat, mx[None, :])), float(multiplier_norm(uhat, my[:, None]))
 
 
 def mass(u: RealField2D) -> float:
@@ -318,16 +325,14 @@ def interx_probe(
         else:
             w_pow = truncated_weight(g.x, N)
         weighted = RealField2D(g, (w_pow ** ((1.0 - beta) * b))[None, :] * f.samples)
-        c_w = to_spectral(weighted).coeffs
         mx = (1.0 + g.xi**2) ** (alpha * beta)
-        lhs = np.sqrt(np.sum(mx[None, :] * np.abs(c_w) ** 2) / (g.lx * g.ly))
+        lhs = multiplier_norm(to_spectral(weighted), mx[None, :])
 
         wnorm = np.sqrt(
             np.sum(((w_pow**b)[None, :] * f.samples) ** 2) * g.dx * g.dy
         )
-        c_f = to_spectral(f).coeffs
         mxa = (1.0 + g.xi**2) ** alpha
-        jnorm = np.sqrt(np.sum(mxa[None, :] * np.abs(c_f) ** 2) / (g.lx * g.ly))
+        jnorm = multiplier_norm(to_spectral(f), mxa[None, :])
         rhs = wnorm ** (1.0 - beta) * jnorm**beta
         if rhs > 0:
             ratios.append(float(lhs / rhs))

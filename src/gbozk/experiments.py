@@ -4,6 +4,12 @@ Outputs are deterministic: no timestamps, fixed column order, floats printed
 with 17 significant digits.  Every text output carries the manifest hash
 (sha256 over the config echo, code version and numerical settings), so
 re-running a manifest reproduces outputs byte for byte.
+
+``run_scenario`` and both branches of ``uc_compare`` share one scaffold:
+``_open_run`` creates the output directory and hashes the manifest, and
+``_run`` evolves a config with one observer, appends the shared zero-mode
+and x-moment columns, and hands back the partial trajectory on blow-up so
+the rows reached are written before the error is re-raised.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from .fraclab import (
     make_profile,
     SteinQuery,
 )
-from .propagator import xi_expansion_check
+from .propagator import DispersionParams, xi_expansion_check
 from .snapshot import SnapshotFile, write_snapshot
 from .solver import BlowUpError, evolve
 
@@ -83,6 +89,49 @@ def _write_csv(path: Path, header: list[str], rows: list[list], mhash: str) -> N
     path.write_text("\n".join(lines) + "\n")
 
 
+def _payload(**entries) -> dict:
+    """Manifest payload: the run's own entries plus code version and settings."""
+    return {**entries, "code_version": __version__, "settings": NUMERICAL_SETTINGS}
+
+
+def _open_run(out_dir: str | Path, payload: dict) -> tuple[Path, str]:
+    """Create the output directory; return it with the manifest hash."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out, manifest_hash(payload)
+
+
+def _run(cfg: RunConfig, observe, snapshot_stride: int = 0):
+    """Evolve ``cfg``'s initial data, recording ``observe`` plus shared columns.
+
+    Every record ends with ``zero_mode_maxdev``, ``xmom_re`` and
+    ``xmom_im``.  Returns ``(trajectory, columns, blow-up or None)``; on
+    blow-up the trajectory holds the records reached before it.
+    """
+    initial = cfg.initial.build(cfg.grid)
+    zm0 = zero_mode_slice(initial)
+
+    def row(t, u):
+        rec = observe(t, u)
+        rec["zero_mode_maxdev"] = float(np.max(np.abs(zero_mode_slice(u) - zm0)))
+        xm = x_moment(u)
+        rec["xmom_re"], rec["xmom_im"] = xm.real, xm.imag
+        return rec
+
+    try:
+        traj = evolve(
+            initial,
+            cfg.solver,
+            observe=row,
+            stride=cfg.diagnostics.stride,
+            snapshot_stride=snapshot_stride,
+        )
+        blowup = None
+    except BlowUpError as err:
+        traj, blowup = err.trajectory, err
+    return traj, list(traj.records[0]), blowup
+
+
 @dataclass
 class ScenarioResult:
     config: RunConfig
@@ -91,32 +140,18 @@ class ScenarioResult:
     columns: list[str]
     rows: list[list[float]]
     sup_es_norm: float
-    blowup: str | None = None
 
 
-def _scenario_observers(cfg: RunConfig):
+def _scenario_observer(cfg: RunConfig):
     plan = cfg.diagnostics
-    a = cfg.params.a
-    sspec = SobolevSpec.from_scalar(plan.sobolev_s, a)
-    state = {"zm0": None}
+    sspec = SobolevSpec.from_scalar(plan.sobolev_s, cfg.params.a)
 
     def observe(t, u):
-        row = {}
-        row["mass"] = mass(u)
-        row["hamiltonian"] = hamiltonian(u, cfg.params)
-        sx, sy = directional_sobolev_norms(u, sspec)
-        row["sob_x"] = sx
-        row["sob_y"] = sy
+        row = {"mass": mass(u), "hamiltonian": hamiltonian(u, cfg.params)}
+        row["sob_x"], row["sob_y"] = directional_sobolev_norms(u, sspec)
         for N in plan.n_ladder:
             row[f"wnorm_x_N{_ladder_tag(N)}"] = truncated_x_norm(u, plan.r1, N)
         row["wnorm_y"] = truncated_y_norm(u, plan.r2)
-        zm = zero_mode_slice(u)
-        if state["zm0"] is None:
-            state["zm0"] = zm
-        row["zero_mode_maxdev"] = float(np.max(np.abs(zm - state["zm0"])))
-        xm = x_moment(u)
-        row["xmom_re"] = xm.real
-        row["xmom_im"] = xm.imag
         return row
 
     return observe
@@ -127,77 +162,40 @@ def _ladder_tag(N: float) -> str:
 
 
 def run_scenario(cfg: RunConfig) -> ScenarioResult:
-    """Integrate one configured run and write CSV + manifest (+ snapshots)."""
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Integrate one configured run and write CSV + manifest (+ snapshots).
 
-    payload = {
-        "config": cfg.to_dict(),
-        "code_version": __version__,
-        "settings": NUMERICAL_SETTINGS,
-    }
-    mhash = manifest_hash(payload)
-
-    initial = cfg.initial.build(cfg.grid)
-    observe = _scenario_observers(cfg)
-    columns = ["t"] + list(observe(0.0, initial).keys())
-
-    blowup_err: BlowUpError | None = None
-    rows: list[list[float]] = []
-
-    # evolve() takes per-key callables; computing the full row once per
-    # record is cheaper, so wrap it in a single pseudo-observer
-    observers = {"_row": lambda t, u: observe(t, u)}
-    try:
-        traj = evolve(
-            initial,
-            cfg.solver,
-            observers=observers,
-            stride=cfg.diagnostics.stride,
-            snapshot_stride=cfg.snapshot_stride,
-        )
-    except BlowUpError as err:
-        blowup_err = err
-        traj = getattr(err, "trajectory", None)
-
-    records = traj.records if traj is not None else []
-    for rec in records:
-        row = [rec["t"]] + [rec["_row"][key] for key in columns[1:]]
-        rows.append(row)
+    On blow-up the rows and snapshots reached so far are still written and
+    the manifest records the error before it is re-raised.
+    """
+    payload = _payload(config=cfg.to_dict())
+    out, mhash = _open_run(cfg.output_dir, payload)
+    traj, columns, blowup = _run(cfg, _scenario_observer(cfg), cfg.snapshot_stride)
+    rows = [[rec[key] for key in columns] for rec in traj.records]
 
     csv_path = out / "diagnostics.csv"
     _write_csv(csv_path, columns, rows, mhash)
 
-    sup_es = 0.0
-    if rows:
-        idx_m, idx_sx, idx_sy = (
-            columns.index("mass"),
-            columns.index("sob_x"),
-            columns.index("sob_y"),
-        )
-        sup_es = max(
-            float(np.sqrt(r[idx_m] + r[idx_sx] ** 2 + r[idx_sy] ** 2)) for r in rows
-        )
+    es_sq = traj.column("mass") + traj.column("sob_x") ** 2 + traj.column("sob_y") ** 2
+    sup_es = float(np.max(np.sqrt(es_sq)))
 
-    if traj is not None:
-        for t_snap, u_snap in traj.snapshots:
-            write_snapshot(
-                out / f"snapshot_t{t_snap:g}.gbzk",
-                SnapshotFile(u_snap, a=cfg.params.a, t=t_snap),
-            )
+    for t_snap, u_snap in traj.snapshots:
+        write_snapshot(
+            out / f"snapshot_t{t_snap:g}.gbzk",
+            SnapshotFile(u_snap, a=cfg.params.a, t=t_snap),
+        )
 
     manifest = dict(payload)
     manifest["manifest_sha256"] = mhash
     manifest["results"] = {
         "rows": len(rows),
         "sup_es_norm": sup_es,
-        "blowup": str(blowup_err) if blowup_err else None,
+        "blowup": str(blowup) if blowup else None,
     }
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
-    if blowup_err is not None:
-        raise blowup_err
+    if blowup is not None:
+        raise blowup
 
     return ScenarioResult(
         config=cfg,
@@ -221,10 +219,6 @@ class UcCompareResult:
     zero_mode_maxdev: dict[str, float]
 
 
-def _uc_ladder_exponents(a: float) -> list[float]:
-    return [2.0, 2.5 + a, 3.5 + a]
-
-
 def uc_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: str | Path) -> UcCompareResult:
     """Contrast a zero-x-mean branch against a nonzero-mean branch.
 
@@ -232,6 +226,8 @@ def uc_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: str | Path) -> UcCom
     Tracks the truncated-norm ladders ||<x>_N^{r1} u|| for r1 in
     {2, 5/2+a, 7/2+a} over the configured N ladder, the zero-mode deviation
     and the first x-moment; the report states box-truncated trends only.
+    If either branch blows up, ``uc_compare.csv`` holds the rows both
+    branches reached and the first blow-up is re-raised.
     """
     da, db = cfg_a.to_dict(), cfg_b.to_dict()
     da["initial"] = {k: v for k, v in da["initial"].items() if k != "x_mean_removed"}
@@ -244,78 +240,55 @@ def uc_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: str | Path) -> UcCom
     if cfg_a.initial.x_mean_removed:
         cfg_a, cfg_b = cfg_b, cfg_a  # branch A: nonzero mean, branch B: zero mean
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     a = cfg_a.params.a
-    ladder_r = _uc_ladder_exponents(a)
+    ladder_r = [2.0, 2.5 + a, 3.5 + a]
     ladder_n = cfg_a.diagnostics.n_ladder
+    ladder_keys = [
+        (f"w_r{_rtag(r1)}_N{_ladder_tag(N)}", r1, N) for r1 in ladder_r for N in ladder_n
+    ]
 
-    payload = {
-        "config_pair": [cfg_a.to_dict(), cfg_b.to_dict()],
-        "code_version": __version__,
-        "settings": NUMERICAL_SETTINGS,
-    }
-    mhash = manifest_hash(payload)
+    out, mhash = _open_run(out_dir, _payload(config_pair=[cfg_a.to_dict(), cfg_b.to_dict()]))
 
-    branches = {}
+    def observe(t, u):
+        row = {"mass": mass(u)}
+        for key, r1, N in ladder_keys:
+            row[key] = truncated_x_norm(u, r1, N)
+        return row
+
+    branches, blowups = {}, []
     for tag, cfg in (("nz", cfg_a), ("zm", cfg_b)):
-        initial = cfg.initial.build(cfg.grid)
-        zm0 = zero_mode_slice(initial)
+        branches[tag], columns, blowup = _run(cfg, observe)
+        if blowup is not None:
+            blowups.append(blowup)
 
-        def observe(t, u, zm0=zm0, r_list=ladder_r, n_list=ladder_n):
-            row = {"mass": mass(u)}
-            for r1 in r_list:
-                for N in n_list:
-                    row[f"w_r{_rtag(r1)}_N{_ladder_tag(N)}"] = truncated_x_norm(u, r1, N)
-            zm = zero_mode_slice(u)
-            row["zero_mode_maxdev"] = float(np.max(np.abs(zm - zm0)))
-            xm = x_moment(u)
-            row["xmom_re"], row["xmom_im"] = xm.real, xm.imag
-            return row
-
-        traj = evolve(
-            initial,
-            cfg.solver,
-            observers={"_row": lambda t, u, f=observe: f(t, u)},
-            stride=cfg.diagnostics.stride,
-        )
-        branches[tag] = traj
-
-    keys = list(branches["nz"].records[0]["_row"].keys())
+    keys = columns[1:]
     columns = ["t"] + [f"{k}_{tag}" for k in keys for tag in ("nz", "zm")]
-    rows = []
-    for rec_a, rec_b in zip(branches["nz"].records, branches["zm"].records):
-        row = [rec_a["t"]]
-        for k in keys:
-            row.append(rec_a["_row"][k])
-            row.append(rec_b["_row"][k])
-        rows.append(row)
+    rows = [
+        [rec_a["t"]] + [rec[k] for k in keys for rec in (rec_a, rec_b)]
+        for rec_a, rec_b in zip(branches["nz"].records, branches["zm"].records)
+    ]
     csv_path = out / "uc_compare.csv"
     _write_csv(csv_path, columns, rows, mhash)
+    if blowups:
+        raise blowups[0]
 
     # moment-identity residual: d/dt xmom = mass/2, centered differences
     residuals, zmdev, trends = {}, {}, {}
     times = np.array([r[0] for r in rows])
     for tag in ("nz", "zm"):
-        xm = np.array(
-            [rec["_row"]["xmom_re"] for rec in branches[tag].records]
-        )
-        ms = np.array([rec["_row"]["mass"] for rec in branches[tag].records])
+        traj = branches[tag]
+        xm, ms = traj.column("xmom_re"), traj.column("mass")
         if len(times) >= 3:
             dt = times[2:] - times[:-2]
             deriv = (xm[2:] - xm[:-2]) / dt
             residuals[tag] = float(np.max(np.abs(deriv - 0.5 * ms[1:-1])))
         else:
             residuals[tag] = float("nan")
-        zmdev[tag] = float(
-            max(rec["_row"]["zero_mode_maxdev"] for rec in branches[tag].records)
-        )
-        for r1 in ladder_r:
-            for N in ladder_n:
-                key = f"w_r{_rtag(r1)}_N{_ladder_tag(N)}"
-                series = np.array([rec["_row"][key] for rec in branches[tag].records])
-                grow = (series[-1] - series[0]) / series[0] if series[0] > 0 else 0.0
-                trends[f"{key}_{tag}"] = float(grow)
+        zmdev[tag] = float(np.max(traj.column("zero_mode_maxdev")))
+        for key, _, _ in ladder_keys:
+            series = traj.column(key)
+            grow = (series[-1] - series[0]) / series[0] if series[0] > 0 else 0.0
+            trends[f"{key}_{tag}"] = float(grow)
 
     report_lines = [
         f"# manifest={mhash}",
@@ -416,20 +389,25 @@ def _run_one_query(q: SteinBatchQuery) -> dict:
     return out
 
 
+def _batch_workers() -> int:
+    """GBOZK_WORKERS as a process count, capped at the CPU count."""
+    raw = os.environ.get("GBOZK_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"GBOZK_WORKERS must be a positive integer, got {raw!r}")
+    return min(workers, os.cpu_count() or 1)
+
+
 def stein_report(
     queries: list[SteinBatchQuery], out_dir: str | Path
 ) -> tuple[Path, Path]:
     """Run a query batch; write verdicts and pointwise values as CSV."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "queries": [vars(q) for q in queries],
-        "code_version": __version__,
-        "settings": NUMERICAL_SETTINGS,
-    }
-    mhash = manifest_hash(payload)
+    workers = _batch_workers()
+    out, mhash = _open_run(out_dir, _payload(queries=[vars(q) for q in queries]))
 
-    workers = int(os.environ.get("GBOZK_WORKERS", "1"))
     if workers > 1 and len(queries) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one_query, queries))
@@ -447,27 +425,11 @@ def stein_report(
         "fit_window",
         "rule",
     ]
-    verdict_rows = [
-        [
-            r["name"],
-            r["kind"],
-            r["param"] if r["param"] is not None else "",
-            r["theta"],
-            r["verdict"],
-            r["increment_slope"],
-            r["slope_large_eta"],
-            r["fit_window"],
-            r["rule"],
-        ]
-        for r in results
-    ]
+    verdict_rows = [["" if r[k] is None else r[k] for k in verdict_header] for r in results]
     verdicts_path = out / "stein_verdicts.csv"
     _write_csv(verdicts_path, verdict_header, verdict_rows, mhash)
 
-    value_rows = []
-    for r in results:
-        for eta, val in r["values"]:
-            value_rows.append([r["name"], eta, val])
+    value_rows = [[r["name"], eta, val] for r in results for eta, val in r["values"]]
     values_path = out / "stein_values.csv"
     _write_csv(values_path, ["name", "eta", "value"], value_rows, mhash)
     return verdicts_path, values_path
@@ -487,15 +449,11 @@ def run_expansion_check(
     tolerance: float = 1e-6,
 ):
     """Run xi_expansion_check over a (xi, eta) grid for each (k, t)."""
-    from .propagator import DispersionParams
-
     params = DispersionParams(a)
     xi_set = np.linspace(xi_lo, xi_hi, n)
     eta_set = np.linspace(eta_lo, eta_hi, n)
-    reports = []
-    for k in ks:
-        for t in ts:
-            reports.append(
-                xi_expansion_check(k, t, params, xi_set, eta_set, tolerance=tolerance)
-            )
-    return reports
+    return [
+        xi_expansion_check(k, t, params, xi_set, eta_set, tolerance=tolerance)
+        for k in ks
+        for t in ts
+    ]

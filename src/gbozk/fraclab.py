@@ -44,7 +44,7 @@ def quad(fn, a, b, **kw):
         warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
         return scipy.integrate.quad(fn, a, b, **kw)
 
-from .diagnostics import mass
+from .diagnostics import mass, multiplier_norm
 from .propagator import dispersion_symbol
 from .spectral import RealField2D, to_spectral
 
@@ -749,16 +749,9 @@ def lemma_df_probe(theta: float, t: float, a: float, fields: list[RealField2D]) 
         deta = 2.0 * np.pi / g.ly
         lhs = np.sqrt(np.sum(stein_rows**2) * dxi * deta) / (2.0 * np.pi)
 
-        c = spec.coeffs
-        l2 = np.sqrt(np.sum(np.abs(c) ** 2) / (g.lx * g.ly))
-        dy = np.sqrt(
-            np.sum((np.abs(g.eta[:, None]) ** (4.0 * theta)) * np.abs(c) ** 2)
-            / (g.lx * g.ly)
-        )
-        dxn = np.sqrt(
-            np.sum((np.abs(g.xi[None, :]) ** (2.0 * (1 + a) * theta)) * np.abs(c) ** 2)
-            / (g.lx * g.ly)
-        )
+        l2 = multiplier_norm(spec, 1.0)
+        dy = multiplier_norm(spec, np.abs(g.eta[:, None]) ** (4.0 * theta))
+        dxn = multiplier_norm(spec, np.abs(g.xi[None, :]) ** (2.0 * (1 + a) * theta))
         wx = np.abs(g.x) ** theta
         wnorm = np.sqrt(np.sum((wx[None, :] * f.samples) ** 2) * g.dx * g.dy)
         rhs = rho_weight(t, theta) * (l2 + dy + dxn) + wnorm

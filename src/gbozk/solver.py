@@ -17,10 +17,16 @@ Two integrators are provided, both exact on the linear flow:
 The quadratic term is formed pseudo-spectrally and truncated by the 2/3
 rule by default, which makes the discrete L^2 mass an invariant of the
 semidiscrete flow up to time-integration error.
+
+``Stepper`` holds the precomputed coefficients for one grid and config;
+``evolve`` reuses a single ``Stepper`` over [0, T] and records
+``{"t": t, **observe(t, u)}`` at the sampled times, where one ``observe``
+callable computes every diagnostic of a record.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +47,6 @@ __all__ = [
     "BlowUpError",
     "nonlinear_term",
     "Stepper",
-    "step",
     "evolve",
 ]
 
@@ -168,14 +173,6 @@ class Stepper:
         return self.exp_half * w
 
 
-def step(state: SpectralField2D, cfg: SolverConfig) -> SpectralField2D:
-    """Advance one dt (convenience wrapper; evolve() reuses the stepper)."""
-    if not np.all(np.isfinite(state.coeffs)):
-        raise ValueError("state contains non-finite coefficients")
-    stepper = Stepper(state.grid, cfg)
-    return SpectralField2D(state.grid, stepper.step(state.coeffs))
-
-
 def _blowup_mode(coeffs: np.ndarray, grid: GridSpec) -> tuple[int, int]:
     safe = np.where(np.isfinite(coeffs), np.abs(coeffs), np.inf)
     flat = int(np.argmax(safe))
@@ -186,20 +183,23 @@ def _blowup_mode(coeffs: np.ndarray, grid: GridSpec) -> tuple[int, int]:
 def evolve(
     initial: RealField2D,
     cfg: SolverConfig,
-    observers: dict | None = None,
+    observe: Callable[[float, RealField2D], dict] | None = None,
     stride: int = 1,
     snapshot_stride: int = 0,
 ) -> Trajectory:
     """Integrate on [0, T] recording diagnostics every ``stride`` steps.
 
-    ``observers`` maps record keys to callables (t, RealField2D) -> value.
-    On blow-up the last good snapshot is stored and the error recorded in
-    ``Trajectory.blowup`` before re-raising.
+    Each record is ``{"t": t, **observe(t, u)}`` for the physical field u at
+    time t (just ``{"t": t}`` without ``observe``), taken at t = 0, every
+    ``stride`` steps and at the final step.  ``snapshot_stride`` > 0 also
+    stores the field every that many steps; otherwise only the final field
+    is kept.  On blow-up the last good snapshot is stored, the error is
+    recorded in ``Trajectory.blowup`` and attached to it as ``trajectory``,
+    and it is re-raised.
     """
     g = initial.grid
     # rounding to whole steps lands the final time within dt/2 of T
     n_steps = max(1, int(round(cfg.T / cfg.dt)))
-    observers = observers or {}
     stepper = Stepper(g, cfg)
     coeffs = to_spectral(initial).coeffs
     peak0 = float(np.max(np.abs(initial.samples)))
@@ -208,10 +208,14 @@ def evolve(
 
     def record(t: float, u: RealField2D) -> None:
         traj.times.append(t)
-        row = {"t": t}
-        for key, fn in observers.items():
-            row[key] = fn(t, u)
-        traj.records.append(row)
+        traj.records.append({"t": t, **(observe(t, u) if observe else {})})
+
+    def blow_up(t: float, peak: float) -> BlowUpError:
+        err = BlowUpError(t, peak, _blowup_mode(coeffs, g))
+        err.trajectory = traj
+        traj.blowup = err
+        traj.snapshots.append((traj.times[-1], last_good))
+        return err
 
     record(0.0, initial)
     if snapshot_stride:
@@ -224,20 +228,12 @@ def evolve(
         # cheap per-step sanity check; the amplitude policy is enforced at
         # record times where the physical field is materialized anyway
         if not np.all(np.isfinite(coeffs)):
-            err = BlowUpError(t, float("inf"), _blowup_mode(coeffs, g))
-            traj.blowup = err
-            traj.snapshots.append((traj.times[-1], last_good))
-            err.trajectory = traj
-            raise err
+            raise blow_up(t, float("inf"))
         if n % stride == 0 or n == n_steps or (snapshot_stride and n % snapshot_stride == 0):
             u = to_physical(SpectralField2D(g, coeffs))
             peak = float(np.max(np.abs(u.samples)))
             if peak0 > 0 and peak > cfg.blowup_factor * peak0:
-                err = BlowUpError(t, peak, _blowup_mode(coeffs, g))
-                traj.blowup = err
-                traj.snapshots.append((traj.times[-1], last_good))
-                err.trajectory = traj
-                raise err
+                raise blow_up(t, peak)
             if n % stride == 0 or n == n_steps:
                 record(t, u)
                 last_good = u.copy()

@@ -53,13 +53,13 @@ def conservation_run():
     u0 = gaussian_field(g, 0.5, 1.0, 2.0)
     p = DispersionParams(0.5)
     zm0 = zero_mode_slice(u0)
-    obs = {
-        "mass": lambda t, u: mass(u),
-        "ham": lambda t, u: hamiltonian(u, p),
-        "zm_dev": lambda t, u: float(np.max(np.abs(zero_mode_slice(u) - zm0))),
+    obs = lambda t, u: {
+        "mass": mass(u),
+        "ham": hamiltonian(u, p),
+        "zm_dev": float(np.max(np.abs(zero_mode_slice(u) - zm0))),
     }
     cfg = SolverConfig(dt=1e-3, T=1.0, params=p)
-    traj = evolve(u0, cfg, observers=obs, stride=50)
+    traj = evolve(u0, cfg, observe=obs, stride=50)
     return traj
 
 
@@ -72,7 +72,7 @@ class TestCriterion1LinearExactness:
             p = DispersionParams(a)
             cfg = SolverConfig(dt=0.01, T=1.0, params=p, nonlinear=False)
             t0 = time.monotonic()
-            traj = evolve(u0, cfg, observers={}, stride=10**9)
+            traj = evolve(u0, cfg, stride=10**9)
             elapsed = time.monotonic() - t0
             final = traj.snapshots[-1][1]
             exact = to_physical(apply_linear_propagator(to_spectral(u0), 1.0, p))

@@ -1,7 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gbozk import make_grid
+from gbozk import evolve, make_grid
 from gbozk.cli import main as cli_main
 from gbozk.config import ConfigError, load_config
 from gbozk.experiments import (
@@ -193,6 +197,36 @@ class TestRunScenario:
         assert np.isclose(snap.t, 0.01)
         assert snap.a == 0.5
 
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(
+        stride=st.integers(1, 5),
+        n_steps=st.integers(1, 12),
+        snapshot_stride=st.integers(0, 5),
+    )
+    def test_rows_times_and_snapshots_follow_evolve(self, stride, n_steps, snapshot_stride):
+        with tempfile.TemporaryDirectory() as tmp:
+            text = (
+                BASE_CFG.replace("nx = 32\nny = 32", "nx = 16\nny = 16")
+                .replace("T = 0.01", f"T = {n_steps * 1e-3!r}")
+                .replace("stride = 2", f"stride = {stride}")
+                + f"snapshot_stride = {snapshot_stride}\n"
+            )
+            cfg = load_config(write_cfg(Path(tmp), text=text))
+            res = run_scenario(cfg)
+            traj = evolve(
+                cfg.initial.build(cfg.grid),
+                cfg.solver,
+                stride=stride,
+                snapshot_stride=snapshot_stride,
+            )
+            assert [row[0] for row in res.rows] == traj.times
+            assert len(res.rows) == len(traj.records)
+            out = Path(cfg.output_dir)
+            assert len(list(out.glob("snapshot_t*.gbzk"))) == len(traj.snapshots)
+            first = {f.name: f.read_bytes() for f in out.iterdir()}
+            run_scenario(cfg)
+            assert {f.name: f.read_bytes() for f in out.iterdir()} == first
+
 
 class TestUcCompare:
     def _configs(self, tmp_path):
@@ -281,6 +315,41 @@ class TestSteinBatch:
         assert body["sign_family"] == "non-member"
         assert body["gamma_family"] == "non-member"
 
+    @pytest.mark.parametrize("value", ["two", "0", "-1", "1.5", ""])
+    def test_bad_workers_value_is_config_error(self, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("GBOZK_WORKERS", value)
+        with pytest.raises(ConfigError, match="GBOZK_WORKERS"):
+            stein_report([], tmp_path / "out")
+
+    def test_workers_capped_at_cpu_count(self, tmp_path, monkeypatch):
+        import gbozk.experiments as experiments
+
+        requested = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+        monkeypatch.setenv("GBOZK_WORKERS", "64")
+        batch = tmp_path / "batch.cfg"
+        batch.write_text(
+            "[q1]\nkind = power\nalpha = 0.5\ntheta = 1.2\n\n"
+            "[q2]\nkind = power\nalpha = 0.5\ntheta = 1.7\n"
+        )
+        stein_report(load_stein_batch(batch), tmp_path / "out")
+        assert requested == [3]
+
     def test_parallel_workers_match_sequential(self, tmp_path, monkeypatch):
         batch = tmp_path / "batch.cfg"
         # orders >= 1 reduce to the identity route and stay cheap
@@ -319,6 +388,40 @@ class TestCli:
         ).replace("dt = 1e-3", "dt = 0.05")
         cfg_path = write_cfg(tmp_path, text=text)
         assert cli_main(["simulate", str(cfg_path)]) == 3
+
+    def test_uc_compare_blowup_writes_partial_csv(self, tmp_path):
+        text = BASE_CFG.replace("amplitude = 0.3", "amplitude = 400.0").replace(
+            "T = 0.01", "T = 2.0"
+        ).replace("dt = 1e-3", "dt = 0.05")
+        text_zm = text.replace("sigma_y = 1.0", "sigma_y = 1.0\nx_mean_removed = true")
+        a = write_cfg(tmp_path, "a.cfg", text, out=tmp_path / "a")
+        b = write_cfg(tmp_path, "b.cfg", text_zm, out=tmp_path / "b")
+        uc = tmp_path / "uc"
+        assert cli_main(["uc-compare", str(a), str(b), "--out", str(uc)]) == 3
+        lines = (uc / "uc_compare.csv").read_text().splitlines()
+        assert lines[0].startswith("# manifest=")
+        assert lines[1].startswith("t,mass_nz,mass_zm,")
+        assert lines[2].startswith("0,")  # the initial record of both branches
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["2:x"], ["--sobolev", "1.5"], ["1:2:3:4"], ["-1"]],
+        ids=["bad-number", "short-sobolev", "long-weight", "negative-exponent"],
+    )
+    def test_norms_malformed_spec_exit_code(self, tmp_path, capsys, extra):
+        path = tmp_path / "f.gbzk"
+        write_snapshot(path, SnapshotFile(random_field(make_grid(16, 16, 8.0, 8.0)), a=0.5, t=0.0))
+        assert cli_main(["norms", str(path), *extra]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_norms_corrupted_snapshot_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "f.gbzk"
+        write_snapshot(path, SnapshotFile(random_field(make_grid(16, 16, 8.0, 8.0)), a=0.5, t=0.0))
+        raw = bytearray(path.read_bytes())
+        raw[:4] = b"NOPE"
+        path.write_bytes(bytes(raw))
+        assert cli_main(["norms", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_expansion_check_cli(self, capsys):
         code = cli_main(["expansion-check", "--a", "0.5", "--k", "1", "--t", "0,0.2"])
