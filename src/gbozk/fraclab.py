@@ -25,7 +25,6 @@ threshold; D^0 is the identity.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,16 +32,17 @@ import scipy.integrate
 
 
 def quad(fn, a, b, **kw):
-    """scipy.integrate.quad with accuracy complaints silenced.
+    """scipy.integrate.quad returning (value, abserr, neval).
 
-    The requested tolerances here are deliberately tighter than needed so a
-    partially converged panel is still far more accurate than the decisions
-    built on it; the engine's absolute accuracy is pinned by independent
-    oracles in the test suite, not by quad's own error report.
+    ``full_output`` keeps QUADPACK's accuracy complaints out of the warning
+    stream.  The requested tolerances here are deliberately tighter than
+    needed so a partially converged panel is still far more accurate than the
+    decisions built on it; the engine's absolute accuracy is pinned by
+    independent oracles in the test suite, not by quad's own error report,
+    which is passed on for monitoring only.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-        return scipy.integrate.quad(fn, a, b, **kw)
+    value, abserr, info, *_ = scipy.integrate.quad(fn, a, b, full_output=1, **kw)
+    return value, abserr, info["neval"]
 
 from .diagnostics import mass, multiplier_norm
 from .propagator import dispersion_symbol
@@ -73,8 +73,15 @@ __all__ = [
 
 # --- smooth cutoff -----------------------------------------------------------
 
+# Each function here is called once per quadrature point on a Python float,
+# so floats take a branch free of array set-up.  That branch still calls
+# np.exp: numpy's vectorised exp can differ from math.exp in the last bit, and
+# the scalar branch must reproduce the array path exactly.
+
 def _bump_s(t):
     """exp(-1/t) for t > 0, else 0; the standard C-infinity glue."""
+    if isinstance(t, float):
+        return float(np.exp(-1.0 / float(t))) if t > 0.0 else 0.0
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     pos = t > 0
@@ -84,17 +91,38 @@ def _bump_s(t):
 
 def cutoff_phi(x):
     """Even C-infinity cutoff: 1 on (-1, 1), 0 outside [-2, 2], monotone between."""
-    ax = np.abs(np.asarray(x, dtype=float))
+    if isinstance(x, float):
+        ax = abs(float(x))
+        if ax <= 1.0:
+            return 1.0
+        if ax < 2.0:
+            sa, sb = _bump_s(2.0 - ax), _bump_s(ax - 1.0)
+            return sa / (sa + sb)
+        return 0.0 if ax >= 2.0 else math.nan
+    x = np.asarray(x, dtype=float)
+    if not x.shape:
+        return cutoff_phi(float(x))
+    ax = np.abs(x)
     sa = _bump_s(2.0 - ax)
     sb = _bump_s(ax - 1.0)
     with np.errstate(invalid="ignore"):
-        val = np.where(ax <= 1.0, 1.0, np.where(ax >= 2.0, 0.0, sa / (sa + sb)))
-    return val if val.shape else float(val)
+        return np.where(ax <= 1.0, 1.0, np.where(ax >= 2.0, 0.0, sa / (sa + sb)))
 
 
 def cutoff_phi_prime(x):
     """Analytic derivative of the cutoff (needed by the order reduction)."""
+    if isinstance(x, float):
+        ax = abs(float(x))
+        if not 1.0 + 1e-12 < ax < 2.0 - 1e-12:
+            return 0.0
+        ta, tb = 2.0 - ax, ax - 1.0
+        sa, sb = _bump_s(ta), _bump_s(tb)
+        dsa, dsb = -sa / (ta * ta), sb / (tb * tb)
+        d_abs = (dsa * (sa + sb) - sa * (dsa + dsb)) / ((sa + sb) * (sa + sb))
+        return d_abs if x > 0.0 else -d_abs
     x = np.asarray(x, dtype=float)
+    if not x.shape:
+        return cutoff_phi_prime(float(x))
     ax = np.abs(x)
     out = np.zeros_like(ax)
     # stay clear of the glue edges where exp(-1/t)/t^2 underflows to 0/0
@@ -106,7 +134,7 @@ def cutoff_phi_prime(x):
         dsb = _bump_s(am - 1.0) / (am - 1.0) ** 2
         d_abs = (dsa * (sa + sb) - sa * (dsa + dsb)) / (sa + sb) ** 2
         out[mid] = d_abs * np.sign(x[mid])
-    return out if out.shape else float(out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -121,11 +149,17 @@ class CutoffSpec:
 
 @dataclass
 class SteinResult:
-    """Value with the analytic remainder estimate of the truncated integral."""
+    """Value with the analytic remainder estimate of the truncated integral.
+
+    ``abserr`` sums quad's error estimates over every panel and ``n_evals``
+    counts the integrand evaluations behind the value.
+    """
 
     value: float
     tail_estimate: float
     diverged: bool = False
+    abserr: float = 0.0
+    n_evals: int = 0
 
     def __float__(self) -> float:
         return self.value
@@ -158,10 +192,19 @@ def stein_derivative(
     """
     if not 0.0 < b < 1.0:
         raise ValueError(f"Stein order b must lie in (0, 1), got {b}")
-    fx = complex(f(x))
+    fx = f(x)
+    if isinstance(fx, float):
+        # real profile: no complex round trip; ``** 2`` (not d * d) is the
+        # pow the complex form applied to abs(), so values stay bit-identical
 
-    def h(s):
-        return abs(fx - complex(f(x + s))) ** 2 + abs(fx - complex(f(x - s))) ** 2
+        def h(s):
+            return abs(fx - f(x + s)) ** 2 + abs(fx - f(x - s)) ** 2
+
+    else:
+        fx = complex(fx)
+
+        def h(s):
+            return abs(fx - complex(f(x + s))) ** 2 + abs(fx - complex(f(x - s))) ** 2
 
     scale = local_scale if local_scale is not None else 1.0
     delta = scale / 100.0
@@ -175,7 +218,17 @@ def stein_derivative(
         s = delta * v**q
         return h(s) * s ** (-1.0 - 2.0 * b) * delta * q * v ** (q - 1.0)
 
-    inner, _ = quad(inner_integrand, 0.0, 1.0, epsabs=0.0, epsrel=epsrel, limit=200)
+    abserr = 0.0
+    n_evals = 0
+
+    def integrate(fn, lo, hi, limit):
+        nonlocal abserr, n_evals
+        val, err, neval = quad(fn, lo, hi, epsabs=0.0, epsrel=epsrel, limit=limit)
+        abserr += err
+        n_evals += neval
+        return val
+
+    inner = integrate(inner_integrand, 0.0, 1.0, 200)
 
     def outer_integrand(s):
         return h(s) * s ** (-1.0 - 2.0 * b)
@@ -197,10 +250,7 @@ def stein_derivative(
         for lo, hi in zip(edges[:-1], edges[1:]):
             if hi <= lo:
                 continue
-            val, _ = quad(
-                outer_integrand, lo, hi, epsabs=0.0, epsrel=epsrel, limit=400
-            )
-            total += val
+            total += integrate(outer_integrand, lo, hi, 400)
         return total
 
     diverged = False
@@ -247,7 +297,11 @@ def stein_derivative(
             tail_est = 2.0 * abs(fx) ** 2 / b * r ** (-2.0 * b)
 
     return SteinResult(
-        value=math.sqrt(max(total, 0.0)), tail_estimate=tail_est, diverged=diverged
+        value=math.sqrt(max(total, 0.0)),
+        tail_estimate=tail_est,
+        diverged=diverged,
+        abserr=abserr,
+        n_evals=n_evals,
     )
 
 
@@ -268,6 +322,29 @@ class Profile:
         return self.fn(y)
 
 
+def _abs_pow(y, p: float):
+    """|y| ** p; a float y gets a Python float, with numpy's inf for 0 ** (p < 0)
+    and on overflow, where Python raises."""
+    if isinstance(y, float):
+        try:
+            return abs(float(y)) ** p
+        except (ZeroDivisionError, OverflowError):
+            with np.errstate(divide="ignore", over="ignore"):
+                return float(np.float64(abs(y)) ** p)
+    return np.abs(y) ** p
+
+
+def _sign(y):
+    """np.sign; a float y gets a Python float."""
+    if isinstance(y, float):
+        if y > 0.0:
+            return 1.0
+        if y < 0.0:
+            return -1.0
+        return 0.0 if y == 0.0 else math.nan
+    return np.sign(y)
+
+
 def make_profile(kind: str, alpha: float | None = None, gamma: float | None = None,
                  fn=None, label: str | None = None) -> Profile:
     """Build one of the cutoff profile families.
@@ -279,27 +356,34 @@ def make_profile(kind: str, alpha: float | None = None, gamma: float | None = No
         if alpha is None:
             raise ValueError("power profile needs alpha")
         a = float(alpha)
-        f = lambda y: np.abs(y) ** a * cutoff_phi(y)
+        f = lambda y: _abs_pow(y, a) * cutoff_phi(y)
         fp = lambda y: (
-            a * np.sign(y) * np.abs(y) ** (a - 1.0) * cutoff_phi(y)
-            + np.abs(y) ** a * cutoff_phi_prime(y)
+            a * _sign(y) * _abs_pow(y, a - 1.0) * cutoff_phi(y)
+            + _abs_pow(y, a) * cutoff_phi_prime(y)
         )
         return Profile(f, label or f"|y|^{a}*phi", (0.0,), 2.0, fp, a)
     if kind == "power_sign":
         if alpha is None:
             raise ValueError("power_sign profile needs alpha")
         a = float(alpha)
-        f = lambda y: np.abs(y) ** a * np.sign(y) * cutoff_phi(y)
+        f = lambda y: _abs_pow(y, a) * _sign(y) * cutoff_phi(y)
         fp = lambda y: (
-            a * np.abs(y) ** (a - 1.0) * cutoff_phi(y)
-            + np.abs(y) ** a * np.sign(y) * cutoff_phi_prime(y)
+            a * _abs_pow(y, a - 1.0) * cutoff_phi(y)
+            + _abs_pow(y, a) * _sign(y) * cutoff_phi_prime(y)
         )
         return Profile(f, label or f"|y|^{a}*sgn*phi", (0.0,), 2.0, fp, a)
     if kind == "gamma":
         if gamma is None:
             raise ValueError("gamma profile needs gamma")
         g1 = float(gamma) - 0.5
-        f = lambda y: np.abs(y) ** g1 * cutoff_phi(y) if y != 0 else 0.0
+
+        def f(y):
+            if isinstance(y, float):
+                return _abs_pow(y, g1) * cutoff_phi(y) if y != 0.0 else 0.0
+            y = np.asarray(y, dtype=float)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(y != 0.0, _abs_pow(y, g1) * cutoff_phi(y), 0.0)[()]
+
         return Profile(f, label or f"|y|^{g1}*phi", (0.0,), 2.0, None, g1)
     if kind == "user":
         if fn is None:
@@ -326,7 +410,7 @@ class SteinQuery:
 def _profile_stein(profile: Profile, b: float, x: float, epsrel: float = 1e-10) -> SteinResult:
     scale = min(1.0, abs(x)) if 0.0 in profile.singular_points else 1.0
     return stein_derivative(
-        profile,
+        profile.fn,  # skip the __call__ indirection on the per-point path
         b,
         x,
         local_scale=scale,

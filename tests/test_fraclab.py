@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gbozk import make_grid
+from gbozk import fraclab, make_grid
 from gbozk.fraclab import (
     CutoffSpec,
     SteinQuery,
@@ -19,6 +20,7 @@ from gbozk.fraclab import (
     phase_lemma_probe,
     stein_derivative,
 )
+from gbozk.fraclab import _bump_s, _profile_stein
 
 
 def brute_force_stein(f, b, x, s_max=1e8, per_decade=2000):
@@ -183,6 +185,17 @@ class TestProfiles:
         assert abs(val - math.sqrt(c1sq)) / math.sqrt(c1sq) < 1e-3
 
 
+    def test_gamma_profile_accepts_arrays(self):
+        prof = make_profile("gamma", gamma=0.3)
+        y = np.array([-2.5, -1.5, -0.5, 0.0, 0.25, 1.0, 1.7, 3.0])
+        out = prof(y)
+        assert out.shape == y.shape
+        assert out[3] == 0.0
+        assert np.all(np.isfinite(out))
+        assert np.allclose(out, [prof(float(v)) for v in y], rtol=1e-14, atol=0.0)
+        assert prof(0.0) == 0.0
+
+
 class TestMembership:
     def test_gamma_family_non_member_at_gamma(self):
         prof = make_profile("gamma", gamma=0.3)
@@ -345,3 +358,123 @@ class TestLemmaDfProbe:
         ratios = [lemma_df_probe(0.5, t, 0.5, fields).max_ratio for t in (0.1, 1.0, 10.0)]
         assert max(ratios) < 10.0 * min(ratios)
         assert max(ratios) < 5.0
+
+
+# --- scalar fast path ----------------------------------------------------------
+
+_EDGES = [0.0, -0.0, 1.0 + 1e-12, 2.0 - 1e-12, -(1.0 + 1e-12), -(2.0 - 1e-12)]
+for _e in (1.0, -1.0, 2.0, -2.0):
+    _EDGES += [_e, math.nextafter(_e, -math.inf), math.nextafter(_e, math.inf)]
+
+
+def _hex(v):
+    return float(v).hex()
+
+
+def _family_profile(kind, p):
+    return make_profile(kind, **({"gamma": p} if kind == "gamma" else {"alpha": p}))
+
+
+class TestScalarFastPath:
+    """Floats take a branch free of array set-up that must match numpy bit for bit."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(x=st.one_of(st.sampled_from(_EDGES), st.floats(-3.0, 3.0), st.floats()))
+    def test_cutoff_scalar_matches_array(self, x):
+        for fn in (cutoff_phi, cutoff_phi_prime, _bump_s):
+            val = fn(x)
+            assert type(val) is float
+            assert type(fn(np.float64(x))) is float
+            assert _hex(fn(np.float64(x))) == _hex(val)
+            with np.errstate(all="ignore"):
+                zero_d = fn(np.array(x))
+                vec = fn(np.full(9, x))  # one full SIMD vector plus a remainder
+            assert _hex(zero_d) == _hex(val)
+            assert all(_hex(v) == _hex(val) for v in vec)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        kind=st.sampled_from(["power", "power_sign", "gamma"]),
+        p=st.one_of(st.sampled_from([0.5, 1.0, 1.5, 2.0]), st.floats(0.05, 3.0)),
+        x=st.one_of(
+            st.sampled_from(_EDGES),
+            st.floats(-3.0, 3.0),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+    )
+    def test_profile_scalar_matches_array(self, kind, p, x):
+        # numpy computes ``array ** p`` with its vectorised pow but a numpy
+        # scalar ``** p`` with the C library's, as Python floats do.  The two
+        # can differ in the last bits, so the float branch is pinned bit for
+        # bit to the 0-d (scalar) evaluation and to rounding on vectors.
+        prof = _family_profile(kind, min(p, 1.0) if kind == "gamma" else p)
+        for fn in (prof.fn, prof.derivative):
+            if fn is None:
+                continue
+            val = fn(x)
+            assert type(val) is float
+            assert type(fn(np.float64(x))) is float
+            assert _hex(fn(np.float64(x))) == _hex(val)
+            with np.errstate(all="ignore"):
+                zero_d = fn(np.array(x))
+                vec = fn(np.full(9, x))
+            assert _hex(zero_d) == _hex(val)
+            assert np.allclose(vec, val, rtol=1e-13, atol=1e-13, equal_nan=True)
+
+
+class TestSteinRegressionPins:
+    """Values recorded before the scalar fast path; they must not move."""
+
+    POINTS = (0.25, -0.75, 1.5)
+    PROFILE_VALUES = {
+        ("power", 1.5, 0.9): (
+            "0x1.40c9615e77519p+1", "0x1.fca259bd9645cp+1", "0x1.fb30135ba820ap+2",
+        ),
+        ("power_sign", 0.5, 0.4): (
+            "0x1.0e62fa15d3436p+1", "0x1.02f90e732d146p+1", "0x1.03bb657e56be2p+1",
+        ),
+        ("gamma", 0.3, 0.3): (
+            "0x1.411ca0ea1b96fp+1", "0x1.f1270cb60d201p+0", "0x1.b71d73c0dc0d5p+0",
+        ),
+    }
+    INCREMENTS = (
+        "0x1.62138b9dbf910p+1", "0x1.18f4bd0ee7336p+0", "0x1.21fd48907e42dp-1",
+        "0x1.3d0dc5a3b7ab9p-2", "0x1.5995e45c57798p-3", "0x1.7144c3e65fd20p-4",
+        "0x1.82c227f99b87ap-5", "0x1.8ecffd79f0060p-6", "0x1.96c1cfa3e3608p-7",
+        "0x1.9bd5cb1666ef8p-8",
+    )
+
+    def test_profile_stein_values(self):
+        for (kind, p, b), want in self.PROFILE_VALUES.items():
+            prof = _family_profile(kind, p)
+            got = tuple(_profile_stein(prof, b, x).value.hex() for x in self.POINTS)
+            assert got == want, (kind, p, b)
+
+    def test_membership_increments(self):
+        ev = l2_membership_classify(make_profile("power", alpha=1.0), 0.6, n_octaves=10)
+        assert tuple(_hex(v) for v in ev.increments) == self.INCREMENTS
+        assert ev.increment_slope.hex() == "-0x1.ec289a60e3bc3p-1"
+        assert ev.verdict == "member"
+
+
+class TestQuadratureReport:
+    def test_error_and_evaluations_sum_over_panels(self, monkeypatch):
+        calls = []
+        quad = fraclab.quad
+
+        def recording_quad(*args, **kwargs):
+            calls.append(quad(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(fraclab, "quad", recording_quad)
+        res = _profile_stein(make_profile("power", alpha=1.5), 0.9, 0.25)
+        assert len(calls) > 1
+        assert res.abserr == sum(err for _, err, _ in calls)
+        assert res.n_evals == sum(n for _, _, n in calls)
+        assert res.n_evals % 21 == 0  # 21-point Gauss-Kronrod panels
+        assert 0.0 < res.abserr < 1e-3 * res.value**2
+
+    def test_complex_profile_reports_too(self):
+        res = stein_derivative(lambda y: np.exp(1j * y), 0.5, 0.0, far_field="constant_modulus")
+        assert math.isfinite(res.abserr) and res.abserr >= 0.0
+        assert res.n_evals > 0
