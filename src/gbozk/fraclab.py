@@ -73,68 +73,53 @@ __all__ = [
 
 # --- smooth cutoff -----------------------------------------------------------
 
-# Each function here is called once per quadrature point on a Python float,
-# so floats take a branch free of array set-up.  That branch still calls
-# np.exp: numpy's vectorised exp can differ from math.exp in the last bit, and
-# the scalar branch must reproduce the array path exactly.
+# quad calls the cutoff once per point on a Python float, so the cutoff is
+# written for floats alone; arrays map it elementwise.  It calls np.exp, not
+# math.exp: numpy's vectorised exp can differ from libm's in the last bit, and
+# the regression-pinned Stein values were computed with numpy's.
 
-def _bump_s(t):
+def _elementwise(fn, x):
+    """fn mapped over an array-like x; a 0-d x gives a float."""
+    x = np.asarray(x, dtype=float)
+    if not x.shape:
+        return fn(float(x))
+    # Python float arithmetic leaves IEEE flags (NaN compares) that the ufunc
+    # loop would report as warnings; fn itself raises where it must
+    with np.errstate(all="ignore"):
+        return np.vectorize(fn, otypes=[float])(x)
+
+
+def _bump_s(t: float) -> float:
     """exp(-1/t) for t > 0, else 0; the standard C-infinity glue."""
-    if isinstance(t, float):
-        return float(np.exp(-1.0 / float(t))) if t > 0.0 else 0.0
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    out[pos] = np.exp(-1.0 / t[pos])
-    return out
+    return float(np.exp(-1.0 / t)) if t > 0.0 else 0.0
 
 
 def cutoff_phi(x):
     """Even C-infinity cutoff: 1 on (-1, 1), 0 outside [-2, 2], monotone between."""
-    if isinstance(x, float):
-        ax = abs(float(x))
-        if ax <= 1.0:
-            return 1.0
-        if ax < 2.0:
-            sa, sb = _bump_s(2.0 - ax), _bump_s(ax - 1.0)
-            return sa / (sa + sb)
-        return 0.0 if ax >= 2.0 else math.nan
-    x = np.asarray(x, dtype=float)
-    if not x.shape:
-        return cutoff_phi(float(x))
-    ax = np.abs(x)
-    sa = _bump_s(2.0 - ax)
-    sb = _bump_s(ax - 1.0)
-    with np.errstate(invalid="ignore"):
-        return np.where(ax <= 1.0, 1.0, np.where(ax >= 2.0, 0.0, sa / (sa + sb)))
+    if not isinstance(x, float):
+        return _elementwise(cutoff_phi, x)
+    ax = abs(float(x))
+    if ax <= 1.0:
+        return 1.0
+    if ax < 2.0:
+        sa, sb = _bump_s(2.0 - ax), _bump_s(ax - 1.0)
+        return sa / (sa + sb)
+    return 0.0 if ax >= 2.0 else math.nan
 
 
 def cutoff_phi_prime(x):
     """Analytic derivative of the cutoff (needed by the order reduction)."""
-    if isinstance(x, float):
-        ax = abs(float(x))
-        if not 1.0 + 1e-12 < ax < 2.0 - 1e-12:
-            return 0.0
-        ta, tb = 2.0 - ax, ax - 1.0
-        sa, sb = _bump_s(ta), _bump_s(tb)
-        dsa, dsb = -sa / (ta * ta), sb / (tb * tb)
-        d_abs = (dsa * (sa + sb) - sa * (dsa + dsb)) / ((sa + sb) * (sa + sb))
-        return d_abs if x > 0.0 else -d_abs
-    x = np.asarray(x, dtype=float)
-    if not x.shape:
-        return cutoff_phi_prime(float(x))
-    ax = np.abs(x)
-    out = np.zeros_like(ax)
+    if not isinstance(x, float):
+        return _elementwise(cutoff_phi_prime, x)
+    ax = abs(float(x))
     # stay clear of the glue edges where exp(-1/t)/t^2 underflows to 0/0
-    mid = (ax > 1.0 + 1e-12) & (ax < 2.0 - 1e-12)
-    if np.any(mid):
-        am = ax[mid]
-        sa, sb = _bump_s(2.0 - am), _bump_s(am - 1.0)
-        dsa = -_bump_s(2.0 - am) / (2.0 - am) ** 2  # d/d|x| S(2-|x|)
-        dsb = _bump_s(am - 1.0) / (am - 1.0) ** 2
-        d_abs = (dsa * (sa + sb) - sa * (dsa + dsb)) / (sa + sb) ** 2
-        out[mid] = d_abs * np.sign(x[mid])
-    return out
+    if not 1.0 + 1e-12 < ax < 2.0 - 1e-12:
+        return 0.0
+    ta, tb = 2.0 - ax, ax - 1.0
+    sa, sb = _bump_s(ta), _bump_s(tb)
+    dsa, dsb = -sa / (ta * ta), sb / (tb * tb)  # d/d|x| of S(2-|x|), S(|x|-1)
+    d_abs = (dsa * (sa + sb) - sa * (dsa + dsb)) / ((sa + sb) * (sa + sb))
+    return d_abs if x > 0.0 else -d_abs
 
 
 @dataclass(frozen=True)
@@ -193,18 +178,9 @@ def stein_derivative(
     if not 0.0 < b < 1.0:
         raise ValueError(f"Stein order b must lie in (0, 1), got {b}")
     fx = f(x)
-    if isinstance(fx, float):
-        # real profile: no complex round trip; ``** 2`` (not d * d) is the
-        # pow the complex form applied to abs(), so values stay bit-identical
 
-        def h(s):
-            return abs(fx - f(x + s)) ** 2 + abs(fx - f(x - s)) ** 2
-
-    else:
-        fx = complex(fx)
-
-        def h(s):
-            return abs(fx - complex(f(x + s))) ** 2 + abs(fx - complex(f(x - s))) ** 2
+    def h(s):
+        return abs(fx - f(x + s)) ** 2 + abs(fx - f(x - s)) ** 2
 
     scale = local_scale if local_scale is not None else 1.0
     delta = scale / 100.0

@@ -1,7 +1,9 @@
 import math
+import platform
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings, strategies as st
 
 from gbozk import fraclab, make_grid
@@ -20,7 +22,7 @@ from gbozk.fraclab import (
     phase_lemma_probe,
     stein_derivative,
 )
-from gbozk.fraclab import _bump_s, _profile_stein
+from gbozk.fraclab import _profile_stein
 
 
 def brute_force_stein(f, b, x, s_max=1e8, per_decade=2000):
@@ -375,22 +377,53 @@ def _family_profile(kind, p):
     return make_profile(kind, **({"gamma": p} if kind == "gamma" else {"alpha": p}))
 
 
+def _cutoff_numpy(x):
+    """cutoff_phi and cutoff_phi_prime evaluated on a whole array by numpy."""
+    ax = np.abs(x)
+    with np.errstate(all="ignore"):
+        sa = np.where(2.0 - ax > 0, np.exp(-1.0 / (2.0 - ax)), 0.0)
+        sb = np.where(ax - 1.0 > 0, np.exp(-1.0 / (ax - 1.0)), 0.0)
+        phi = np.where(ax <= 1.0, 1.0, np.where(ax >= 2.0, 0.0, sa / (sa + sb)))
+        dsa, dsb = -sa / (2.0 - ax) ** 2, sb / (ax - 1.0) ** 2
+        d_abs = (dsa * (sa + sb) - sa * (dsa + dsb)) / (sa + sb) ** 2
+    mid = (ax > 1.0 + 1e-12) & (ax < 2.0 - 1e-12)
+    return phi, np.where(mid, d_abs * np.sign(x), 0.0)
+
+
 class TestScalarFastPath:
-    """Floats take a branch free of array set-up that must match numpy bit for bit."""
+    """The cutoff is written for floats; arrays must get numpy's values bit for bit."""
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(x=st.one_of(st.sampled_from(_EDGES), st.floats(-3.0, 3.0), st.floats()))
-    def test_cutoff_scalar_matches_array(self, x):
-        for fn in (cutoff_phi, cutoff_phi_prime, _bump_s):
+    def test_cutoff_float_and_array_agree(self, x):
+        for fn in (cutoff_phi, cutoff_phi_prime):
             val = fn(x)
             assert type(val) is float
             assert type(fn(np.float64(x))) is float
             assert _hex(fn(np.float64(x))) == _hex(val)
-            with np.errstate(all="ignore"):
-                zero_d = fn(np.array(x))
-                vec = fn(np.full(9, x))  # one full SIMD vector plus a remainder
+            zero_d, vec = fn(np.array(x)), fn(np.full(9, x))
             assert _hex(zero_d) == _hex(val)
-            assert all(_hex(v) == _hex(val) for v in vec)
+            assert vec.shape == (9,) and all(_hex(v) == _hex(val) for v in vec)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        xs=st.lists(
+            st.one_of(st.sampled_from(_EDGES), st.floats(-3.0, 3.0), st.floats()),
+            min_size=1,
+            max_size=20,  # spans one or two SIMD vectors plus a remainder
+        )
+    )
+    def test_cutoff_matches_numpy_array_evaluation(self, xs):
+        x = np.array(xs)
+        for got, want in zip((cutoff_phi(x), cutoff_phi_prime(x)), _cutoff_numpy(x)):
+            assert [_hex(v) for v in got] == [_hex(v) for v in want]
+
+    def test_cutoff_matches_numpy_on_dense_sample(self):
+        # numpy's vectorised exp differs from libm's in the last bit for a few
+        # percent of arguments; a dense sample of the glue region finds them
+        x = np.random.default_rng(0).uniform(-2.5, 2.5, 20000)
+        for got, want in zip((cutoff_phi(x), cutoff_phi_prime(x)), _cutoff_numpy(x)):
+            assert np.array_equal(got, want)
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(
@@ -422,8 +455,42 @@ class TestScalarFastPath:
             assert np.allclose(vec, val, rtol=1e-13, atol=1e-13, equal_nan=True)
 
 
+def _numeric_platform():
+    """What the last bits of a quadrature result depend on."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as cpu
+    except ImportError:
+        cpu = {}
+    return (
+        np.__version__,
+        scipy.__version__,
+        platform.machine(),
+        platform.libc_ver(),
+        bool(cpu.get("AVX512F")),
+    )
+
+
+# The pins below were recorded with this numpy, scipy and C library on an
+# x86-64 CPU with AVX512F.  numpy's AVX-512 exp differs from the C library's
+# in the last bit for a few percent of arguments, and another QUADPACK build
+# or libm may round differently, so the bits hold only there.  Elsewhere the
+# values are checked to a relative 1e-5: quad's own error estimate for the
+# power alpha = 1.5, b = 0.9 values is about 5e-6, and swapping numpy's exp for
+# libm's moves one of them by 4e-7.
+_PINNED_PLATFORM = ("2.4.6", "1.17.1", "x86_64", ("glibc", "2.36"), True)
+
+
 class TestSteinRegressionPins:
     """Values recorded before the scalar fast path; they must not move."""
+
+    EXACT = _numeric_platform() == _PINNED_PLATFORM
+
+    def check(self, got, want_hex):
+        want = [float.fromhex(w) for w in want_hex]
+        if self.EXACT:
+            assert [_hex(v) for v in got] == list(want_hex)
+        else:
+            assert np.allclose(got, want, rtol=1e-5, atol=0.0)
 
     POINTS = (0.25, -0.75, 1.5)
     PROFILE_VALUES = {
@@ -447,13 +514,12 @@ class TestSteinRegressionPins:
     def test_profile_stein_values(self):
         for (kind, p, b), want in self.PROFILE_VALUES.items():
             prof = _family_profile(kind, p)
-            got = tuple(_profile_stein(prof, b, x).value.hex() for x in self.POINTS)
-            assert got == want, (kind, p, b)
+            self.check([_profile_stein(prof, b, x).value for x in self.POINTS], want)
 
     def test_membership_increments(self):
         ev = l2_membership_classify(make_profile("power", alpha=1.0), 0.6, n_octaves=10)
-        assert tuple(_hex(v) for v in ev.increments) == self.INCREMENTS
-        assert ev.increment_slope.hex() == "-0x1.ec289a60e3bc3p-1"
+        self.check(ev.increments, self.INCREMENTS)
+        self.check([ev.increment_slope], ["-0x1.ec289a60e3bc3p-1"])
         assert ev.verdict == "member"
 
 
