@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 import scipy.integrate
 
 
@@ -731,37 +732,67 @@ def phase_lemma_probe(
 
 # --- grid-based Stein rows and the Duhamel-weight probe ------------------------
 
+# Rows are transformed this many at a time: temporaries of shape (rows, 2n)
+# for a whole 512^2 spectrum would dominate the probe's peak memory.
+_STEIN_ROW_BLOCK = 64
+
+
+def _toeplitz_apply(h: np.ndarray, kernel_hat: np.ndarray) -> np.ndarray:
+    """(K*h)_i = sum_j K_{|i-j|} h_j along the last axis of ``h``.
+
+    ``kernel_hat`` is the (real) FFT of the length-2n circulant embedding of
+    the symmetric Toeplitz kernel; ``h`` is zero-padded to 2n.
+    """
+    n2 = kernel_hat.size
+    n = n2 // 2
+    if np.iscomplexobj(h):
+        return scipy.fft.ifft(scipy.fft.fft(h, n2) * kernel_hat)[..., :n]
+    return scipy.fft.irfft(scipy.fft.rfft(h, n2) * kernel_hat[: n + 1], n2)[..., :n]
+
+
 def grid_stein_rows(values: np.ndarray, dx: float, b: float) -> np.ndarray:
     """Row-wise D^b on a uniform grid (trapezoid sum + local and tail terms).
 
     ``values`` has shape (n_rows, n); each row is treated as samples of a
     function on a uniform grid with spacing dx that decays beyond the grid.
+
+    With K_m = (m dx)^{-1-2b} dx (K_0 = 0) and |g_i - g_j|^2 = |g_i|^2 +
+    |g_j|^2 - 2 Re(conj(g_i) g_j), the trapezoid sum sum_j K_{|i-j|}
+    |g_i - g_j|^2 is |g_i|^2 S_i + (K*|g|^2)_i - 2 Re(conj(g_i) (K*g)_i),
+    S_i = sum_j K_{|i-j|}; both convolutions are FFTs, O(n log n) per row.
     """
+    values = np.asarray(values)
     if not 0.0 < b < 1.0:
         raise ValueError("b must lie in (0, 1)")
+    if values.ndim != 2:
+        raise ValueError(f"values must be 2-D (n_rows, n), got shape {values.shape}")
     rows, n = values.shape
-    idx = np.arange(n)
-    dist = np.abs(idx[None, :] - idx[:, None]) * dx
-    with np.errstate(divide="ignore"):
-        kernel = np.where(dist > 0, dist ** (-1.0 - 2.0 * b), 0.0) * dx
-    out = np.empty((rows, n))
-    # local cell: |g'|^2 * 2 (dx/2)^{2-2b} / (2-2b); slopes by central diff
+    if n < 2:
+        raise ValueError(f"rows need at least 2 samples, got {n}")
+    if not (math.isfinite(dx) and dx > 0.0):
+        raise ValueError(f"dx must be finite and positive, got {dx}")
+    k = (np.arange(1, n) * dx) ** (-1.0 - 2.0 * b) * dx
+    csum = np.concatenate(([0.0], np.cumsum(k)))
+    kernel_sum = csum + csum[::-1]
+    # circulant first column K_0..K_{n-1}, 0, K_{n-1}..K_1: even, so its FFT is real
+    kernel_hat = scipy.fft.fft(np.concatenate(([0.0], k, [0.0], k[::-1]))).real
+    # local cell: |g'|^2 * 2 (dx/2)^{2-2b} / (2-2b); slopes by central
+    # differences, one-sided at the ends
     local_coef = 2.0 * (0.5 * dx) ** (2.0 - 2.0 * b) / (2.0 - 2.0 * b)
     # distances to the grid edges for the constant tail
+    idx = np.arange(n)
     left = (idx + 0.5) * dx
     right = (n - idx - 0.5) * dx
     tail_coef = (left ** (-2.0 * b) + right ** (-2.0 * b)) / (2.0 * b)
-    for r in range(rows):
-        g = values[r]
-        diff2 = np.abs(g[:, None] - g[None, :]) ** 2
-        acc = np.sum(diff2 * kernel, axis=1)
-        slope = np.empty(n)
-        slope[1:-1] = np.abs(g[2:] - g[:-2]) / (2.0 * dx)
-        slope[0] = np.abs(g[1] - g[0]) / dx
-        slope[-1] = np.abs(g[-1] - g[-2]) / dx
-        acc += local_coef * slope**2
-        acc += np.abs(g) ** 2 * tail_coef
-        out[r] = np.sqrt(acc)
+    out = np.empty((rows, n))
+    for lo in range(0, rows, _STEIN_ROW_BLOCK):
+        g = values[lo : lo + _STEIN_ROW_BLOCK]
+        g2 = np.abs(g) ** 2
+        acc = g2 * kernel_sum + _toeplitz_apply(g2, kernel_hat)
+        acc -= 2.0 * (g.conj() * _toeplitz_apply(g, kernel_hat)).real
+        acc += local_coef * np.abs(np.gradient(g, dx, axis=1)) ** 2
+        acc += g2 * tail_coef
+        out[lo : lo + _STEIN_ROW_BLOCK] = np.sqrt(acc)
     return out
 
 
@@ -781,38 +812,55 @@ class DfProbeResult:
     a: float
 
 
+def _df_probe_grid(g, theta: float, t: float, a: float):
+    """Arrays lemma_df_probe needs once per grid.
+
+    Returns the xi order that makes rows monotone for the row-wise
+    uniform-grid operator, the dispersion phase exp(i t w) in that order, the
+    |eta|^{4 theta} and |xi|^{2(1+a) theta} multipliers and the |x|^theta
+    weight.
+    """
+    xi, eta = g.spectral_meshgrid()
+    order = np.argsort(g.xi)
+    phase = np.exp(1j * t * dispersion_symbol(xi, eta, a))[:, order]
+    m_eta = np.abs(g.eta[:, None]) ** (4.0 * theta)
+    m_xi = np.abs(g.xi[None, :]) ** (2.0 * (1 + a) * theta)
+    return order, phase, m_eta, m_xi, np.abs(g.x) ** theta
+
+
 def lemma_df_probe(theta: float, t: float, a: float, fields: list[RealField2D]) -> DfProbeResult:
     """Max of ||D^theta_xi(psi fhat)|| over its Duhamel-lemma bound.
 
     The left side applies the 1D grid Stein derivative in xi row by row at
     fixed eta and takes L^2 over both variables; the right side combines the
     spectral norms rho(t)(||f|| + ||D_y^{2 theta} f|| + ||D_x^{(1+a) theta} f||)
-    with the weighted norm || |x|^theta f ||.
+    with the weighted norm || |x|^theta f ||.  Fields may live on different
+    grids.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
+    if len(fields) == 0:
+        raise ValueError("fields must hold at least one field")
+    per_grid = {}
     ratios = []
     for f in fields:
         g = f.grid
         if mass(f) == 0.0:
             ratios.append(0.0)
             continue
+        if g not in per_grid:
+            per_grid[g] = _df_probe_grid(g, theta, t, a)
+        order, phase, m_eta, m_xi, wx = per_grid[g]
         spec = to_spectral(f)
-        xi, eta = g.spectral_meshgrid()
-        w = dispersion_symbol(xi, eta, a)
-        weighted = np.exp(1j * t * w) * spec.coeffs
-        # reorder xi to be monotone for the row-wise uniform-grid operator
-        order = np.argsort(g.xi)
-        rows = weighted[:, order]
+        rows = phase * spec.coeffs[:, order]
         dxi = 2.0 * np.pi / g.lx
         stein_rows = grid_stein_rows(rows, dxi, theta)
         deta = 2.0 * np.pi / g.ly
         lhs = np.sqrt(np.sum(stein_rows**2) * dxi * deta) / (2.0 * np.pi)
 
         l2 = multiplier_norm(spec, 1.0)
-        dy = multiplier_norm(spec, np.abs(g.eta[:, None]) ** (4.0 * theta))
-        dxn = multiplier_norm(spec, np.abs(g.xi[None, :]) ** (2.0 * (1 + a) * theta))
-        wx = np.abs(g.x) ** theta
+        dy = multiplier_norm(spec, m_eta)
+        dxn = multiplier_norm(spec, m_xi)
         wnorm = np.sqrt(np.sum((wx[None, :] * f.samples) ** 2) * g.dx * g.dy)
         rhs = rho_weight(t, theta) * (l2 + dy + dxn) + wnorm
         ratios.append(float(lhs / rhs))

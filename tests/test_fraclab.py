@@ -314,6 +314,53 @@ class TestPhaseLemmas:
             phase_lemma_probe("Q", 0.5, [1.0], [1.0])
 
 
+def _grid_stein_rows_dense(values: np.ndarray, dx: float, b: float) -> np.ndarray:
+    """Row-wise D^b on a uniform grid (trapezoid sum + local and tail terms).
+
+    ``values`` has shape (n_rows, n); each row is treated as samples of a
+    function on a uniform grid with spacing dx that decays beyond the grid.
+    """
+    if not 0.0 < b < 1.0:
+        raise ValueError("b must lie in (0, 1)")
+    rows, n = values.shape
+    idx = np.arange(n)
+    dist = np.abs(idx[None, :] - idx[:, None]) * dx
+    with np.errstate(divide="ignore"):
+        kernel = np.where(dist > 0, dist ** (-1.0 - 2.0 * b), 0.0) * dx
+    out = np.empty((rows, n))
+    # local cell: |g'|^2 * 2 (dx/2)^{2-2b} / (2-2b); slopes by central diff
+    local_coef = 2.0 * (0.5 * dx) ** (2.0 - 2.0 * b) / (2.0 - 2.0 * b)
+    # distances to the grid edges for the constant tail
+    left = (idx + 0.5) * dx
+    right = (n - idx - 0.5) * dx
+    tail_coef = (left ** (-2.0 * b) + right ** (-2.0 * b)) / (2.0 * b)
+    for r in range(rows):
+        g = values[r]
+        diff2 = np.abs(g[:, None] - g[None, :]) ** 2
+        acc = np.sum(diff2 * kernel, axis=1)
+        slope = np.empty(n)
+        slope[1:-1] = np.abs(g[2:] - g[:-2]) / (2.0 * dx)
+        slope[0] = np.abs(g[1] - g[0]) / dx
+        slope[-1] = np.abs(g[-1] - g[-2]) / dx
+        acc += local_coef * slope**2
+        acc += np.abs(g) ** 2 * tail_coef
+        out[r] = np.sqrt(acc)
+    return out
+
+
+def _stein_test_rows(kind, n_rows, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "real":
+        return rng.normal(size=(n_rows, n))
+    if kind == "complex":
+        return rng.normal(size=(n_rows, n)) + 1j * rng.normal(size=(n_rows, n))
+    # one spike per row, real or complex, anywhere including the edges
+    rows = np.zeros((n_rows, n), dtype=complex if seed % 2 else float)
+    amp = rng.uniform(0.5, 2.0, size=n_rows) * np.exp(1j * rng.uniform(0, 2 * np.pi, n_rows))
+    rows[np.arange(n_rows), rng.integers(0, n, size=n_rows)] = amp if seed % 2 else amp.real
+    return rows
+
+
 class TestGridStein:
     @pytest.mark.parametrize("b", [0.25, 0.5, 0.75])
     def test_matches_pointwise_engine_on_gaussian(self, b):
@@ -326,9 +373,60 @@ class TestGridStein:
             ref = stein_derivative(lambda y: np.exp(-(y**2)), b, x[i]).value
             assert abs(rows[0, i] - ref) / ref < 2e-2
 
+    @pytest.mark.parametrize("b", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("c", [1.0, 3.0])
+    def test_matches_pointwise_engine_on_complex_gaussian(self, b, c):
+        # the probe feeds complex spectrum rows: a modulated Gaussian
+        x = np.linspace(-30.0, 30.0, 1201)
+        prof = lambda y: np.exp(-(y**2)) * np.exp(1j * c * y)  # noqa: E731
+        rows = grid_stein_rows(prof(x)[None, :], x[1] - x[0], b)
+        for target in (0.0, 1.0):
+            i = np.argmin(np.abs(x - target))
+            ref = stein_derivative(prof, b, x[i]).value
+            assert abs(rows[0, i] - ref) / ref < 2e-2
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        kind=st.sampled_from(["real", "complex", "spike"]),
+        n_rows=st.integers(1, 70),
+        n=st.integers(8, 300),
+        b=st.floats(0.05, 0.95),
+        dx=st.floats(1e-3, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_kernel(self, kind, n_rows, n, b, dx, seed):
+        rows = _stein_test_rows(kind, n_rows, n, seed)
+        got = grid_stein_rows(rows, dx, b)
+        assert not np.isnan(got).any()
+        np.testing.assert_allclose(got, _grid_stein_rows_dense(rows, dx, b), rtol=1e-8, atol=0.0)
+
+    def test_row_blocks_match_dense_kernel(self):
+        # more rows than one internal block, real and complex
+        for kind in ("real", "complex"):
+            rows = _stein_test_rows(kind, 150, 40, seed=7)
+            np.testing.assert_allclose(
+                grid_stein_rows(rows, 0.3, 0.4), _grid_stein_rows_dense(rows, 0.3, 0.4),
+                rtol=1e-8, atol=0.0,
+            )
+
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             grid_stein_rows(np.zeros((1, 8)), 0.1, 1.0)
+
+    @pytest.mark.parametrize("shape", [(8,), (2, 3, 8), ()])
+    def test_rejects_values_not_2d(self, shape):
+        with pytest.raises(ValueError, match="2-D"):
+            grid_stein_rows(np.ones(shape), 0.1, 0.5)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_rejects_rows_shorter_than_two(self, n):
+        with pytest.raises(ValueError, match="at least 2"):
+            grid_stein_rows(np.ones((3, n)), 0.1, 0.5)
+
+    @pytest.mark.parametrize("dx", [0.0, -0.1, math.nan, math.inf])
+    def test_rejects_bad_spacing(self, dx):
+        with pytest.raises(ValueError, match="dx"):
+            grid_stein_rows(np.ones((1, 8)), dx, 0.5)
 
 
 class TestLemmaDfProbe:
@@ -360,6 +458,38 @@ class TestLemmaDfProbe:
         ratios = [lemma_df_probe(0.5, t, 0.5, fields).max_ratio for t in (0.1, 1.0, 10.0)]
         assert max(ratios) < 10.0 * min(ratios)
         assert max(ratios) < 5.0
+
+    def test_rejects_empty_field_list(self):
+        with pytest.raises(ValueError, match="at least one field"):
+            lemma_df_probe(0.5, 1.0, 0.5, [])
+
+    def test_mixed_grids_match_single_grid_calls(self):
+        fa = gaussian_ensemble(make_grid(32, 32, 16.0, 16.0), 2, seed=2)
+        fb = gaussian_ensemble(make_grid(48, 32, 24.0, 16.0), 2, seed=4)
+        mixed = lemma_df_probe(0.4, 0.7, 0.5, [fa[0], fb[0], fa[1], fb[1]]).ratios
+        ra = lemma_df_probe(0.4, 0.7, 0.5, fa).ratios
+        rb = lemma_df_probe(0.4, 0.7, 0.5, fb).ratios
+        assert list(mixed) == [ra[0], rb[0], ra[1], rb[1]]
+
+    # Ratios of the dense O(n^2) grid operator, before the FFT convolution:
+    # (n, seed) -> {(theta, t, a): ratios of a 3-member ensemble on a 24 x 24 box}
+    PINNED_RATIOS = {
+        (64, 11): {
+            (0.5, 1.0, 0.5): (0.46507216380229055, 0.37278830602353347, 0.33899323066377035),
+            (0.3, 2.0, 1.0): (0.4115121420742738, 0.38186581574399914, 0.37406070815604564),
+        },
+        (128, 12): {
+            (0.5, 1.0, 0.5): (0.34901316657212916, 0.3662543766280889, 0.36119518175513726),
+            (0.3, 2.0, 1.0): (0.3762118941506845, 0.3845105960534518, 0.37332853315614384),
+        },
+    }
+
+    @pytest.mark.parametrize("n, seed", list(PINNED_RATIOS))
+    def test_regression_pins(self, n, seed):
+        fields = gaussian_ensemble(make_grid(n, n, 24.0, 24.0), 3, seed=seed)
+        for args, want in self.PINNED_RATIOS[(n, seed)].items():
+            got = lemma_df_probe(*args, fields).ratios
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 # --- scalar fast path ----------------------------------------------------------
