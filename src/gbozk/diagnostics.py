@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .propagator import DispersionParams
 from .spectral import RealField2D, SpectralField2D, to_spectral
@@ -106,6 +105,16 @@ def truncated_abs_weight(x, N: float):
     return out if out.shape else float(out)
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, wts = leggauss(n)
+    nodes.flags.writeable = wts.flags.writeable = False  # shared by every caller
+    return nodes, wts
+
+
 @lru_cache(maxsize=64)
 def _bracket_exponent(N: float) -> float:
     """Blend exponent p for <x>_N: solves value matching at |x| = 3N.
@@ -114,9 +123,9 @@ def _bracket_exponent(N: float) -> float:
     and the derivative within [0, <x>'].  Requires N >= 1 (for smaller N the
     plateau 2N sits below <N> and no monotone blend exists).
     """
-    from numpy.polynomial.legendre import leggauss
+    from scipy.optimize import brentq
 
-    nodes, wts = leggauss(96)
+    nodes, wts = _gauss_legendre(96)
 
     def blend_integral(p: float) -> float:
         s = N + (nodes + 1.0) * N  # map [-1,1] -> [N, 3N]
@@ -162,9 +171,7 @@ def truncated_weight(x, N: float):
 
 def _blend_values(xs: np.ndarray, N: float, p: float) -> np.ndarray:
     """<N> + int_N^x <t>' (1-step)^p dt by per-point Gauss-Legendre."""
-    from numpy.polynomial.legendre import leggauss
-
-    nodes, wts = leggauss(96)
+    nodes, wts = _gauss_legendre(96)
     half = 0.5 * (xs - N)
     t = N + half[:, None] * (nodes[None, :] + 1.0)
     tau = (t - N) / (2.0 * N)

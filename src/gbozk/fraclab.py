@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft
-import scipy.integrate
 
 
 def quad(fn, a, b, **kw):
@@ -40,8 +39,12 @@ def quad(fn, a, b, **kw):
     needed so a partially converged panel is still far more accurate than the
     decisions built on it; the engine's absolute accuracy is pinned by
     independent oracles in the test suite, not by quad's own error report,
-    which is passed on for monitoring only.
+    which is passed on for monitoring only.  scipy.integrate (which loads
+    scipy.optimize) is imported on first use, so the grid-only paths never
+    pay for it.
     """
+    import scipy.integrate
+
     value, abserr, info, *_ = scipy.integrate.quad(fn, a, b, full_output=1, **kw)
     return value, abserr, info["neval"]
 

@@ -9,17 +9,25 @@ quadratic term enters through the integral form
 Two integrators are provided, both exact on the linear flow:
 
 * ETDRK4 with phi-function coefficients evaluated as means over a unit
-  circle around each i*w*dt (entire functions, so the 32-point trapezoid
-  mean is exact to roundoff and free of small-|w dt| cancellation);
+  circle around each i*w*dt (Kassam & Trefethen, 2005; entire functions, so
+  the 32-point trapezoid mean is exact to roundoff and free of small-|w dt|
+  cancellation);
 * Strang splitting (half linear phase, one classical RK4 step of the pure
   advection part, half linear phase).
 
-The quadratic term is formed pseudo-spectrally and truncated by the 2/3
-rule by default, which makes the discrete L^2 mass an invariant of the
-semidiscrete flow up to time-integration error.
+The state is the ``rfft2`` half spectrum, shape (ny, nx//2 + 1), of the
+unshifted samples scaled by dx dy: columns 0..nx/2 of ``to_spectral``'s
+coefficients, with xi in fft order (column nx/2 holds the negative Nyquist
+xi).  The centring shifts cancel under the pointwise square, so the
+quadratic term is one precomputed multiplier times rfft2(irfft2(v)**2).  It
+is truncated by the 2/3 rule (Orszag, 1971) by default, which makes the
+discrete L^2 mass an invariant of the semidiscrete flow up to
+time-integration error.
 
 ``Stepper`` holds the precomputed coefficients for one grid and config;
-``evolve`` reuses a single ``Stepper`` over [0, T] and records
+``Stepper.advance`` steps the half spectrum and ``Stepper.step`` is the
+full-spectrum boundary around it.  ``evolve`` reuses a single ``Stepper``
+over [0, T] on raw half-spectrum arrays and records
 ``{"t": t, **observe(t, u)}`` at the sampled times, where one ``observe``
 callable computes every diagnostic of a record.
 """
@@ -30,16 +38,10 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 from .propagator import DispersionParams, dispersion_symbol
-from .spectral import (
-    GridSpec,
-    RealField2D,
-    SpectralField2D,
-    dealias_mask,
-    to_physical,
-    to_spectral,
-)
+from .spectral import GridSpec, RealField2D, SpectralField2D, dealias_mask
 
 __all__ = [
     "SolverConfig",
@@ -96,54 +98,100 @@ class Trajectory:
         return np.array([rec[key] for rec in self.records])
 
 
+def _nl_multiplier(grid: GridSpec, dealias: bool) -> np.ndarray:
+    """Half-spectrum multiplier M of the quadratic term, shape (ny, nx//2+1).
+
+    For w = irfft2(v), the unshifted samples scaled by dx dy, M * rfft2(w**2)
+    is the half spectrum of -1/2 d/dx (u^2).  M folds in -i xi / 2, the
+    zeroed x-Nyquist column (odd symbol), the 2/3 mask and the 1 / (dx dy)
+    left over from squaring the scaled samples.
+    """
+    nh = grid.nx // 2 + 1
+    m = np.zeros((grid.ny, nh), dtype=complex)
+    m[:, :-1] = (-0.5j / (grid.dx * grid.dy)) * grid.xi[: nh - 1]
+    if dealias:
+        m *= dealias_mask(grid)[:, :nh]
+    return m
+
+
+def _full_spectrum(h: np.ndarray, nx: int) -> np.ndarray:
+    """(ny, nx) coefficients from the half spectrum by Hermitian symmetry.
+
+    Columns 0..nx/2 are ``h`` itself; column nx - k is conj(h) at (-l, k).
+    """
+    ny, nh = h.shape
+    out = np.empty((ny, nx), dtype=complex)
+    out[:, :nh] = h
+    out[:, nh:] = np.conj(h[-np.arange(ny) % ny, nh - 2 : 0 : -1])
+    return out
+
+
 def nonlinear_term(u: RealField2D, dealias: bool = True) -> SpectralField2D:
     """Spectral representation of -1/2 d/dx (u^2); the xi = 0 column is 0."""
     g = u.grid
-    sq = to_spectral(RealField2D(g, u.samples**2))
-    coeffs = (-0.5j) * g.xi[None, :] * sq.coeffs
-    coeffs[:, g.nx // 2] = 0.0  # odd symbol: drop the x-Nyquist mode
-    if dealias:
-        coeffs = coeffs * dealias_mask(g)
-    return SpectralField2D(g, coeffs)
+    w = np.fft.ifftshift(u.samples) * (g.dx * g.dy)
+    half = _nl_multiplier(g, dealias) * scipy.fft.rfft2(w**2)
+    return SpectralField2D(g, _full_spectrum(half, g.nx))
 
 
 class Stepper:
-    """Precomputed single-step integrator for a fixed grid and config."""
+    """Precomputed single-step integrator for a fixed grid and config.
+
+    ``advance`` steps the half-spectrum state of shape (ny, nx//2+1);
+    ``step`` is the full-spectrum (ny, nx) boundary around it.
+    """
 
     def __init__(self, grid: GridSpec, cfg: SolverConfig, n_contour: int = 32):
         self.grid = grid
         self.cfg = cfg
-        xi, eta = grid.spectral_meshgrid()
-        lin = 1j * dispersion_symbol(xi, eta, cfg.params.a)  # i w, diagonal
+        self._nh = grid.nx // 2 + 1
+        # fftfreq order: column nx/2 carries the negative Nyquist xi
+        xi = grid.xi[: self._nh]
+        lin = 1j * dispersion_symbol(xi[None, :], grid.eta[:, None], cfg.params.a)
         dt = cfg.dt
         self.exp_full = np.exp(dt * lin)
         self.exp_half = np.exp(0.5 * dt * lin)
+        self._m = _nl_multiplier(grid, cfg.dealias)
         if cfg.integrator == "etdrk4":
-            # contour means of the phi functions around each dt*lin
+            # contour means of the phi functions around each dt*lin, summed
+            # one contour point at a time
             circ = np.exp(
                 2j * np.pi * (np.arange(n_contour) + 0.5) / n_contour
             )
-            z = dt * lin[..., None] + circ[None, None, :]
-            ez = np.exp(z)
-            self.q = dt * np.mean((np.exp(z / 2.0) - 1.0) / z, axis=-1)
-            self.f1 = dt * np.mean(
-                (-4.0 - z + ez * (4.0 - 3.0 * z + z**2)) / z**3, axis=-1
-            )
-            self.f2 = dt * np.mean((2.0 + z + ez * (z - 2.0)) / z**3, axis=-1)
-            self.f3 = dt * np.mean(
-                (-4.0 - 3.0 * z - z**2 + ez * (4.0 - z)) / z**3, axis=-1
-            )
+            q, f1, f2, f3 = (np.zeros_like(lin) for _ in range(4))
+            for c in circ:
+                z = dt * lin + c
+                ez = np.exp(z)
+                z3 = z**3
+                q += (np.exp(z / 2.0) - 1.0) / z
+                f1 += (-4.0 - z + ez * (4.0 - 3.0 * z + z**2)) / z3
+                f2 += (2.0 + z + ez * (z - 2.0)) / z3
+                f3 += (-4.0 - 3.0 * z - z**2 + ez * (4.0 - z)) / z3
+            self.q = dt * (q / n_contour)
+            self.f1 = dt * (f1 / n_contour)
+            self.f2 = dt * (f2 / n_contour)
+            self.f3 = dt * (f3 / n_contour)
 
-    def _nl(self, coeffs: np.ndarray) -> np.ndarray:
+    def _nl(self, v: np.ndarray) -> np.ndarray:
         if not self.cfg.nonlinear:
-            return np.zeros_like(coeffs)
-        u = to_physical(SpectralField2D(self.grid, coeffs))
-        return nonlinear_term(u, dealias=self.cfg.dealias).coeffs
+            return np.zeros_like(v)
+        w = scipy.fft.irfft2(v, s=(self.grid.ny, self.grid.nx))
+        return self._m * scipy.fft.rfft2(w**2)
 
     def step(self, coeffs: np.ndarray) -> np.ndarray:
+        """Advance full-spectrum (ny, nx) coefficients by dt.
+
+        The boundary for ``to_spectral(u).coeffs``: columns nx/2+1.. of the
+        input are ignored and rebuilt from the advanced half spectrum by
+        Hermitian symmetry.
+        """
+        return _full_spectrum(self.advance(coeffs[:, : self._nh]), self.grid.nx)
+
+    def advance(self, v: np.ndarray) -> np.ndarray:
+        """Advance the half-spectrum state v, shape (ny, nx//2+1), by dt."""
         if self.cfg.integrator == "etdrk4":
-            return self._step_etdrk4(coeffs)
-        return self._step_strang(coeffs)
+            return self._step_etdrk4(v)
+        return self._step_strang(v)
 
     def _step_etdrk4(self, v: np.ndarray) -> np.ndarray:
         n1 = self._nl(v)
@@ -174,6 +222,11 @@ class Stepper:
 
 
 def _blowup_mode(coeffs: np.ndarray, grid: GridSpec) -> tuple[int, int]:
+    """(kx, ky) of the largest (or first non-finite) coefficient.
+
+    ``coeffs`` is the half spectrum: its column index k = 0..nx/2 and row
+    index l read their mode numbers from ``grid.kx`` and ``grid.ky``.
+    """
     safe = np.where(np.isfinite(coeffs), np.abs(coeffs), np.inf)
     flat = int(np.argmax(safe))
     ly_i, kx_i = np.unravel_index(flat, coeffs.shape)
@@ -193,25 +246,37 @@ def evolve(
     time t (just ``{"t": t}`` without ``observe``), taken at t = 0, every
     ``stride`` steps and at the final step.  ``snapshot_stride`` > 0 also
     stores the field every that many steps; otherwise only the final field
-    is kept.  On blow-up the last good snapshot is stored, the error is
-    recorded in ``Trajectory.blowup`` and attached to it as ``trajectory``,
-    and it is re-raised.
+    is kept.  Blow-up (a non-finite state, or max |u| above
+    ``blowup_factor`` times its initial value) is checked after every step,
+    whatever the stride.  On blow-up the last good snapshot is stored, the
+    error is recorded in ``Trajectory.blowup`` and attached to it as
+    ``trajectory``, and it is re-raised.
     """
     g = initial.grid
     # rounding to whole steps lands the final time within dt/2 of T
     n_steps = max(1, int(round(cfg.T / cfg.dt)))
     stepper = Stepper(g, cfg)
-    coeffs = to_spectral(initial).coeffs
+    shape = (g.ny, g.nx)
+    dxdy = g.dx * g.dy
+    v = scipy.fft.rfft2(np.fft.ifftshift(initial.samples)) * dxdy
     peak0 = float(np.max(np.abs(initial.samples)))
+    threshold = cfg.blowup_factor * peak0
+    # sup |u| <= sum_k |c_k| / (lx ly) over the full spectrum; an interior
+    # half-spectrum column also stands for its mirror column
+    sup_weights = np.full(g.nx // 2 + 1, 2.0 / (g.lx * g.ly))
+    sup_weights[[0, -1]] = 1.0 / (g.lx * g.ly)
 
     traj = Trajectory()
+
+    def physical() -> RealField2D:
+        return RealField2D(g, np.fft.fftshift(scipy.fft.irfft2(v, s=shape)) / dxdy)
 
     def record(t: float, u: RealField2D) -> None:
         traj.times.append(t)
         traj.records.append({"t": t, **(observe(t, u) if observe else {})})
 
     def blow_up(t: float, peak: float) -> BlowUpError:
-        err = BlowUpError(t, peak, _blowup_mode(coeffs, g))
+        err = BlowUpError(t, peak, _blowup_mode(v, g))
         err.trajectory = traj
         traj.blowup = err
         traj.snapshots.append((traj.times[-1], last_good))
@@ -224,20 +289,27 @@ def evolve(
     last_good = initial.copy()
     for n in range(1, n_steps + 1):
         t = n * cfg.dt
-        coeffs = stepper.step(coeffs)
-        # cheap per-step sanity check; the amplitude policy is enforced at
-        # record times where the physical field is materialized anyway
-        if not np.all(np.isfinite(coeffs)):
+        v = stepper.advance(v)
+        # one reduction per step; the physical field is formed only when the
+        # bound crosses the threshold, and at record and snapshot times
+        bound = float(np.sum(np.abs(v) @ sup_weights))
+        if not np.isfinite(bound):
             raise blow_up(t, float("inf"))
-        if n % stride == 0 or n == n_steps or (snapshot_stride and n % snapshot_stride == 0):
-            u = to_physical(SpectralField2D(g, coeffs))
+        u = None
+        if peak0 > 0 and bound > threshold:
+            u = physical()
             peak = float(np.max(np.abs(u.samples)))
-            if peak0 > 0 and peak > cfg.blowup_factor * peak0:
+            if peak > threshold:
                 raise blow_up(t, peak)
-            if n % stride == 0 or n == n_steps:
+        is_record = n % stride == 0 or n == n_steps
+        is_snapshot = snapshot_stride and (n % snapshot_stride == 0 or n == n_steps)
+        if is_record or is_snapshot:
+            if u is None:
+                u = physical()
+            if is_record:
                 record(t, u)
                 last_good = u.copy()
-            if snapshot_stride and (n % snapshot_stride == 0 or n == n_steps):
+            if is_snapshot:
                 traj.snapshots.append((t, u.copy()))
     if not traj.snapshots:
         traj.snapshots.append((traj.times[-1], last_good))

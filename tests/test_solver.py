@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gbozk import (
     BlowUpError,
     DispersionParams,
     RealField2D,
     SolverConfig,
+    SpectralField2D,
     apply_linear_propagator,
     evolve,
     make_grid,
@@ -14,11 +16,96 @@ from gbozk import (
     to_spectral,
 )
 from gbozk.diagnostics import mass, zero_mode_slice
-from gbozk.solver import Stepper
+from gbozk.propagator import dispersion_symbol
+from gbozk.solver import Stepper, _blowup_mode
+from gbozk.spectral import dealias_mask
 
 from conftest import gaussian_field, random_field
 
 P = DispersionParams(0.5)
+
+
+# --- full-spectrum oracle: the solver core before the half-spectrum state ----
+
+def _nonlinear_term_full(u: RealField2D, dealias: bool = True) -> SpectralField2D:
+    """Spectral representation of -1/2 d/dx (u^2); the xi = 0 column is 0."""
+    g = u.grid
+    sq = to_spectral(RealField2D(g, u.samples**2))
+    coeffs = (-0.5j) * g.xi[None, :] * sq.coeffs
+    coeffs[:, g.nx // 2] = 0.0  # odd symbol: drop the x-Nyquist mode
+    if dealias:
+        coeffs = coeffs * dealias_mask(g)
+    return SpectralField2D(g, coeffs)
+
+
+class _FullSpectrumStepper:
+    """Precomputed single-step integrator for a fixed grid and config."""
+
+    def __init__(self, grid, cfg, n_contour: int = 32):
+        self.grid = grid
+        self.cfg = cfg
+        xi, eta = grid.spectral_meshgrid()
+        lin = 1j * dispersion_symbol(xi, eta, cfg.params.a)  # i w, diagonal
+        dt = cfg.dt
+        self.exp_full = np.exp(dt * lin)
+        self.exp_half = np.exp(0.5 * dt * lin)
+        if cfg.integrator == "etdrk4":
+            # contour means of the phi functions around each dt*lin
+            circ = np.exp(
+                2j * np.pi * (np.arange(n_contour) + 0.5) / n_contour
+            )
+            z = dt * lin[..., None] + circ[None, None, :]
+            ez = np.exp(z)
+            self.q = dt * np.mean((np.exp(z / 2.0) - 1.0) / z, axis=-1)
+            self.f1 = dt * np.mean(
+                (-4.0 - z + ez * (4.0 - 3.0 * z + z**2)) / z**3, axis=-1
+            )
+            self.f2 = dt * np.mean((2.0 + z + ez * (z - 2.0)) / z**3, axis=-1)
+            self.f3 = dt * np.mean(
+                (-4.0 - 3.0 * z - z**2 + ez * (4.0 - z)) / z**3, axis=-1
+            )
+
+    def _nl(self, coeffs: np.ndarray) -> np.ndarray:
+        if not self.cfg.nonlinear:
+            return np.zeros_like(coeffs)
+        u = to_physical(SpectralField2D(self.grid, coeffs))
+        return _nonlinear_term_full(u, dealias=self.cfg.dealias).coeffs
+
+    def step(self, coeffs: np.ndarray) -> np.ndarray:
+        if self.cfg.integrator == "etdrk4":
+            return self._step_etdrk4(coeffs)
+        return self._step_strang(coeffs)
+
+    def _step_etdrk4(self, v: np.ndarray) -> np.ndarray:
+        n1 = self._nl(v)
+        a = self.exp_half * v + self.q * n1
+        n2 = self._nl(a)
+        b = self.exp_half * v + self.q * n2
+        n3 = self._nl(b)
+        c = self.exp_half * a + self.q * (2.0 * n3 - n1)
+        n4 = self._nl(c)
+        return (
+            self.exp_full * v
+            + self.f1 * n1
+            + 2.0 * self.f2 * (n2 + n3)
+            + self.f3 * n4
+        )
+
+    def _step_strang(self, v: np.ndarray) -> np.ndarray:
+        dt = self.cfg.dt
+        w = self.exp_half * v
+        if self.cfg.nonlinear:
+            # one classical RK4 step of uhat' = N(uhat)
+            k1 = self._nl(w)
+            k2 = self._nl(w + 0.5 * dt * k1)
+            k3 = self._nl(w + 0.5 * dt * k2)
+            k4 = self._nl(w + dt * k3)
+            w = w + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return self.exp_half * w
+
+
+def _max_rel(got: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
 
 
 class TestNonlinearTerm:
@@ -37,6 +124,13 @@ class TestNonlinearTerm:
         u = random_field(grid_2pi, seed=11)
         out = nonlinear_term(u)
         assert np.all(out.coeffs[:, 0] == 0.0)
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_matches_full_spectrum_oracle(self, dealias):
+        g = make_grid(48, 20, 9.0, 5.0)
+        u = random_field(g, seed=5)
+        got = nonlinear_term(u, dealias=dealias).coeffs
+        assert _max_rel(got, _nonlinear_term_full(u, dealias=dealias).coeffs) < 1e-13
 
 
 class TestStep:
@@ -64,6 +158,29 @@ class TestStep:
             SolverConfig(dt=2.0, T=1.0, params=P)
         with pytest.raises(ValueError):
             SolverConfig(dt=0.1, T=1.0, params=P, integrator="euler")
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        nx=st.integers(4, 32).map(lambda k: 2 * k),
+        ny=st.integers(4, 32).map(lambda k: 2 * k),
+        a=st.floats(0.0, 1.0),
+        integrator=st.sampled_from(["etdrk4", "strang"]),
+        nonlinear=st.booleans(),
+        dealias=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_spectrum_oracle(self, nx, ny, a, integrator, nonlinear, dealias, seed):
+        g = make_grid(nx, ny, 8.0, 6.0)
+        cfg = SolverConfig(
+            dt=1e-3, T=1.0, params=DispersionParams(a), integrator=integrator,
+            nonlinear=nonlinear, dealias=dealias,
+        )
+        got = ref = to_spectral(random_field(g, seed=seed)).coeffs
+        half, full = Stepper(g, cfg), _FullSpectrumStepper(g, cfg)
+        for _ in range(3):
+            got, ref = half.step(got), full.step(ref)
+            assert got.shape == (ny, nx)
+            assert _max_rel(got, ref) < 1e-12
 
     def test_etdrk4_self_convergence_order(self):
         g = make_grid(64, 64, 16.0, 16.0)
@@ -144,6 +261,62 @@ class TestEvolve:
         assert err.value.time > 0
         assert hasattr(err.value, "trajectory")
         assert err.value.trajectory.snapshots  # last good state saved
+
+    @pytest.mark.parametrize("integrator", ["etdrk4", "strang"])
+    def test_matches_full_spectrum_oracle(self, integrator):
+        # off-centre data on a rectangular grid: the samples-to-half-spectrum
+        # transform at t = 0 and the record-time inverse keep their shifts
+        g = make_grid(48, 32, 12.0, 8.0)
+        u0 = gaussian_field(g, 0.8, 1.0, 0.7, cx=1.5, cy=-1.0)
+        cfg = SolverConfig(dt=1e-3, T=0.02, params=P, integrator=integrator)
+        traj = evolve(u0, cfg, stride=5, snapshot_stride=10)
+        full = _FullSpectrumStepper(g, cfg)
+        c = to_spectral(u0).coeffs
+        ref = [u0.samples]
+        for _ in range(20):
+            c = full.step(c)
+            ref.append(to_physical(SpectralField2D(g, c)).samples)
+        assert len(traj.snapshots) == 3
+        for t, snap in traj.snapshots:
+            assert _max_rel(snap.samples, ref[round(t / cfg.dt)]) < 1e-12
+
+    def test_blowup_caught_between_record_times(self):
+        # the per-step bound on max |u| finds the blow-up step whatever the
+        # stride; at stride 1000 only the final step of 100 is a record
+        g = make_grid(32, 32, 8.0, 8.0)
+        u0 = gaussian_field(g, 40.0, 1.0, 1.0)
+        cfg = SolverConfig(dt=0.05, T=5.0, params=P, blowup_factor=10.0)
+        times = []
+        for stride in (1, 1000):
+            with pytest.raises(BlowUpError) as err:
+                evolve(u0, cfg, stride=stride)
+            times.append(err.value.time)
+        assert times[0] < 5.0
+        assert times[1] == times[0]
+
+    @pytest.mark.parametrize("l", [2, -2])
+    def test_blowup_mode_from_half_spectrum(self, l):
+        # a single linear Fourier mode keeps its modulus; a threshold just
+        # below the initial peak trips at the first step and names that
+        # mode (the sup bound is then the peak itself, with the weight 2 of
+        # an interior half-spectrum column)
+        g = make_grid(16, 12, 4.0, 3.0)
+        X, Y = g.meshgrid()
+        u0 = RealField2D(g, np.cos(2 * np.pi * (3 * X / g.lx + l * Y / g.ly)))
+        cfg = SolverConfig(dt=0.01, T=1.0, params=P, nonlinear=False, blowup_factor=0.9)
+        with pytest.raises(BlowUpError) as err:
+            evolve(u0, cfg, stride=10)
+        assert err.value.time == 0.01
+        assert err.value.mode == (3, l)
+
+    def test_blowup_mode_indices(self):
+        g = make_grid(16, 12, 4.0, 3.0)
+        for l, k in [(3, 5), (10, 2), (0, 8), (11, 0)]:
+            v = np.full((g.ny, g.nx // 2 + 1), 0.5 + 0j)
+            v[l, k] = 1.0 + 1.0j
+            assert _blowup_mode(v, g) == (g.kx[k], g.ky[l])
+            v[(l + 1) % g.ny, k] = np.nan  # a non-finite entry wins
+            assert _blowup_mode(v, g) == (g.kx[k], g.ky[(l + 1) % g.ny])
 
     def test_determinism(self, grid_2pi):
         u0 = gaussian_field(grid_2pi, 0.4, 0.9, 1.1)
