@@ -94,6 +94,10 @@ class DiagnosticsPlan:
     n_ladder: tuple[float, ...] = (2.0, 4.0, 8.0)
     sobolev_s: float = 1.0
 
+    def __post_init__(self) -> None:
+        if not np.all(np.isfinite((self.r1, self.r2, self.sobolev_s))):
+            raise ValueError("diagnostics r1, r2 and sobolev_s must be finite")
+
 
 @dataclass(frozen=True)
 class RunConfig:

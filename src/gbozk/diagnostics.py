@@ -1,14 +1,16 @@
 """Norms, conserved quantities and moment diagnostics on box-sampled fields.
 
-Weighted quantities come in two flavours used in different places:
+Every norm is one of two private sums:
 
-* ``weighted_norm`` realizes the decay norm of L^2_{r1,r2} with weight
-  1 + w(x)^{2 r1} + w(y)^{2 r2}, where w is |.| truncated at level N
-  (plateau 2N, smooth blend) and plain |.| for N = inf.  The constant-1
-  transverse term is dropped when r2 = 0 so that the r2 = 0 norm is the
-  pure x-weighted norm.
-* the smooth truncated weight <x>_N = sqrt(1+x^2) for |x| <= N, 2N for
-  |x| >= 3N, used for the truncated-norm ladders ||<x>_N^r u||.
+* the spectral core, sum m |v|^2 w_k / (lx ly) over the ``rfft2`` half
+  spectrum v, with a multiplier m even in (xi, eta) and the Hermitian column
+  weights w_k of ``spectral.hermitian_weights``;
+* the weighted-L^2 core, sqrt(sum (w u)^2 dx dy) over a broadcast weight w.
+  ``weighted_norm`` takes w^2 = 1 + |x|_N^{2 r1} [+ |y|_N^{2 r2} if r2 > 0],
+  with |.|_N = |.| truncated at level N (plateau 2N, smooth blend; plain |.|
+  for N = inf); the ladders ||<x>_N^r u|| take the smooth truncated weight
+  <x>_N = sqrt(1+x^2) for |x| <= N, 2N for |x| >= 3N, built once per
+  (grid, axis, N).
 
 All quadratures are plain box sums (trapezoid on a periodic grid); moments
 of a periodic field are meaningful only for data that decays below roundoff
@@ -24,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .propagator import DispersionParams
-from .spectral import RealField2D, SpectralField2D, to_spectral
+from .spectral import GridSpec, RealField2D, half_spectrum, hermitian_weights
 
 __all__ = [
     "WeightSpec",
@@ -34,8 +36,9 @@ __all__ = [
     "truncated_weight_blend_constant",
     "weighted_norm",
     "truncated_x_norm",
+    "truncated_y_norm",
     "sobolev_norm",
-    "multiplier_norm",
+    "directional_sobolev_norms",
     "mass",
     "hamiltonian",
     "zero_mode_slice",
@@ -54,8 +57,8 @@ class WeightSpec:
     N: float = np.inf
 
     def __post_init__(self) -> None:
-        if self.r1 < 0 or self.r2 < 0:
-            raise ValueError("decay exponents r1, r2 must be nonnegative")
+        if not (0 <= self.r1 < np.inf and 0 <= self.r2 < np.inf):
+            raise ValueError("decay exponents r1, r2 must be finite and nonnegative")
         if not self.N > 0:
             raise ValueError("truncation level N must be positive")
 
@@ -66,6 +69,10 @@ class SobolevSpec:
 
     s1: float
     s2: float
+
+    def __post_init__(self) -> None:
+        if not (np.isfinite(self.s1) and np.isfinite(self.s2)):
+            raise ValueError("Sobolev orders s1, s2 must be finite")
 
     @classmethod
     def from_scalar(cls, s: float, a: float) -> "SobolevSpec":
@@ -125,16 +132,7 @@ def _bracket_exponent(N: float) -> float:
     """
     from scipy.optimize import brentq
 
-    nodes, wts = _gauss_legendre(96)
-
-    def blend_integral(p: float) -> float:
-        s = N + (nodes + 1.0) * N  # map [-1,1] -> [N, 3N]
-        tau = (s - N) / (2.0 * N)
-        vals = s / np.sqrt(1.0 + s**2) * (1.0 - _smootherstep(tau)) ** p
-        return float(np.sum(wts * vals) * N)
-
-    target = 2.0 * N - np.sqrt(1.0 + N**2)
-    f = lambda p: blend_integral(p) - target
+    f = lambda p: float(_blend_values(np.array([3.0 * N]), N, p)[0]) - 2.0 * N
     if f(1.0) < 0:
         raise ValueError(f"no monotone C^2 blend for N = {N}; need N >= 1")
     return float(brentq(f, 1.0, 60.0, xtol=1e-13))
@@ -155,18 +153,11 @@ def truncated_weight(x, N: float):
         return bracket if bracket.shape else float(bracket)
     if N < 1.0:
         raise ValueError(f"truncation level must satisfy N >= 1, got {N}")
-    p = _bracket_exponent(float(N))
     out = np.where(ax <= N, bracket, 2.0 * N)
     in_blend = (ax > N) & (ax < 3.0 * N)
     if np.any(in_blend):
-        out = np.array(out, dtype=float, copy=True)
-        xs = ax[in_blend] if ax.shape else np.array([float(ax)])
-        vals = _blend_values(xs, float(N), p)
-        if ax.shape:
-            out[in_blend] = vals
-        else:
-            out = vals[0]
-    return out if np.asarray(out).shape else float(out)
+        out[in_blend] = _blend_values(ax[in_blend], float(N), _bracket_exponent(float(N)))
+    return out if out.shape else float(out)
 
 
 def _blend_values(xs: np.ndarray, N: float, p: float) -> np.ndarray:
@@ -194,6 +185,38 @@ def truncated_weight_blend_constant(N: float, samples: int = 4001) -> float:
     return float(np.max(second / ref))
 
 
+# --- norm cores --------------------------------------------------------------
+
+@lru_cache(maxsize=64)
+def _axis_weight(grid: GridSpec, axis: str, N: float) -> np.ndarray:
+    """<.>_N on the grid's x or y coordinates, built once and shared read-only."""
+    w = truncated_weight(grid.x if axis == "x" else grid.y, N)
+    w.flags.writeable = False
+    return w
+
+
+def _weighted_l2(u: RealField2D, w) -> float:
+    """sqrt(sum (w u)^2 dx dy); ``w`` broadcasts against the (ny, nx) samples."""
+    g = u.grid
+    return float(np.sqrt(np.sum((w * u.samples) ** 2) * g.dx * g.dy))
+
+
+def _half_xi(grid: GridSpec) -> np.ndarray:
+    """xi on the half-spectrum columns 0..nx/2 (the last is the negative Nyquist)."""
+    return grid.xi[: grid.nx // 2 + 1]
+
+
+def _spectral_sums(v: np.ndarray, grid: GridSpec, *mults) -> list[float]:
+    """sum m |v|^2 w_k / (lx ly) over the half spectrum ``v``, one per multiplier m.
+
+    ``v`` holds columns 0..nx/2 of ``to_spectral``'s coefficients.  Each m
+    broadcasts against ``v`` and is even in (xi, eta), so the Hermitian
+    column weights w_k make this the full-spectrum Plancherel sum.
+    """
+    power = (v.real**2 + v.imag**2) * (hermitian_weights(grid.nx) / (grid.lx * grid.ly))
+    return [float(np.sum(m * power)) for m in mults]
+
+
 # --- norms -------------------------------------------------------------------
 
 def weighted_norm(u: RealField2D, spec: WeightSpec) -> float:
@@ -203,53 +226,38 @@ def weighted_norm(u: RealField2D, spec: WeightSpec) -> float:
     weight at level N (plain |.| when N is infinite).
     """
     g = u.grid
-    wx = truncated_abs_weight(g.x, spec.N) ** (2.0 * spec.r1)
-    weight = 1.0 + wx[None, :]
+    weight = 1.0 + (truncated_abs_weight(g.x, spec.N) ** (2.0 * spec.r1))[None, :]
     if spec.r2 > 0:
-        wy = truncated_abs_weight(g.y, spec.N) ** (2.0 * spec.r2)
-        weight = weight + wy[:, None]
-    return float(np.sqrt(np.sum(weight * u.samples**2) * g.dx * g.dy))
+        weight = weight + (truncated_abs_weight(g.y, spec.N) ** (2.0 * spec.r2))[:, None]
+    return _weighted_l2(u, np.sqrt(weight))
 
 
 def truncated_x_norm(u: RealField2D, r1: float, N: float) -> float:
     """Truncated-ladder norm ||<x>_N^{r1} u||_{L^2}."""
-    g = u.grid
-    w = truncated_weight(g.x, N) ** r1
-    return float(np.sqrt(np.sum((w[None, :] * u.samples) ** 2) * g.dx * g.dy))
+    return _weighted_l2(u, _axis_weight(u.grid, "x", N) ** r1)
 
 
 def truncated_y_norm(u: RealField2D, r2: float, N: float = np.inf) -> float:
     """Transverse norm ||<y>_N^{r2} u||_{L^2} (untruncated by default)."""
-    g = u.grid
-    w = truncated_weight(g.y, N) ** r2
-    return float(np.sqrt(np.sum((w[:, None] * u.samples) ** 2) * g.dx * g.dy))
+    return _weighted_l2(u, _axis_weight(u.grid, "y", N)[:, None] ** r2)
 
 
-def multiplier_norm(spec: SpectralField2D, m) -> np.float64:
-    """L^2 norm of the operator with squared Fourier multiplier ``m``.
-
-    Computes sqrt(sum m |c|^2 / (lx ly)); ``m`` broadcasts against the
-    coefficients.
-    """
-    g = spec.grid
-    return np.sqrt(np.sum(m * np.abs(spec.coeffs) ** 2) / (g.lx * g.ly))
+def _sobolev_multipliers(grid: GridSpec, spec: SobolevSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Squared multipliers (1+xi^2)^{s1} and (1+eta^2)^{s2} on the half spectrum."""
+    return (1.0 + _half_xi(grid) ** 2) ** spec.s1, (1.0 + grid.eta[:, None] ** 2) ** spec.s2
 
 
 def sobolev_norm(u: RealField2D, spec: SobolevSpec) -> float:
     """Anisotropic norm sqrt(||u||^2 + ||J_x^{s1} u||^2 + ||J_y^{s2} u||^2)."""
-    g = u.grid
-    mx = (1.0 + g.xi**2) ** spec.s1  # squared multiplier
-    my = (1.0 + g.eta**2) ** spec.s2
-    return float(multiplier_norm(to_spectral(u), 1.0 + mx[None, :] + my[:, None]))
+    mx, my = _sobolev_multipliers(u.grid, spec)
+    (total,) = _spectral_sums(half_spectrum(u), u.grid, 1.0 + mx + my)
+    return float(np.sqrt(total))
 
 
 def directional_sobolev_norms(u: RealField2D, spec: SobolevSpec) -> tuple[float, float]:
     """(||J_x^{s1} u||, ||J_y^{s2} u||), the two directional pieces."""
-    g = u.grid
-    uhat = to_spectral(u)
-    mx = (1.0 + g.xi**2) ** spec.s1
-    my = (1.0 + g.eta**2) ** spec.s2
-    return float(multiplier_norm(uhat, mx[None, :])), float(multiplier_norm(uhat, my[:, None]))
+    sx, sy = _spectral_sums(half_spectrum(u), u.grid, *_sobolev_multipliers(u.grid, spec))
+    return float(np.sqrt(sx)), float(np.sqrt(sy))
 
 
 def mass(u: RealField2D) -> float:
@@ -266,10 +274,8 @@ def hamiltonian(u: RealField2D, params: DispersionParams) -> float:
     time derivative is the integral of an exact x-derivative.
     """
     g = u.grid
-    c = to_spectral(u).coeffs
-    quad_x = np.abs(g.xi[None, :]) ** (params.a + 1.0) * np.abs(c) ** 2
-    quad_y = (g.eta[:, None] ** 2) * np.abs(c) ** 2
-    quadratic = np.sum(quad_x - quad_y) / (g.lx * g.ly)
+    m = np.abs(_half_xi(g)) ** (params.a + 1.0) - g.eta[:, None] ** 2
+    (quadratic,) = _spectral_sums(half_spectrum(u), g, m)
     cubic = np.sum(u.samples**3) * g.dx * g.dy / 3.0
     return float(quadratic + cubic)
 
@@ -327,20 +333,12 @@ def interx_probe(
     ratios = []
     for f in fields:
         g = f.grid
-        if np.isinf(N):
-            w_pow = np.sqrt(1.0 + g.x**2)
-        else:
-            w_pow = truncated_weight(g.x, N)
-        weighted = RealField2D(g, (w_pow ** ((1.0 - beta) * b))[None, :] * f.samples)
-        mx = (1.0 + g.xi**2) ** (alpha * beta)
-        lhs = multiplier_norm(to_spectral(weighted), mx[None, :])
-
-        wnorm = np.sqrt(
-            np.sum(((w_pow**b)[None, :] * f.samples) ** 2) * g.dx * g.dy
-        )
-        mxa = (1.0 + g.xi**2) ** alpha
-        jnorm = multiplier_norm(to_spectral(f), mxa[None, :])
-        rhs = wnorm ** (1.0 - beta) * jnorm**beta
+        w = _axis_weight(g, "x", N)
+        xi2 = 1.0 + _half_xi(g) ** 2
+        weighted = RealField2D(g, w ** ((1.0 - beta) * b) * f.samples)
+        (lhs,) = _spectral_sums(half_spectrum(weighted), g, xi2 ** (alpha * beta))
+        (jnorm,) = _spectral_sums(half_spectrum(f), g, xi2**alpha)
+        rhs = _weighted_l2(f, w**b) ** (1.0 - beta) * np.sqrt(jnorm) ** beta
         if rhs > 0:
-            ratios.append(float(lhs / rhs))
+            ratios.append(float(np.sqrt(lhs) / rhs))
     return max(ratios)

@@ -25,7 +25,7 @@ threshold; D^0 is the identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.fft
@@ -48,7 +48,7 @@ def quad(fn, a, b, **kw):
     value, abserr, info, *_ = scipy.integrate.quad(fn, a, b, full_output=1, **kw)
     return value, abserr, info["neval"]
 
-from .diagnostics import mass, multiplier_norm
+from .diagnostics import _spectral_sums, _weighted_l2, mass
 from .propagator import dispersion_symbol
 from .spectral import RealField2D, to_spectral
 
@@ -534,47 +534,31 @@ def l2_membership_classify(
         raise ValueError("theta must be nonnegative")
     if theta >= 2:
         raise ValueError("orders >= 2 are not supported")
+    lead = profile.leading_exponent
     if theta >= 1.0:
         if profile.derivative is None:
             raise ValueError(
                 f"profile {profile.label} has no analytic derivative; "
                 "cannot reduce the order below 1"
             )
-        reduced = Profile(
+        reduced = replace(
+            profile,
             fn=profile.derivative,
             label=f"d/dy[{profile.label}]",
-            singular_points=profile.singular_points,
-            support_radius=profile.support_radius,
             derivative=None,
-            leading_exponent=(
-                None
-                if profile.leading_exponent is None
-                else profile.leading_exponent - 1.0
-            ),
+            leading_exponent=None if lead is None else lead - 1.0,
         )
         return l2_membership_classify(
             reduced, theta - 1.0, n_octaves, per_octave, slope_band, persistence_floor
         )
 
-    lead = profile.leading_exponent
     if theta > 0.0 and lead is not None and lead <= -0.5:
         # the profile itself fails to be square integrable at the origin, so
         # the pointwise Stein integral is infinite; witness the divergence at
         # the identity-operator level instead
+        bare = replace(profile, derivative=None)
         ev = l2_membership_classify(
-            Profile(
-                profile.fn,
-                profile.label,
-                profile.singular_points,
-                profile.support_radius,
-                None,
-                lead,
-            ),
-            0.0,
-            n_octaves,
-            per_octave,
-            slope_band,
-            persistence_floor,
+            bare, 0.0, n_octaves, per_octave, slope_band, persistence_floor
         )
         ev.rule += " (profile not square-integrable near 0)"
         return ev
@@ -693,9 +677,6 @@ def phase_lemma_probe(
                 for t in t_grid
             ]
         )
-        fit_space = fit_exponent(space_grid, vals_space)
-        pos = t_grid > 0
-        fit_t = fit_exponent(t_grid[pos], vals_t[pos])
     elif kind == "Pontual1":
         if a is None:
             raise ValueError("Pontual1 probe needs the dispersion exponent a")
@@ -712,11 +693,11 @@ def phase_lemma_probe(
         vals_t = np.array(
             [_phase_stein(make_phase(t), b, x_ref) if t > 0 else 0.0 for t in t_grid]
         )
-        fit_space = fit_exponent(space_grid, vals_space)
-        pos = t_grid > 0
-        fit_t = fit_exponent(t_grid[pos], vals_t[pos])
     else:
         raise ValueError(f"unknown probe kind {kind!r}")
+    fit_space = fit_exponent(space_grid, vals_space)
+    pos = t_grid > 0
+    fit_t = fit_exponent(t_grid[pos], vals_t[pos])
 
     ok = (fit_t.slope <= bound_t + tolerance) and (
         fit_space.slope <= bound_space + tolerance
@@ -820,14 +801,14 @@ def _df_probe_grid(g, theta: float, t: float, a: float):
 
     Returns the xi order that makes rows monotone for the row-wise
     uniform-grid operator, the dispersion phase exp(i t w) in that order, the
-    |eta|^{4 theta} and |xi|^{2(1+a) theta} multipliers and the |x|^theta
-    weight.
+    |eta|^{4 theta} and |xi|^{2(1+a) theta} multipliers (the latter on the
+    half-spectrum columns 0..nx/2) and the |x|^theta weight.
     """
     xi, eta = g.spectral_meshgrid()
     order = np.argsort(g.xi)
     phase = np.exp(1j * t * dispersion_symbol(xi, eta, a))[:, order]
     m_eta = np.abs(g.eta[:, None]) ** (4.0 * theta)
-    m_xi = np.abs(g.xi[None, :]) ** (2.0 * (1 + a) * theta)
+    m_xi = np.abs(g.xi[: g.nx // 2 + 1]) ** (2.0 * (1 + a) * theta)
     return order, phase, m_eta, m_xi, np.abs(g.x) ** theta
 
 
@@ -854,18 +835,15 @@ def lemma_df_probe(theta: float, t: float, a: float, fields: list[RealField2D]) 
         if g not in per_grid:
             per_grid[g] = _df_probe_grid(g, theta, t, a)
         order, phase, m_eta, m_xi, wx = per_grid[g]
-        spec = to_spectral(f)
-        rows = phase * spec.coeffs[:, order]
+        coeffs = to_spectral(f).coeffs
+        rows = phase * coeffs[:, order]
         dxi = 2.0 * np.pi / g.lx
         stein_rows = grid_stein_rows(rows, dxi, theta)
         deta = 2.0 * np.pi / g.ly
         lhs = np.sqrt(np.sum(stein_rows**2) * dxi * deta) / (2.0 * np.pi)
 
-        l2 = multiplier_norm(spec, 1.0)
-        dy = multiplier_norm(spec, m_eta)
-        dxn = multiplier_norm(spec, m_xi)
-        wnorm = np.sqrt(np.sum((wx[None, :] * f.samples) ** 2) * g.dx * g.dy)
-        rhs = rho_weight(t, theta) * (l2 + dy + dxn) + wnorm
+        l2, dy, dxn = np.sqrt(_spectral_sums(coeffs[:, : g.nx // 2 + 1], g, 1.0, m_eta, m_xi))
+        rhs = rho_weight(t, theta) * (l2 + dy + dxn) + _weighted_l2(f, wx)
         ratios.append(float(lhs / rhs))
     ratios = np.asarray(ratios)
     return DfProbeResult(float(np.max(ratios)), ratios, theta, t, a)

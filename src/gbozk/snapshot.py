@@ -55,5 +55,8 @@ def read_snapshot(path: str | Path) -> SnapshotFile:
             f"{path}: truncated payload ({len(raw)} bytes, expected {expected})"
         )
     samples = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(ny, nx)
-    grid = GridSpec(nx=nx, ny=ny, lx=lx, ly=ly)
-    return SnapshotFile(RealField2D(grid, samples.copy()), a=a, t=t)
+    try:
+        field = RealField2D(GridSpec(nx=nx, ny=ny, lx=lx, ly=ly), samples.copy())
+    except ValueError as exc:  # a bad grid header or non-finite samples
+        raise SnapshotFormatError(f"{path}: {exc}") from None
+    return SnapshotFile(field, a=a, t=t)

@@ -42,6 +42,7 @@ import scipy.fft
 
 from .propagator import DispersionParams, dispersion_symbol
 from .spectral import GridSpec, RealField2D, SpectralField2D, dealias_mask
+from .spectral import half_spectrum, hermitian_weights
 
 __all__ = [
     "SolverConfig",
@@ -258,13 +259,11 @@ def evolve(
     stepper = Stepper(g, cfg)
     shape = (g.ny, g.nx)
     dxdy = g.dx * g.dy
-    v = scipy.fft.rfft2(np.fft.ifftshift(initial.samples)) * dxdy
+    v = half_spectrum(initial)
     peak0 = float(np.max(np.abs(initial.samples)))
     threshold = cfg.blowup_factor * peak0
-    # sup |u| <= sum_k |c_k| / (lx ly) over the full spectrum; an interior
-    # half-spectrum column also stands for its mirror column
-    sup_weights = np.full(g.nx // 2 + 1, 2.0 / (g.lx * g.ly))
-    sup_weights[[0, -1]] = 1.0 / (g.lx * g.ly)
+    # sup |u| <= sum_k |c_k| / (lx ly) over the full spectrum
+    sup_weights = hermitian_weights(g.nx) / (g.lx * g.ly)
 
     traj = Trajectory()
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 __all__ = [
     "GridSpec",
@@ -33,6 +34,8 @@ __all__ = [
     "make_grid",
     "to_spectral",
     "to_physical",
+    "half_spectrum",
+    "hermitian_weights",
     "fractional_x_derivative",
     "bessel_potential",
     "hilbert_x",
@@ -160,6 +163,20 @@ def to_physical(field: SpectralField2D) -> RealField2D:
     g = field.grid
     u = np.fft.fftshift(np.fft.ifft2(field.coeffs)) / (g.dx * g.dy)
     return RealField2D(g, u.real)
+
+
+def half_spectrum(field: RealField2D) -> np.ndarray:
+    """``rfft2`` half spectrum: columns 0..nx/2 of ``to_spectral``'s coefficients."""
+    g = field.grid
+    return scipy.fft.rfft2(np.fft.ifftshift(field.samples)) * (g.dx * g.dy)
+
+
+def hermitian_weights(nx: int) -> np.ndarray:
+    """Half-spectrum column weights: 2 where column k also stands for its
+    mirror nx - k (real data, summand even in (xi, eta)), 1 at k = 0 and nx/2."""
+    w = np.full(nx // 2 + 1, 2.0)
+    w[[0, -1]] = 1.0
+    return w
 
 
 def imag_residue(field: SpectralField2D) -> float:

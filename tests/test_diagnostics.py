@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gbozk import (
     DispersionParams,
@@ -16,11 +17,14 @@ from gbozk import (
     zero_mode_slice,
 )
 from gbozk.diagnostics import (
+    _spectral_sums,
+    directional_sobolev_norms,
     interx_probe,
     truncated_abs_weight,
     truncated_weight_blend_constant,
     truncated_x_norm,
 )
+from gbozk.spectral import half_spectrum
 
 from conftest import gaussian_field, random_field
 
@@ -141,6 +145,42 @@ class TestSobolevNorm:
     def test_scalar_pairing(self):
         spec = SobolevSpec.from_scalar(2.0, 0.5)
         assert spec.s1 == 3.0 and spec.s2 == 4.0
+
+
+class TestHalfSpectrumCore:
+    """Half-spectrum sums against a full-fft2 Plancherel oracle."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        half_n=st.tuples(st.integers(4, 32), st.integers(4, 32)),
+        box=st.tuples(st.floats(1.0, 60.0), st.floats(1.0, 60.0)),
+        s=st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)),
+        a=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_fft2_oracle(self, half_n, box, s, a, seed):
+        g = make_grid(2 * half_n[0], 2 * half_n[1], *box)
+        u = random_field(g, seed=seed)
+        c = np.fft.fft2(np.fft.ifftshift(u.samples)) * (g.dx * g.dy)
+        power = np.abs(c) ** 2 / (g.lx * g.ly)
+        xi, eta = g.spectral_meshgrid()
+
+        (half_mass,) = _spectral_sums(half_spectrum(u), g, 1.0)
+        np.testing.assert_allclose(half_mass, np.sum(power), rtol=1e-13, atol=0.0)
+
+        spec = SobolevSpec(*s)
+        mx, my = (1.0 + xi**2) ** s[0], (1.0 + eta**2) ** s[1]
+        want = np.sqrt([np.sum(mx * power), np.sum(my * power), np.sum((1.0 + mx + my) * power)])
+        got = [*directional_sobolev_norms(u, spec), sobolev_norm(u, spec)]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+        # the quadratic part is a signed sum: compare on the scale of its terms
+        mh = np.abs(xi) ** (a + 1.0)
+        cubic = np.sum(u.samples**3) * g.dx * g.dy / 3.0
+        quadratic = hamiltonian(u, DispersionParams(a)) - cubic
+        assert abs(quadratic - np.sum((mh - eta**2) * power)) <= 1e-13 * np.sum(
+            (mh + eta**2) * power
+        )
 
 
 class TestInvariants:

@@ -1,3 +1,5 @@
+import math
+import struct
 import tempfile
 from pathlib import Path
 
@@ -114,6 +116,12 @@ class TestConfig:
     def test_missing_section(self, tmp_path):
         bad = BASE_CFG.replace("[dispersion]\na = 0.5\n", "")
         with pytest.raises(ConfigError, match="dispersion"):
+            load_config(write_cfg(tmp_path, text=bad))
+
+    @pytest.mark.parametrize("key", ["r1", "r2", "sobolev_s"])
+    def test_non_finite_diagnostics_exponent(self, tmp_path, key):
+        bad = BASE_CFG.replace("[diagnostics]", f"[diagnostics]\n{key} = nan")
+        with pytest.raises(ConfigError, match="finite"):
             load_config(write_cfg(tmp_path, text=bad))
 
     def test_type_error_reports_key(self, tmp_path):
@@ -250,6 +258,11 @@ class TestUcCompare:
         cfg_b = replace(cfg_b, params=type(cfg_b.params)(0.7))
         with pytest.raises(ConfigError):
             uc_compare(cfg_a, cfg_b, tmp_path / "uc")
+
+    def test_byte_identical_reruns(self, tmp_path):
+        cfg_a, cfg_b = self._configs(tmp_path)
+        first = uc_compare(cfg_a, cfg_b, tmp_path / "uc").csv_path.read_bytes()
+        assert uc_compare(cfg_a, cfg_b, tmp_path / "uc").csv_path.read_bytes() == first
 
     def test_outputs_and_invariances(self, tmp_path):
         cfg_a, cfg_b = self._configs(tmp_path)
@@ -405,8 +418,10 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "extra",
-        [["2:x"], ["--sobolev", "1.5"], ["1:2:3:4"], ["-1"]],
-        ids=["bad-number", "short-sobolev", "long-weight", "negative-exponent"],
+        [["2:x"], ["--sobolev", "1.5"], ["1:2:3:4"], ["-1"], ["nan:0:4"], ["2:nan"],
+         ["--sobolev", "nan:2"]],
+        ids=["bad-number", "short-sobolev", "long-weight", "negative-exponent", "nan-r1",
+             "nan-r2", "nan-sobolev"],
     )
     def test_norms_malformed_spec_exit_code(self, tmp_path, capsys, extra):
         path = tmp_path / "f.gbzk"
@@ -414,11 +429,22 @@ class TestCli:
         assert cli_main(["norms", str(path), *extra]) == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_norms_corrupted_snapshot_exit_code(self, tmp_path, capsys):
+    # header: magic 0:4, version 4:8, nx 8:12, ny 12:16, lx 16:24, ...; samples from 48
+    @pytest.mark.parametrize(
+        "offset, patch",
+        [
+            (0, b"NOPE"),
+            (8, struct.pack("<II", 1, 256)),  # odd nx with the same sample count
+            (16, struct.pack("<d", 0.0)),
+            (48, struct.pack("<d", math.nan)),
+        ],
+        ids=["bad-magic", "odd-nx", "zero-lx", "nan-sample"],
+    )
+    def test_norms_corrupted_snapshot_exit_code(self, tmp_path, capsys, offset, patch):
         path = tmp_path / "f.gbzk"
         write_snapshot(path, SnapshotFile(random_field(make_grid(16, 16, 8.0, 8.0)), a=0.5, t=0.0))
         raw = bytearray(path.read_bytes())
-        raw[:4] = b"NOPE"
+        raw[offset : offset + len(patch)] = patch
         path.write_bytes(bytes(raw))
         assert cli_main(["norms", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
