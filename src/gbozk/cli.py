@@ -3,8 +3,9 @@
 Subcommands: simulate, uc-compare, stein-profile, expansion-check, norms.
 Exit codes: 0 success, 2 configuration error, 3 numerical blow-up.  Malformed
 input (configs, batch files, snapshots, `norms` weight and Sobolev specs,
-GBOZK_WORKERS) ends in a one-line "config error" and exit 2; a blow-up in
-`simulate` or `uc-compare` still writes the rows reached before exiting 3.
+GBOZK_WORKERS) ends in a one-line "config error" and exit 2, before any output
+directory exists; a blow-up in `simulate` or `uc-compare` still writes the
+rows reached before exiting 3.
 The only environment variable honoured is GBOZK_WORKERS (batch parallelism).
 """
 
@@ -25,12 +26,7 @@ EXIT_BLOWUP = 3
 def _cmd_simulate(args) -> int:
     from .experiments import run_scenario
 
-    cfg = load_config(args.config)
-    try:
-        result = run_scenario(cfg)
-    except BlowUpError as err:
-        print(f"blow-up: {err}", file=sys.stderr)
-        return EXIT_BLOWUP
+    result = run_scenario(load_config(args.config))
     print(f"wrote {result.csv_path} ({len(result.rows)} rows)")
     print(f"wrote {result.manifest_path}")
     print(f"sup E^s norm over trajectory: {result.sup_es_norm:.17g}")
@@ -42,12 +38,7 @@ def _cmd_uc_compare(args) -> int:
 
     cfg_a = load_config(args.config_a)
     cfg_b = load_config(args.config_b)
-    out_dir = args.out or cfg_a.output_dir
-    try:
-        result = uc_compare(cfg_a, cfg_b, out_dir)
-    except BlowUpError as err:
-        print(f"blow-up: {err}", file=sys.stderr)
-        return EXIT_BLOWUP
+    result = uc_compare(cfg_a, cfg_b, args.out or cfg_a.output_dir)
     print(f"wrote {result.csv_path}")
     print(f"wrote {result.report_path}")
     for tag in ("nz", "zm"):
@@ -179,12 +170,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, FileNotFoundError, SnapshotFormatError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, SnapshotFormatError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except BlowUpError as err:
+        print(f"blow-up: {err}", file=sys.stderr)
+        return EXIT_BLOWUP
 
 
 if __name__ == "__main__":

@@ -1,53 +1,36 @@
-"""Plain-text run configuration: named sections of key = value pairs.
+"""Plain-text run configuration and Stein batches: INI sections of key = value pairs.
 
-Unknown sections or keys are hard errors: a silently ignored typo corrupts an
-experiment.  Parsing is strict about types and reports the offending
-section/key on failure.
+One reader serves both.  A section's keys are the fields of its dataclass, so
+each key's name, type and default are stated once; ``_SCHEMA``, the parser
+and ``RunConfig.to_dict`` derive from the ``_SECTIONS`` table.  Unknown
+sections or keys are hard errors (a silently ignored typo corrupts an
+experiment), and every failure is a ``ConfigError`` naming the section/key.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import MISSING, Field, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .propagator import DispersionParams
+from .snapshot import read_snapshot
 from .solver import SolverConfig
 from .spectral import GridSpec, RealField2D
 
-__all__ = ["ConfigError", "InitialData", "DiagnosticsPlan", "RunConfig", "load_config"]
+__all__ = ["ConfigError", "InitialData", "DiagnosticsPlan", "RunConfig", "load_config",
+           "read_ini", "read_section"]
 
 
 class ConfigError(ValueError):
     pass
 
 
-_SCHEMA = {
-    "grid": {"nx", "ny", "lx", "ly"},
-    "dispersion": {"a"},
-    "solver": {"dt", "t", "integrator", "dealias", "nonlinear"},
-    "initial": {
-        "family",
-        "amplitude",
-        "sigma_x",
-        "sigma_y",
-        "center_x",
-        "center_y",
-        "x_mean_removed",
-        "kx",
-        "ky",
-        "path",
-    },
-    "diagnostics": {"stride", "r1", "r2", "n_ladder", "sobolev_s"},
-    "output": {"directory", "snapshot_stride"},
-}
-
-
 @dataclass(frozen=True)
 class InitialData:
-    family: str
+    family: str  # gaussian | single_mode | file
     amplitude: float = 1.0
     sigma_x: float = 1.0
     sigma_y: float = 1.0
@@ -57,6 +40,14 @@ class InitialData:
     kx: int = 1
     ky: int = 0
     path: str = ""
+
+    def __post_init__(self) -> None:
+        if self.family not in ("gaussian", "single_mode", "file"):
+            raise ValueError(f"unknown initial-data family {self.family!r}")
+        if not np.all(np.isfinite((self.amplitude, self.center_x, self.center_y))):
+            raise ValueError("amplitude, center_x and center_y must be finite")
+        if not all(0 < s * s < np.inf for s in (self.sigma_x, self.sigma_y)):
+            raise ValueError("sigma_x and sigma_y must have a finite nonzero square")
 
     def build(self, grid: GridSpec) -> RealField2D:
         X, Y = grid.meshgrid()
@@ -74,16 +65,13 @@ class InitialData:
             wx = 2.0 * np.pi * self.kx / grid.lx
             wy = 2.0 * np.pi * self.ky / grid.ly
             return RealField2D(grid, self.amplitude * np.cos(wx * X + wy * Y))
-        if self.family == "file":
-            from .snapshot import read_snapshot
-
+        try:
             snap = read_snapshot(self.path)
-            if snap.field.grid != grid:
-                raise ConfigError(
-                    f"snapshot grid {snap.field.grid} does not match [grid] section"
-                )
-            return snap.field
-        raise ConfigError(f"unknown initial-data family {self.family!r}")
+        except OSError as exc:
+            raise ConfigError(f"[initial] path {self.path!r}: {exc.strerror or exc}") from exc
+        if snap.field.grid != grid:
+            raise ConfigError(f"snapshot grid {snap.field.grid} does not match [grid] section")
+        return snap.field
 
 
 @dataclass(frozen=True)
@@ -95,8 +83,13 @@ class DiagnosticsPlan:
     sobolev_s: float = 1.0
 
     def __post_init__(self) -> None:
-        if not np.all(np.isfinite((self.r1, self.r2, self.sobolev_s))):
-            raise ValueError("diagnostics r1, r2 and sobolev_s must be finite")
+        if not self.stride >= 1:
+            raise ValueError(f"stride must be >= 1, got {self.stride}")
+        # 2 s is the y-order of E^s and bounds its x-order (1 + a) s
+        if not np.all(np.isfinite((self.r1, self.r2, 2.0 * self.sobolev_s))):
+            raise ValueError("diagnostics r1, r2 and 2 sobolev_s must be finite")
+        if not all(N >= 1 for N in self.n_ladder):
+            raise ValueError(f"every n_ladder level must be >= 1, got {self.n_ladder}")
 
 
 @dataclass(frozen=True)
@@ -109,134 +102,112 @@ class RunConfig:
     output_dir: str
     snapshot_stride: int = 0
 
+    def __post_init__(self) -> None:
+        if not self.snapshot_stride >= 0:
+            raise ValueError(f"snapshot_stride must be >= 0, got {self.snapshot_stride}")
+
     def to_dict(self) -> dict:
-        return {
-            "grid": {
-                "nx": self.grid.nx,
-                "ny": self.grid.ny,
-                "lx": self.grid.lx,
-                "ly": self.grid.ly,
-            },
-            "dispersion": {"a": self.params.a},
-            "solver": {
-                "dt": self.solver.dt,
-                "T": self.solver.T,
-                "integrator": self.solver.integrator,
-                "dealias": self.solver.dealias,
-                "nonlinear": self.solver.nonlinear,
-            },
-            "initial": {
-                "family": self.initial.family,
-                "amplitude": self.initial.amplitude,
-                "sigma_x": self.initial.sigma_x,
-                "sigma_y": self.initial.sigma_y,
-                "center_x": self.initial.center_x,
-                "center_y": self.initial.center_y,
-                "x_mean_removed": self.initial.x_mean_removed,
-                "kx": self.initial.kx,
-                "ky": self.initial.ky,
-                "path": self.initial.path,
-            },
-            "diagnostics": {
-                "stride": self.diagnostics.stride,
-                "r1": self.diagnostics.r1,
-                "r2": self.diagnostics.r2,
-                "n_ladder": list(self.diagnostics.n_ladder),
-                "sobolev_s": self.diagnostics.sobolev_s,
-            },
-            "output": {
-                "directory": self.output_dir,
-                "snapshot_stride": self.snapshot_stride,
-            },
-        }
+        """Config echo for the manifest: every key of every section."""
+        echo = {}
+        for section, (attr, _) in _SECTIONS.items():
+            obj = getattr(self, attr) if attr else self
+            echo[section] = {
+                _ECHO.get(f.name, f.name): getattr(obj, f.name)
+                for f in _SCHEMA[section].values()
+            }
+        return echo
 
 
-def _get(parser, section, key, conv, default=None, required=False):
+# section -> (RunConfig field, dataclass).  [output] holds RunConfig's own
+# keys and comes last; a field named after another section's RunConfig field
+# (SolverConfig.params) is filled from that section, not read as a key.
+_SECTIONS = {
+    "grid": ("grid", GridSpec),
+    "dispersion": ("params", DispersionParams),
+    "solver": ("solver", SolverConfig),
+    "initial": ("initial", InitialData),
+    "diagnostics": ("diagnostics", DiagnosticsPlan),
+    "output": (None, RunConfig),
+}
+_ECHO = {"output_dir": "directory"}  # key names that differ from the field name
+_FIXED = {"blowup_factor"}  # numerical settings no file may change
+
+
+def _keys(cls, filled) -> dict[str, Field]:
+    """INI key -> field, for every field of ``cls`` a file sets."""
+    skip = _FIXED | set(filled)
+    return {_ECHO.get(f.name, f.name).lower(): f for f in fields(cls) if f.name not in skip}
+
+
+_SCHEMA = {
+    section: _keys(cls, {attr for attr, _ in _SECTIONS.values()})
+    for section, (_, cls) in _SECTIONS.items()
+}
+
+
+def _bool(raw: str) -> bool:
     try:
-        if not parser.has_option(section, key):
-            if required:
-                raise ConfigError(f"[{section}] missing required key '{key}'")
-            return default
-        raw = parser.get(section, key)
-        if conv is bool:
-            low = raw.strip().lower()
-            if low in ("true", "yes", "on", "1"):
-                return True
-            if low in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        return conv(raw)
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
+
+
+# field annotation -> parser of the raw string
+_PARSE = {
+    "int": int,
+    "float": float,
+    "float | None": float,
+    "str": str,
+    "bool": _bool,
+    "tuple[float, ...]": lambda raw: tuple(float(tok) for tok in raw.split(",") if tok.strip()),
+}
+
+
+def read_ini(path: str | Path) -> configparser.ConfigParser:
+    """Parse an INI file; an unreadable or malformed file is a ConfigError."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    try:
+        parser.read_string(Path(path).read_text(), source=str(path))
+    except (OSError, ValueError, configparser.Error) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return parser
+
+
+def read_section(parser: configparser.ConfigParser, section: str, cls, path, **filled):
+    """Build ``cls`` from the ``filled`` fields plus one key of ``section`` per other field.
+
+    A key is parsed by its field's annotation; a key left out keeps the default.
+    """
+    keys = _keys(cls, filled)
+    where = f"{path}: [{section}]"
+    kwargs = {}
+    try:
+        raw = dict(parser.items(section)) if parser.has_section(section) else {}
+        unknown = sorted(raw.keys() - keys.keys())
+        if unknown:
+            raise ConfigError(f"{where} unknown keys {unknown}")
+        for key, f in keys.items():
+            if key in raw:
+                try:
+                    kwargs[f.name] = _PARSE[f.type](raw[key])
+                except ValueError as exc:
+                    raise ConfigError(f"{where} key '{key}': {exc}") from exc
+            elif f.default is MISSING:
+                raise ConfigError(f"{where} missing required key '{key}'")
+        return cls(**filled, **kwargs)
     except ConfigError:
         raise
-    except Exception as exc:
-        raise ConfigError(f"[{section}] key '{key}': {exc}") from exc
+    except (ValueError, TypeError, configparser.Error) as exc:
+        raise ConfigError(f"{where} {exc}") from exc
 
 
 def load_config(path: str | Path) -> RunConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    text = Path(path).read_text()
-    try:
-        parser.read_string(text, source=str(path))
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
+    parser = read_ini(path)
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        for key in parser.options(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"{path}: unknown key '{key}' in section [{section}]")
-    for required in ("grid", "dispersion", "solver", "initial", "output"):
-        if not parser.has_section(required):
-            raise ConfigError(f"{path}: missing section [{required}]")
-
-    try:
-        grid = GridSpec(
-            nx=_get(parser, "grid", "nx", int, required=True),
-            ny=_get(parser, "grid", "ny", int, required=True),
-            lx=_get(parser, "grid", "lx", float, required=True),
-            ly=_get(parser, "grid", "ly", float, required=True),
-        )
-        params = DispersionParams(_get(parser, "dispersion", "a", float, required=True))
-        solver = SolverConfig(
-            dt=_get(parser, "solver", "dt", float, required=True),
-            T=_get(parser, "solver", "t", float, required=True),
-            params=params,
-            dealias=_get(parser, "solver", "dealias", bool, default=True),
-            integrator=_get(parser, "solver", "integrator", str, default="etdrk4"),
-            nonlinear=_get(parser, "solver", "nonlinear", bool, default=True),
-        )
-        initial = InitialData(
-            family=_get(parser, "initial", "family", str, required=True),
-            amplitude=_get(parser, "initial", "amplitude", float, default=1.0),
-            sigma_x=_get(parser, "initial", "sigma_x", float, default=1.0),
-            sigma_y=_get(parser, "initial", "sigma_y", float, default=1.0),
-            center_x=_get(parser, "initial", "center_x", float, default=0.0),
-            center_y=_get(parser, "initial", "center_y", float, default=0.0),
-            x_mean_removed=_get(parser, "initial", "x_mean_removed", bool, default=False),
-            kx=_get(parser, "initial", "kx", int, default=1),
-            ky=_get(parser, "initial", "ky", int, default=0),
-            path=_get(parser, "initial", "path", str, default=""),
-        )
-        ladder_raw = _get(parser, "diagnostics", "n_ladder", str, default="2,4,8")
-        ladder = tuple(float(tok) for tok in ladder_raw.split(",") if tok.strip())
-        diagnostics = DiagnosticsPlan(
-            stride=_get(parser, "diagnostics", "stride", int, default=100),
-            r1=_get(parser, "diagnostics", "r1", float, default=2.0),
-            r2=_get(parser, "diagnostics", "r2", float, default=2.0),
-            n_ladder=ladder,
-            sobolev_s=_get(parser, "diagnostics", "sobolev_s", float, default=1.0),
-        )
-        return RunConfig(
-            grid=grid,
-            params=params,
-            solver=solver,
-            initial=initial,
-            diagnostics=diagnostics,
-            output_dir=_get(parser, "output", "directory", str, required=True),
-            snapshot_stride=_get(parser, "output", "snapshot_stride", int, default=0),
-        )
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: {exc}") from exc
+    built = {}
+    for section, (attr, cls) in _SECTIONS.items():
+        filled = {f.name: built[f.name] for f in fields(cls) if f.name in built}
+        built[attr] = read_section(parser, section, cls, path, **filled)
+    return built[None]

@@ -128,14 +128,19 @@ def _bracket_exponent(N: float) -> float:
 
     The blend derivative is <x>'(x) (1 - step)^p; p >= 1 keeps the join C^2
     and the derivative within [0, <x>'].  Requires N >= 1 (for smaller N the
-    plateau 2N sits below <N> and no monotone blend exists).
+    plateau 2N sits below <N> and no monotone blend exists).  The mismatch
+    decreases in p and changes sign on [1, 60]; bisection narrows that
+    bracket to adjacent floats.
     """
-    from scipy.optimize import brentq
-
     f = lambda p: float(_blend_values(np.array([3.0 * N]), N, p)[0]) - 2.0 * N
     if f(1.0) < 0:
         raise ValueError(f"no monotone C^2 blend for N = {N}; need N >= 1")
-    return float(brentq(f, 1.0, 60.0, xtol=1e-13))
+    lo, hi = 1.0, 60.0
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        lo, hi = (mid, hi) if f(mid) > 0 else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return hi
 
 
 def truncated_weight(x, N: float):

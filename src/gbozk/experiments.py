@@ -6,26 +6,26 @@ with 17 significant digits.  Every text output carries the manifest hash
 re-running a manifest reproduces outputs byte for byte.
 
 ``run_scenario`` and both branches of ``uc_compare`` share one scaffold:
-``_open_run`` creates the output directory and hashes the manifest, and
-``_run`` evolves a config with one observer, appends the shared zero-mode
-and x-moment columns, and hands back the partial trajectory on blow-up so
-the rows reached are written before the error is re-raised.
+the initial data are built first, so unreadable initial data leave no output
+behind; ``_open_run`` then creates the output directory and hashes the
+manifest, and ``_run`` evolves the data with one observer, appends the shared
+zero-mode and x-moment columns, and hands back the partial trajectory on
+blow-up so the rows reached are written before the error is re-raised.
 """
 
 from __future__ import annotations
 
-import configparser
 import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, read_ini, read_section
 from .diagnostics import (
     SobolevSpec,
     directional_sobolev_norms,
@@ -37,6 +37,7 @@ from .diagnostics import (
     zero_mode_slice,
 )
 from .fraclab import (
+    check_order,
     dstein_profile,
     fit_exponent,
     l2_membership_classify,
@@ -101,14 +102,13 @@ def _open_run(out_dir: str | Path, payload: dict) -> tuple[Path, str]:
     return out, manifest_hash(payload)
 
 
-def _run(cfg: RunConfig, observe, snapshot_stride: int = 0):
-    """Evolve ``cfg``'s initial data, recording ``observe`` plus shared columns.
+def _run(cfg: RunConfig, initial, observe, snapshot_stride: int = 0):
+    """Evolve ``initial`` under ``cfg``, recording ``observe`` plus shared columns.
 
     Every record ends with ``zero_mode_maxdev``, ``xmom_re`` and
     ``xmom_im``.  Returns ``(trajectory, columns, blow-up or None)``; on
     blow-up the trajectory holds the records reached before it.
     """
-    initial = cfg.initial.build(cfg.grid)
     zm0 = zero_mode_slice(initial)
 
     def row(t, u):
@@ -168,8 +168,9 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     the manifest records the error before it is re-raised.
     """
     payload = _payload(config=cfg.to_dict())
+    initial = cfg.initial.build(cfg.grid)
     out, mhash = _open_run(cfg.output_dir, payload)
-    traj, columns, blowup = _run(cfg, _scenario_observer(cfg), cfg.snapshot_stride)
+    traj, columns, blowup = _run(cfg, initial, _scenario_observer(cfg), cfg.snapshot_stride)
     rows = [[rec[key] for key in columns] for rec in traj.records]
 
     csv_path = out / "diagnostics.csv"
@@ -229,11 +230,11 @@ def uc_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: str | Path) -> UcCom
     If either branch blows up, ``uc_compare.csv`` holds the rows both
     branches reached and the first blow-up is re-raised.
     """
-    da, db = cfg_a.to_dict(), cfg_b.to_dict()
-    da["initial"] = {k: v for k, v in da["initial"].items() if k != "x_mean_removed"}
-    db["initial"] = {k: v for k, v in db["initial"].items() if k != "x_mean_removed"}
-    da.pop("output"), db.pop("output")
-    if da != db:
+    def physics(cfg):  # everything but the flag and the [output] section
+        initial = replace(cfg.initial, x_mean_removed=False)
+        return replace(cfg, initial=initial, output_dir="", snapshot_stride=0)
+
+    if physics(cfg_a) != physics(cfg_b):
         raise ConfigError("uc_compare configs must differ only in x_mean_removed")
     if cfg_a.initial.x_mean_removed == cfg_b.initial.x_mean_removed:
         raise ConfigError("uc_compare needs exactly one branch with x_mean_removed")
@@ -247,6 +248,7 @@ def uc_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: str | Path) -> UcCom
         (f"w_r{_rtag(r1)}_N{_ladder_tag(N)}", r1, N) for r1 in ladder_r for N in ladder_n
     ]
 
+    runs = [(tag, c, c.initial.build(c.grid)) for tag, c in (("nz", cfg_a), ("zm", cfg_b))]
     out, mhash = _open_run(out_dir, _payload(config_pair=[cfg_a.to_dict(), cfg_b.to_dict()]))
 
     def observe(t, u):
@@ -256,8 +258,8 @@ def uc_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: str | Path) -> UcCom
         return row
 
     branches, blowups = {}, []
-    for tag, cfg in (("nz", cfg_a), ("zm", cfg_b)):
-        branches[tag], columns, blowup = _run(cfg, observe)
+    for tag, cfg, initial in runs:
+        branches[tag], columns, blowup = _run(cfg, initial, observe)
         if blowup is not None:
             blowups.append(blowup)
 
@@ -330,35 +332,26 @@ def _rtag(r: float) -> str:
 
 @dataclass(frozen=True)
 class SteinBatchQuery:
+    """One batch section: its name plus one key per other field."""
+
     name: str
     kind: str  # power | power_sign | gamma
     theta: float
     alpha: float | None = None
     gamma: float | None = None
 
+    def __post_init__(self) -> None:
+        # the checks the query's run would make, made when it is read
+        check_order(make_profile(self.kind, alpha=self.alpha, gamma=self.gamma), self.theta)
+
 
 def load_stein_batch(path: str | Path) -> list[SteinBatchQuery]:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        parser.read_string(Path(path).read_text(), source=str(path))
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    queries = []
-    for section in parser.sections():
-        keys = set(parser.options(section))
-        allowed = {"kind", "theta", "alpha", "gamma"}
-        if not keys <= allowed:
-            raise ConfigError(
-                f"{path}: unknown keys {sorted(keys - allowed)} in [{section}]"
-            )
-        kind = parser.get(section, "kind")
-        if kind not in ("power", "power_sign", "gamma"):
-            raise ConfigError(f"{path}: [{section}] unknown kind {kind!r}")
-        theta = parser.getfloat(section, "theta")
-        alpha = parser.getfloat(section, "alpha") if "alpha" in keys else None
-        gamma = parser.getfloat(section, "gamma") if "gamma" in keys else None
-        queries.append(SteinBatchQuery(section, kind, theta, alpha, gamma))
-    return queries
+    """One query per section of the batch file, checked before anything runs."""
+    parser = read_ini(path)
+    return [
+        read_section(parser, section, SteinBatchQuery, path, name=section)
+        for section in parser.sections()
+    ]
 
 
 def _run_one_query(q: SteinBatchQuery) -> dict:

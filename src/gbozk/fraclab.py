@@ -63,6 +63,7 @@ __all__ = [
     "Profile",
     "dstein_profile",
     "l2_membership_classify",
+    "check_order",
     "MembershipEvidence",
     "fit_exponent",
     "FitResult",
@@ -332,6 +333,9 @@ def make_profile(kind: str, alpha: float | None = None, gamma: float | None = No
     kind: "power" -> |y|^alpha phi(y); "power_sign" -> |y|^alpha sgn(y) phi(y);
     "gamma" -> |y|^{gamma - 1/2} phi(y); "user" -> supplied callable.
     """
+    for name, value in (("alpha", alpha), ("gamma", gamma)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"profile {name} must be finite, got {value}")
     if kind == "power":
         if alpha is None:
             raise ValueError("power profile needs alpha")
@@ -505,6 +509,19 @@ def _integrate_power_segments(etas: np.ndarray, q: np.ndarray) -> float:
     return total
 
 
+def check_order(profile: Profile, theta: float) -> None:
+    """Reject orders outside [0, 2), and orders >= 1 without an analytic derivative."""
+    if not theta >= 0:
+        raise ValueError(f"theta must be nonnegative, got {theta}")
+    if theta >= 2:
+        raise ValueError("orders >= 2 are not supported")
+    if theta >= 1.0 and profile.derivative is None:
+        raise ValueError(
+            f"profile {profile.label} has no analytic derivative; "
+            "cannot reduce the order below 1"
+        )
+
+
 def l2_membership_classify(
     profile: Profile,
     theta: float,
@@ -530,17 +547,9 @@ def l2_membership_classify(
     of the profile at order theta - 1 (D^0 = identity), which preserves the
     threshold theta < alpha + 1/2.
     """
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
-    if theta >= 2:
-        raise ValueError("orders >= 2 are not supported")
+    check_order(profile, theta)
     lead = profile.leading_exponent
     if theta >= 1.0:
-        if profile.derivative is None:
-            raise ValueError(
-                f"profile {profile.label} has no analytic derivative; "
-                "cannot reduce the order below 1"
-            )
         reduced = replace(
             profile,
             fn=profile.derivative,

@@ -78,10 +78,8 @@ class SolverConfig:
     blowup_factor: float = 1e6
 
     def __post_init__(self) -> None:
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if self.dt > self.T:
-            raise ValueError("dt must not exceed the horizon T")
+        if not 0 < self.dt <= self.T < np.inf:
+            raise ValueError(f"need 0 < dt <= T < inf, got dt = {self.dt}, T = {self.T}")
         if self.integrator not in ("etdrk4", "strang"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
 
@@ -93,7 +91,6 @@ class Trajectory:
     times: list[float] = field(default_factory=list)
     records: list[dict] = field(default_factory=list)
     snapshots: list[tuple[float, RealField2D]] = field(default_factory=list)
-    blowup: BlowUpError | None = None
 
     def column(self, key: str) -> np.ndarray:
         return np.array([rec[key] for rec in self.records])
@@ -249,9 +246,9 @@ def evolve(
     stores the field every that many steps; otherwise only the final field
     is kept.  Blow-up (a non-finite state, or max |u| above
     ``blowup_factor`` times its initial value) is checked after every step,
-    whatever the stride.  On blow-up the last good snapshot is stored, the
-    error is recorded in ``Trajectory.blowup`` and attached to it as
-    ``trajectory``, and it is re-raised.
+    whatever the stride.  On blow-up the last good snapshot is stored and a
+    ``BlowUpError`` is raised with the partial trajectory attached as its
+    ``trajectory``.
     """
     g = initial.grid
     # rounding to whole steps lands the final time within dt/2 of T
@@ -277,7 +274,6 @@ def evolve(
     def blow_up(t: float, peak: float) -> BlowUpError:
         err = BlowUpError(t, peak, _blowup_mode(v, g))
         err.trajectory = traj
-        traj.blowup = err
         traj.snapshots.append((traj.times[-1], last_good))
         return err
 

@@ -60,8 +60,10 @@ class GridSpec:
             if n % 2 != 0 or n < 8:
                 raise ValueError(f"{name} must be even and >= 8, got {n}")
         for l, name in ((self.lx, "lx"), (self.ly, "ly")):
-            if not l > 0:
-                raise ValueError(f"{name} must be positive, got {l}")
+            if not 0 < l < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {l}")
+        if not (self.dx * self.dy > 0 and self.lx * self.ly < np.inf):
+            raise ValueError("cell area dx dy and box area lx ly must be nonzero and finite")
 
     @property
     def dx(self) -> float:

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +23,7 @@ from gbozk import (
     zero_mode_slice,
 )
 from gbozk.diagnostics import (
+    _blend_values,
     _spectral_sums,
     directional_sobolev_norms,
     interx_probe,
@@ -73,6 +80,26 @@ class TestTruncatedWeight:
     def test_requires_level_at_least_one(self):
         with pytest.raises(ValueError):
             truncated_weight(1.0, 0.5)
+
+    def test_blend_exponent_matches_brentq_oracle(self):
+        # p is solved in a fresh process, which must not load scipy.optimize
+        levels = [1.0, 2.0, 3.7, 4.0, 8.0, 16.0, 1e4]
+        code = (
+            "import sys; from gbozk.diagnostics import _bracket_exponent; "
+            f"print([_bracket_exponent(N) for N in {levels}]); "
+            "print('scipy.optimize' in sys.modules)"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        ).stdout.splitlines()
+        assert out[1] == "False"
+        from scipy.optimize import brentq
+
+        for N, p in zip(levels, json.loads(out[0]), strict=True):
+            f = lambda q: float(_blend_values(np.array([3.0 * N]), N, q)[0]) - 2.0 * N
+            assert p == pytest.approx(brentq(f, 1.0, 60.0, xtol=1e-15), rel=1e-13)
 
     def test_abs_weight_plateau_and_identity(self):
         assert truncated_abs_weight(0.7, 2.0) == 0.7

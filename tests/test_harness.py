@@ -1,6 +1,7 @@
 import math
 import struct
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from gbozk import evolve, make_grid
 from gbozk.cli import main as cli_main
-from gbozk.config import ConfigError, load_config
+from gbozk.config import _SCHEMA, ConfigError, load_config
 from gbozk.experiments import (
+    SteinBatchQuery,
     load_stein_batch,
     run_scenario,
     stein_report,
@@ -59,6 +61,39 @@ def write_cfg(tmp_path, name="run.cfg", text=None, **fmt):
     path = tmp_path / name
     path.write_text(text.format(out=fmt.get("out", tmp_path / "out")))
     return path
+
+
+# values for fuzzed keys: valid numbers and words, garbage, empty, nan, +-inf,
+# 0, negatives, values that under- or overflow
+FUZZ_VALUES = st.one_of(
+    st.sampled_from(
+        ["", "abc", "5%", "2,x", "nan", "inf", "-inf", "0", "-1", "-0.5", "1e-200",
+         "1e308", "true", "gaussian", "single_mode", "file", "strang", "2,4",
+         "power", "power_sign", "gamma"]
+    ),
+    st.integers(-4, 40).map(str),
+    st.floats(-100.0, 100.0).map(repr),
+)
+# a run of at most 16^2 points and 5 steps; [output] directory is set per run
+FUZZ_BASE = {
+    ("grid", "nx"): "16", ("grid", "ny"): "16", ("grid", "lx"): "16.0",
+    ("grid", "ly"): "16.0", ("dispersion", "a"): "0.5", ("solver", "dt"): "1e-3",
+    ("solver", "t"): "0.005", ("initial", "family"): "gaussian",
+    ("initial", "amplitude"): "0.3", ("diagnostics", "stride"): "2",
+    ("diagnostics", "n_ladder"): "2,4",
+}
+FUZZ_KEYS = [
+    (section, key) for section, keys in _SCHEMA.items() for key in keys
+    if (section, key) != ("output", "directory")
+]
+BATCH_KEYS = [f.name for f in fields(SteinBatchQuery) if f.name != "name"]
+
+
+def render_ini(values: dict) -> str:
+    sections: dict[str, list[str]] = {}
+    for (section, key), value in values.items():
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    return "".join(f"[{s}]\n" + "\n".join(lines) + "\n\n" for s, lines in sections.items())
 
 
 class TestSnapshot:
@@ -128,6 +163,37 @@ class TestConfig:
         bad = BASE_CFG.replace("nx = 32", "nx = many")
         with pytest.raises(ConfigError, match="nx"):
             load_config(write_cfg(tmp_path, text=bad))
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(overrides=st.dictionaries(st.sampled_from(FUZZ_KEYS), FUZZ_VALUES, max_size=4))
+    def test_fuzzed_config_is_config_error_or_runs(self, overrides):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.cfg"
+            values = {**FUZZ_BASE, **overrides, ("output", "directory"): f"{tmp}/out"}
+            path.write_text(render_ini(values))
+            try:
+                cfg = load_config(path)
+            except ConfigError:
+                return
+            if max(cfg.grid.nx, cfg.grid.ny) <= 16 and cfg.solver.T <= 10 * cfg.solver.dt:
+                assert cli_main(["simulate", str(path)]) in (0, 2, 3)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        sections=st.lists(
+            st.dictionaries(st.sampled_from(BATCH_KEYS), FUZZ_VALUES, min_size=1),
+            max_size=3,
+        )
+    )
+    def test_fuzzed_batch_loads_or_is_config_error(self, sections, tmp_path_factory):
+        batch = tmp_path_factory.mktemp("batch") / "batch.cfg"
+        batch.write_text(
+            render_ini({(f"q{i}", k): v for i, keys in enumerate(sections) for k, v in keys.items()})
+        )
+        try:
+            assert len(load_stein_batch(batch)) == len(sections)
+        except ConfigError:
+            pass
 
     def test_initial_families(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path))
@@ -391,6 +457,54 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path):
         bad = write_cfg(tmp_path, text=BASE_CFG.replace("nx = 32", "nx = many"))
         assert cli_main(["simulate", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "kind = power\nalpha = 1.0\ntheta = abc",
+            "kind = power\nalpha = 1.0",
+            "alpha = 1.0\ntheta = 0.5",
+            "kind = power\ntheta = 0.5",
+            "kind = power\nalpha = 1.0\ntheta = -1",
+            "kind = power\nalpha = 1.0\ntheta = 2.5",
+            "kind = power\nalpha = 1.0\ntheta = nan",
+            "kind = gamma\ntheta = 0.5",
+            "kind = gamma\ngamma = 0.3\ntheta = 1.2",
+        ],
+        ids=["theta-garbage", "no-theta", "no-kind", "power-no-alpha", "theta-negative",
+             "theta-2.5", "theta-nan", "gamma-no-gamma", "gamma-no-derivative"],
+    )
+    def test_malformed_batch_exit_code(self, tmp_path, capsys, body):
+        batch = tmp_path / "batch.cfg"
+        batch.write_text(f"[q]\n{body}\n")
+        assert cli_main(["stein-profile", str(batch), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("stride = 2", "stride = 0"),
+            ("stride = 2", "stride = -1"),
+            ("directory = {out}", "directory = {out}\nsnapshot_stride = -1"),
+            ("n_ladder = 2,4", "n_ladder = 0.5"),
+            ("sigma_x = 1.0", "sigma_x = 0"),
+            ("sigma_y = 1.0", "sigma_y = 1e-200"),
+            ("amplitude = 0.3", "amplitude = nan"),
+            ("family = gaussian", "family = file\npath = ."),
+            ("family = gaussian", "family = file\npath = missing.gbzk"),
+        ],
+        ids=["stride-0", "stride-negative", "snapshot-stride-negative", "n-ladder-below-1",
+             "sigma-x-0", "sigma-y-square-underflow", "amplitude-nan", "path-directory",
+             "path-missing"],
+    )
+    def test_malformed_config_exit_code(self, tmp_path, capsys, old, new):
+        cfg_path = write_cfg(tmp_path, text=BASE_CFG.replace(old, new))
+        assert cli_main(["simulate", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_exit_code(self):
         assert cli_main(["simulate", "/nonexistent/run.cfg"]) == 2
