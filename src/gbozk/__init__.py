@@ -43,7 +43,6 @@ from .diagnostics import (
     x_moment,
 )
 from .fraclab import (
-    CutoffSpec,
     SteinQuery,
     cutoff_phi,
     stein_derivative,

@@ -105,6 +105,18 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.snapshot_stride >= 0:
             raise ValueError(f"snapshot_stride must be >= 0, got {self.snapshot_stride}")
+        # the solver squares unit-amplitude samples scaled by dx dy, multiplies
+        # by xi / (dx dy) and squares the ETDRK4 phase dt w; at the largest
+        # |xi| and |eta| these must be finite, and (dx dy)^2 must not underflow
+        g = self.grid
+        xi, eta = np.float64(np.pi * g.nx / g.lx), np.float64(np.pi * g.ny / g.ly)
+        with np.errstate(over="ignore", under="ignore"):
+            cell = np.float64(g.dx * g.dy)
+            phase = self.solver.dt * (xi * eta**2 + xi ** (2.0 + self.params.a))
+            sizes = (cell * cell, xi / cell, phase * phase)
+            if not (sizes[0] > 0.0 and max(sizes) < np.inf):
+                raise ValueError(f"grid {g.nx}x{g.ny} on a {g.lx:g} x {g.ly:g} box with dt = "
+                                 f"{self.solver.dt:g} is out of float range (dx dy = {cell:.3g})")
 
     def to_dict(self) -> dict:
         """Config echo for the manifest: every key of every section."""

@@ -175,14 +175,14 @@ def _blend_values(xs: np.ndarray, N: float, p: float) -> np.ndarray:
     return np.sqrt(1.0 + N**2) + np.sum(wts[None, :] * integrand, axis=1) * half
 
 
-def truncated_weight_blend_constant(N: float, samples: int = 4001) -> float:
+def truncated_weight_blend_constant(N: float) -> float:
     """Measured sup |<x>_N''| / <x>'' over the blend (reported, not asserted).
 
-    The second derivative is estimated by central differences on a dense
-    sample; the ratio grows with N because the plateau forces the slope from
+    The second derivative is estimated by central differences on 4001
+    points; the ratio grows with N because the plateau forces the slope from
     ~1 to 0 across a window where <x>'' has already decayed.
     """
-    x = np.linspace(N * (1 - 1e-3), 3.0 * N * (1 + 1e-3), samples)
+    x = np.linspace(N * (1 - 1e-3), 3.0 * N * (1 + 1e-3), 4001)
     w = truncated_weight(x, N)
     h = x[1] - x[0]
     second = np.abs(np.diff(w, 2)) / h**2

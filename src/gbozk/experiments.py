@@ -46,7 +46,7 @@ from .fraclab import (
 )
 from .propagator import DispersionParams, xi_expansion_check
 from .snapshot import SnapshotFile, write_snapshot
-from .solver import BlowUpError, evolve
+from .solver import _CONTOUR_POINTS, BlowUpError, evolve
 
 __all__ = [
     "NUMERICAL_SETTINGS",
@@ -62,7 +62,7 @@ __all__ = [
 NUMERICAL_SETTINGS = {
     "transform_normalization": "continuous-forward (coeff = fft2 * dx * dy)",
     "dealias_rule": "two-thirds",
-    "etdrk4_contour_points": 32,
+    "etdrk4_contour_points": _CONTOUR_POINTS,
     "weight_blend": "smootherstep derivative profile",
     "stein_split_radius": "local_scale / 100",
     "stein_inner_substitution": "s = delta * v^(1/(2-2b))",
@@ -430,21 +430,12 @@ def stein_report(
 
 # --- expansion check driver -----------------------------------------------------
 
-def run_expansion_check(
-    a: float,
-    ks: list[int],
-    ts: list[float],
-    xi_lo: float = 0.1,
-    xi_hi: float = 1.45,
-    eta_lo: float = 0.0,
-    eta_hi: float = 1.35,
-    n: int = 10,
-    tolerance: float = 1e-6,
-):
-    """Run xi_expansion_check over a (xi, eta) grid for each (k, t)."""
+def run_expansion_check(a: float, ks: list[int], ts: list[float], tolerance: float = 1e-6):
+    """Run xi_expansion_check for each (k, t) on the 10 x 10 grid
+    xi in [0.1, 1.45], eta in [0, 1.35]."""
     params = DispersionParams(a)
-    xi_set = np.linspace(xi_lo, xi_hi, n)
-    eta_set = np.linspace(eta_lo, eta_hi, n)
+    xi_set = np.linspace(0.1, 1.45, 10)
+    eta_set = np.linspace(0.0, 1.35, 10)
     return [
         xi_expansion_check(k, t, params, xi_set, eta_set, tolerance=tolerance)
         for k in ks

@@ -219,8 +219,8 @@ def xi_expansion_eval(
 #
 # 5-point central stencils evaluated in extended precision; with h = 1e-3 the
 # k = 4 stencil would lose ~4 digits to cancellation in float64, so the
-# samples are taken with mpmath.  A Richardson step at h/2 removes the O(h^2)
-# truncation of the k = 3, 4 stencils.
+# samples are taken with mpmath at 50 digits.  A Richardson step at h/2
+# removes the O(h^2) truncation of the k = 3, 4 stencils.
 
 _STENCILS = {
     1: ([1, -8, 0, 8, -1], 12.0, 1),
@@ -232,44 +232,34 @@ _STENCILS = {
 _STENCIL_ORDER = {1: 4, 2: 4, 3: 2, 4: 2}
 
 
-def _psi_phihat_mp(xi, eta, t, a, phihat):
+def _psi_phihat_mp(xi, eta, t, a):
+    """psi phihat in mpmath, with the Gaussian phihat = exp(-xi^2 - eta^2)."""
     w = xi * (eta**2 - abs(xi) ** (1 + mp.mpf(a)))
-    return mp.e ** (1j * mp.mpf(t) * w) * phihat(xi, eta)
+    return mp.e ** (1j * mp.mpf(t) * w) * mp.e ** (-(xi**2) - eta**2)
 
 
-def _fd_once(k, xi, eta, t, a, phihat, h):
+def _fd_once(k, xi, eta, t, a, h):
     weights, denom, power = _STENCILS[k]
     acc = mp.mpc(0)
     for j, wgt in zip(range(-2, 3), weights):
         if wgt == 0:
             continue
-        acc += wgt * _psi_phihat_mp(mp.mpf(xi) + j * h, mp.mpf(eta), t, a, phihat)
+        acc += wgt * _psi_phihat_mp(mp.mpf(xi) + j * h, mp.mpf(eta), t, a)
     return acc / (denom * h**power)
 
 
-def fd_oracle(
-    k: int,
-    xi: float,
-    eta: float,
-    t: float,
-    a: float,
-    phihat=None,
-    h: float = 1e-3,
-    dps: int = 50,
-) -> complex:
+def fd_oracle(k: int, xi: float, eta: float, t: float, a: float) -> complex:
     """High-precision 5-point FD value of d^k/dxi^k (psi phihat).
 
-    ``phihat(xi, eta)`` must accept mpmath arguments; defaults to the
-    Gaussian exp(-xi^2 - eta^2).  Richardson combination of h and h/2
-    cancels the leading truncation term of the stencil.
+    phihat is the Gaussian exp(-xi^2 - eta^2) of ``gaussian_jet``.  The
+    stencil is taken at h = 1e-3 and h/2 with 50-digit mpmath samples, and
+    their Richardson combination cancels its leading truncation term.
     """
-    if phihat is None:
-        phihat = lambda x, e: mp.e ** (-(x**2) - e**2)
-    with mp.workdps(dps):
-        hh = mp.mpf(h)
+    with mp.workdps(50):
+        hh = mp.mpf(1e-3)
         p = _STENCIL_ORDER[k]
-        d_h = _fd_once(k, xi, eta, t, a, phihat, hh)
-        d_h2 = _fd_once(k, xi, eta, t, a, phihat, hh / 2)
+        d_h = _fd_once(k, xi, eta, t, a, hh)
+        d_h2 = _fd_once(k, xi, eta, t, a, hh / 2)
         val = (2**p * d_h2 - d_h) / (2**p - 1)
         return complex(val)
 
@@ -308,11 +298,9 @@ def xi_expansion_check(
     params: DispersionParams,
     xi_set: np.ndarray,
     eta_set: np.ndarray,
-    jet_source=gaussian_jet,
-    phihat_mp=None,
     tolerance: float = 1e-6,
 ) -> ExpansionReport:
-    """Compare the printed term table against the FD oracle on a (xi, eta) grid.
+    """Compare the printed term table against the FD oracle on a (xi, eta) grid of Gaussian jets.
 
     If the printed expansion misses the tolerance, the mismatch is localized
     term by term against the chain-rule table and reported by term id; the
@@ -326,10 +314,10 @@ def xi_expansion_check(
     printed_vals, derived_vals, oracle_vals, points = [], [], [], []
     for x in xi_set:
         for e in eta_set:
-            jet = jet_source(x, e)
+            jet = gaussian_jet(x, e)
             printed_vals.append(xi_expansion_eval(k, jet, t, params, "printed"))
             derived_vals.append(xi_expansion_eval(k, jet, t, params, "derived"))
-            oracle_vals.append(fd_oracle(k, x, e, t, params.a, phihat_mp))
+            oracle_vals.append(fd_oracle(k, x, e, t, params.a))
             points.append((x, e))
 
     rel_printed = _rel_errors(printed_vals, oracle_vals)
@@ -340,7 +328,7 @@ def xi_expansion_check(
     if max(rel_printed) >= tolerance:
         # isolate: which term ids have printed != derived coefficients
         x0, e0 = points[int(np.argmax(rel_printed))]
-        jet0 = jet_source(x0, e0)
+        jet0 = gaussian_jet(x0, e0)
         tp = dict(xi_expansion_terms(k, jet0, t, params, "printed"))
         td = dict(xi_expansion_terms(k, jet0, t, params, "derived"))
         scale = max(max(abs(v) for v in tp.values()), 1e-300)

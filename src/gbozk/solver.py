@@ -132,6 +132,10 @@ def nonlinear_term(u: RealField2D, dealias: bool = True) -> SpectralField2D:
     return SpectralField2D(g, _full_spectrum(half, g.nx))
 
 
+# points on each unit circle of the ETDRK4 contour means
+_CONTOUR_POINTS = 32
+
+
 class Stepper:
     """Precomputed single-step integrator for a fixed grid and config.
 
@@ -139,7 +143,7 @@ class Stepper:
     ``step`` is the full-spectrum (ny, nx) boundary around it.
     """
 
-    def __init__(self, grid: GridSpec, cfg: SolverConfig, n_contour: int = 32):
+    def __init__(self, grid: GridSpec, cfg: SolverConfig):
         self.grid = grid
         self.cfg = cfg
         self._nh = grid.nx // 2 + 1
@@ -153,9 +157,8 @@ class Stepper:
         if cfg.integrator == "etdrk4":
             # contour means of the phi functions around each dt*lin, summed
             # one contour point at a time
-            circ = np.exp(
-                2j * np.pi * (np.arange(n_contour) + 0.5) / n_contour
-            )
+            n = _CONTOUR_POINTS
+            circ = np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)
             q, f1, f2, f3 = (np.zeros_like(lin) for _ in range(4))
             for c in circ:
                 z = dt * lin + c
@@ -165,10 +168,10 @@ class Stepper:
                 f1 += (-4.0 - z + ez * (4.0 - 3.0 * z + z**2)) / z3
                 f2 += (2.0 + z + ez * (z - 2.0)) / z3
                 f3 += (-4.0 - 3.0 * z - z**2 + ez * (4.0 - z)) / z3
-            self.q = dt * (q / n_contour)
-            self.f1 = dt * (f1 / n_contour)
-            self.f2 = dt * (f2 / n_contour)
-            self.f3 = dt * (f3 / n_contour)
+            self.q = dt * (q / n)
+            self.f1 = dt * (f1 / n)
+            self.f2 = dt * (f2 / n)
+            self.f3 = dt * (f3 / n)
 
     def _nl(self, v: np.ndarray) -> np.ndarray:
         if not self.cfg.nonlinear:

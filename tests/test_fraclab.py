@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from gbozk import fraclab, make_grid
 from gbozk.fraclab import (
-    CutoffSpec,
     SteinQuery,
     cutoff_phi,
     cutoff_phi_prime,
@@ -61,10 +60,6 @@ class TestCutoff:
             h = 1e-6
             fd = (cutoff_phi(x + h) - cutoff_phi(x - h)) / (2 * h)
             assert abs(cutoff_phi_prime(x) - fd) < 1e-8
-
-    def test_spec_descriptor(self):
-        spec = CutoffSpec()
-        assert spec.plateau == 1.0 and spec.support == 2.0
 
 
 class TestSteinDerivative:

@@ -367,6 +367,12 @@ class TestSteinBatch:
         with pytest.raises(ConfigError):
             load_stein_batch(batch)
 
+    def test_large_exponent_within_float_range_runs(self, tmp_path):
+        # |y|^400 on the support squares to below the float maximum
+        batch = tmp_path / "batch.cfg"
+        batch.write_text("[q]\nkind = power\nalpha = 400\ntheta = 0.5\n")
+        assert cli_main(["stein-profile", str(batch), "--out", str(tmp_path / "out")]) == 0
+
     def test_repeated_batch_identical(self, tmp_path):
         batch = tmp_path / "batch.cfg"
         batch.write_text("[g]\nkind = gamma\ngamma = 0.3\ntheta = 0.2\n")
@@ -470,9 +476,14 @@ class TestCli:
             "kind = power\nalpha = 1.0\ntheta = nan",
             "kind = gamma\ntheta = 0.5",
             "kind = gamma\ngamma = 0.3\ntheta = 1.2",
+            # profile values whose squares overflow a float in the quadratures
+            "kind = power_sign\nalpha = 1e308\ntheta = 1.5",
+            "kind = power\nalpha = 600\ntheta = 0.5",
+            "kind = power\nalpha = -40\ntheta = 0.3",
         ],
         ids=["theta-garbage", "no-theta", "no-kind", "power-no-alpha", "theta-negative",
-             "theta-2.5", "theta-nan", "gamma-no-gamma", "gamma-no-derivative"],
+             "theta-2.5", "theta-nan", "gamma-no-gamma", "gamma-no-derivative",
+             "power-sign-huge-alpha", "power-alpha-600", "power-alpha-minus-40"],
     )
     def test_malformed_batch_exit_code(self, tmp_path, capsys, body):
         batch = tmp_path / "batch.cfg"
@@ -494,10 +505,13 @@ class TestCli:
             ("amplitude = 0.3", "amplitude = nan"),
             ("family = gaussian", "family = file\npath = ."),
             ("family = gaussian", "family = file\npath = missing.gbzk"),
+            # boxes whose scaled samples or dispersion phases leave the float range
+            ("lx = 16.0\nly = 16.0", "lx = 1e150\nly = 1e150"),
+            ("lx = 16.0\nly = 16.0", "lx = 1e-150\nly = 1e-150"),
         ],
         ids=["stride-0", "stride-negative", "snapshot-stride-negative", "n-ladder-below-1",
              "sigma-x-0", "sigma-y-square-underflow", "amplitude-nan", "path-directory",
-             "path-missing"],
+             "path-missing", "box-1e150", "box-1e-150"],
     )
     def test_malformed_config_exit_code(self, tmp_path, capsys, old, new):
         cfg_path = write_cfg(tmp_path, text=BASE_CFG.replace(old, new))

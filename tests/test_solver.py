@@ -182,6 +182,31 @@ class TestStep:
             assert got.shape == (ny, nx)
             assert _max_rel(got, ref) < 1e-12
 
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        nx=st.integers(4, 16).map(lambda k: 2 * k),
+        ny=st.integers(4, 16).map(lambda k: 2 * k),
+        lx=st.floats(1.0, 100.0),
+        ly=st.floats(1.0, 100.0),
+        a=st.floats(0.0, 1.0),
+        t=st.floats(1e-3, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_linear_flow_preserves_each_modulus(self, nx, ny, lx, ly, a, t, seed):
+        g = make_grid(nx, ny, lx, ly)
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal((ny, nx)) + 1j * rng.standard_normal((ny, nx))
+        out = apply_linear_propagator(SpectralField2D(g, c), t, DispersionParams(a)).coeffs
+        assert np.max(np.abs(np.abs(out) - np.abs(c)) / np.abs(c)) <= 1e-13
+        v0 = c[:, : nx // 2 + 1]
+        for integrator in ("etdrk4", "strang"):
+            cfg = SolverConfig(dt=t / 10, T=t, params=DispersionParams(a),
+                               integrator=integrator, nonlinear=False)
+            stepper, v = Stepper(g, cfg), v0
+            for _ in range(10):
+                v = stepper.advance(v)
+            assert np.max(np.abs(np.abs(v) - np.abs(v0)) / np.abs(v0)) <= 1e-13, integrator
+
     def test_etdrk4_self_convergence_order(self):
         g = make_grid(64, 64, 16.0, 16.0)
         u0 = gaussian_field(g, 1.5, 1.0, 1.0)
