@@ -115,7 +115,9 @@ class RunConfig:
             phase = self.solver.dt * (xi * eta**2 + xi ** (2.0 + self.params.a))
             sizes = (cell * cell, xi / cell, phase * phase)
             if not (sizes[0] > 0.0 and max(sizes) < np.inf):
-                raise ValueError(f"grid {g.nx}x{g.ny} on a {g.lx:g} x {g.ly:g} box with dt = "
+                # a check across sections: the message names the ones at fault
+                culprits = "[grid]" if sizes[2] < np.inf else "[grid] [solver]"
+                raise ConfigError(f"{culprits} grid {g.nx}x{g.ny} on a {g.lx:g} x {g.ly:g} box with dt = "
                                  f"{self.solver.dt:g} is out of float range (dx dy = {cell:.3g})")
 
     def to_dict(self) -> dict:
@@ -189,27 +191,33 @@ def read_section(parser: configparser.ConfigParser, section: str, cls, path, **f
     """Build ``cls`` from the ``filled`` fields plus one key of ``section`` per other field.
 
     A key is parsed by its field's annotation; a key left out keeps the default.
+    A ``ConfigError`` from ``cls`` itself (a check across sections) names its
+    own sections; any other failure of ``cls`` is reported under ``section``.
     """
     keys = _keys(cls, filled)
     where = f"{path}: [{section}]"
-    kwargs = {}
     try:
         raw = dict(parser.items(section)) if parser.has_section(section) else {}
-        unknown = sorted(raw.keys() - keys.keys())
-        if unknown:
-            raise ConfigError(f"{where} unknown keys {unknown}")
-        for key, f in keys.items():
-            if key in raw:
-                try:
-                    kwargs[f.name] = _PARSE[f.type](raw[key])
-                except ValueError as exc:
-                    raise ConfigError(f"{where} key '{key}': {exc}") from exc
-            elif f.default is MISSING:
-                raise ConfigError(f"{where} missing required key '{key}'")
+    except configparser.Error as exc:
+        raise ConfigError(f"{where} {exc}") from exc
+    unknown = sorted(raw.keys() - keys.keys())
+    if unknown:
+        raise ConfigError(f"{where} unknown keys {unknown}")
+    kwargs = {}
+    for key, f in keys.items():
+        if key in raw:
+            try:
+                kwargs[f.name] = _PARSE[f.type](raw[key])
+            except ValueError as exc:
+                raise ConfigError(f"{where} key '{key}': {exc}") from exc
+        elif f.default is MISSING:
+            raise ConfigError(f"{where} missing required key '{key}'")
+    try:
         return cls(**filled, **kwargs)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError, configparser.Error) as exc:
+    except ConfigError as exc:
+        # a check across sections names the sections at fault itself
+        raise ConfigError(f"{path}: {exc}") from exc
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where} {exc}") from exc
 
 

@@ -367,8 +367,10 @@ def _run_one_query(q: SteinBatchQuery) -> dict:
         "rule": evidence.rule,
     }
     # pointwise profile values and the large-|eta| decay fit need the Stein
-    # integral itself, which only exists for orders below 1
-    if 0.0 < q.theta < 1.0:
+    # integral itself, which only exists for orders below 1 and a profile
+    # square-integrable at the kink (|y|^p with p > -1/2); otherwise it is
+    # infinite at every point and quadrature would only report artefacts
+    if 0.0 < q.theta < 1.0 and profile.leading_exponent > -0.5:
         eta_large = np.geomspace(10.0, 200.0, 12)
         vals_large = dstein_profile(SteinQuery(q.theta, profile, tuple(eta_large)))
         fit = fit_exponent(eta_large, vals_large)

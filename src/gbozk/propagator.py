@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import mpmath as mp
 import numpy as np
 
 from .spectral import SpectralField2D
@@ -234,11 +233,15 @@ _STENCIL_ORDER = {1: 4, 2: 4, 3: 2, 4: 2}
 
 def _psi_phihat_mp(xi, eta, t, a):
     """psi phihat in mpmath, with the Gaussian phihat = exp(-xi^2 - eta^2)."""
+    import mpmath as mp
+
     w = xi * (eta**2 - abs(xi) ** (1 + mp.mpf(a)))
     return mp.e ** (1j * mp.mpf(t) * w) * mp.e ** (-(xi**2) - eta**2)
 
 
 def _fd_once(k, xi, eta, t, a, h):
+    import mpmath as mp
+
     weights, denom, power = _STENCILS[k]
     acc = mp.mpc(0)
     for j, wgt in zip(range(-2, 3), weights):
@@ -254,7 +257,10 @@ def fd_oracle(k: int, xi: float, eta: float, t: float, a: float) -> complex:
     phihat is the Gaussian exp(-xi^2 - eta^2) of ``gaussian_jet``.  The
     stencil is taken at h = 1e-3 and h/2 with 50-digit mpmath samples, and
     their Richardson combination cancels its leading truncation term.
+    mpmath is imported here, so only the oracle's callers load it.
     """
+    import mpmath as mp
+
     with mp.workdps(50):
         hh = mp.mpf(1e-3)
         p = _STENCIL_ORDER[k]

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 __all__ = [
     "GridSpec",
@@ -170,7 +169,7 @@ def to_physical(field: SpectralField2D) -> RealField2D:
 def half_spectrum(field: RealField2D) -> np.ndarray:
     """``rfft2`` half spectrum: columns 0..nx/2 of ``to_spectral``'s coefficients."""
     g = field.grid
-    return scipy.fft.rfft2(np.fft.ifftshift(field.samples)) * (g.dx * g.dy)
+    return np.fft.rfft2(np.fft.ifftshift(field.samples)) * (g.dx * g.dy)
 
 
 def hermitian_weights(nx: int) -> np.ndarray:

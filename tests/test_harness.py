@@ -1,5 +1,9 @@
 import math
+import os
+import re
 import struct
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -520,6 +524,38 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("config error:")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "old, new, sections",
+        [
+            ("lx = 16.0\nly = 16.0", "lx = 1e150\nly = 1e150", ["[grid]"]),
+            ("dt = 1e-3\nT = 0.01", "dt = 1e160\nT = 1e160", ["[grid]", "[solver]"]),
+            ("directory = {out}", "directory = {out}\nsnapshot_stride = -1", ["[output]"]),
+        ],
+        ids=["box-1e150", "dt-1e160", "snapshot-stride-negative"],
+    )
+    def test_config_error_names_the_sections_at_fault(self, tmp_path, capsys, old, new, sections):
+        cfg_path = write_cfg(tmp_path, text=BASE_CFG.replace(old, new))
+        assert cli_main(["simulate", str(cfg_path)]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"config error: {cfg_path}: {' '.join(sections)} ")
+        assert re.findall(r"\[\w+\]", err) == sections
+
+    @pytest.mark.parametrize("alpha", ["-1", "-10"])
+    def test_profile_not_square_integrable_writes_no_values(self, tmp_path, alpha):
+        # |y|^alpha with alpha <= -1/2 makes D^theta infinite at every point
+        # for 0 < theta < 1: a verdict row, but no values and no decay fit
+        batch = tmp_path / "batch.cfg"
+        batch.write_text(f"[q]\nkind = power\nalpha = {alpha}\ntheta = 0.3\n")
+        out = tmp_path / "out"
+        assert cli_main(["stein-profile", str(batch), "--out", str(out)]) == 0
+        verdicts = (out / "stein_verdicts.csv").read_text().splitlines()
+        header, row = verdicts[1].split(","), verdicts[2].split(",")
+        assert len(verdicts) == 3
+        assert row[header.index("verdict")] == "non-member"
+        assert row[header.index("slope_large_eta")] == "nan"
+        assert row[header.index("fit_window")] == ""
+        assert (out / "stein_values.csv").read_text().splitlines()[1:] == ["name,eta,value"]
+
     def test_missing_file_exit_code(self):
         assert cli_main(["simulate", "/nonexistent/run.cfg"]) == 2
 
@@ -591,3 +627,26 @@ class TestCli:
         b = write_cfg(tmp_path, "b.cfg", text_zm, out=tmp_path / "b")
         assert cli_main(["uc-compare", str(a), str(b), "--out", str(tmp_path / "uc")]) == 0
         assert (tmp_path / "uc" / "uc_compare.csv").exists()
+
+
+class TestImportCost:
+    def test_import_and_grid_probe_load_no_scipy_or_mpmath(self):
+        # a fresh process: the package import and the grid Stein path must not
+        # load scipy (scipy.fft alone costs about 0.35 s) or mpmath
+        code = (
+            "import sys\n"
+            "heavy = lambda: sorted(m for m in sys.modules if m.startswith(('scipy', 'mpmath')))\n"
+            "import gbozk, gbozk.experiments, gbozk.cli\n"
+            "print(heavy())\n"
+            "from gbozk.fraclab import gaussian_ensemble, grid_stein_rows, lemma_df_probe\n"
+            "fields = gaussian_ensemble(gbozk.make_grid(32, 32, 16.0, 16.0), 2, seed=1)\n"
+            "grid_stein_rows(fields[0].samples, fields[0].grid.dx, 0.5)\n"
+            "lemma_df_probe(0.5, 1.0, 0.5, fields)\n"
+            "print(heavy())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        ).stdout.splitlines()
+        assert out == ["[]", "[]"]

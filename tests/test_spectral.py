@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gbozk import (
     RealField2D,
@@ -11,7 +12,8 @@ from gbozk import (
     to_physical,
     to_spectral,
 )
-from gbozk.spectral import imag_residue, l2_norm, spectral_l2_norm, x_derivative
+from gbozk.diagnostics import _spectral_sums, mass
+from gbozk.spectral import half_spectrum, imag_residue, l2_norm, spectral_l2_norm, x_derivative
 
 from conftest import gaussian_field, random_field
 
@@ -187,3 +189,35 @@ class TestOperatorAlgebra:
             lambda f: dealias(f),
         ):
             assert imag_residue(op(c)) < 1e-12
+
+
+# random even grids, box sizes and fields for the half-spectrum properties
+EVEN_N = st.integers(4, 32).map(lambda k: 2 * k)
+BOX = st.floats(0.5, 100.0)
+
+
+@st.composite
+def grid_fields(draw):
+    g = make_grid(draw(EVEN_N), draw(EVEN_N), draw(BOX), draw(BOX))
+    return random_field(g, seed=draw(st.integers(0, 2**32 - 1)), scale=draw(st.floats(1e-3, 1e3)))
+
+
+class TestHalfSpectrumProperties:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(u=grid_fields())
+    def test_half_spectrum_is_the_left_half_of_to_spectral(self, u):
+        full = to_spectral(u).coeffs[:, : u.grid.nx // 2 + 1]
+        assert np.max(np.abs(half_spectrum(u) - full)) <= 1e-13 * np.max(np.abs(full))
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(u=grid_fields())
+    def test_hermitian_half_spectrum_mass_is_mass(self, u):
+        (spectral,) = _spectral_sums(half_spectrum(u), u.grid, 1.0)
+        assert spectral == pytest.approx(mass(u), rel=1e-13)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(u=grid_fields(), z=st.floats(0.1, 3.0))
+    def test_odd_and_riesz_x_multipliers_keep_fields_real(self, u, z):
+        c = to_spectral(u)
+        for out in (x_derivative(c), hilbert_x(c), fractional_x_derivative(c, z)):
+            assert imag_residue(out) <= 1e-13 * np.max(np.abs(to_physical(out).samples))
