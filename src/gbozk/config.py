@@ -113,10 +113,12 @@ class RunConfig:
         with np.errstate(over="ignore", under="ignore"):
             cell = np.float64(g.dx * g.dy)
             phase = self.solver.dt * (xi * eta**2 + xi ** (2.0 + self.params.a))
-            sizes = (cell * cell, xi / cell, phase * phase)
-            if not (sizes[0] > 0.0 and max(sizes) < np.inf):
-                # a check across sections: the message names the ones at fault
-                culprits = "[grid]" if sizes[2] < np.inf else "[grid] [solver]"
+            grid_ok = 0.0 < cell * cell < np.inf and xi / cell < np.inf
+            if not (grid_ok and phase * phase < np.inf):
+                # a check across sections: the message names the ones at fault.
+                # dt is at fault only when the grid alone is in range; a lies
+                # in [0, 1], so [dispersion] never is
+                culprits = "[grid] [solver]" if grid_ok else "[grid]"
                 raise ConfigError(f"{culprits} grid {g.nx}x{g.ny} on a {g.lx:g} x {g.ly:g} box with dt = "
                                  f"{self.solver.dt:g} is out of float range (dx dy = {cell:.3g})")
 

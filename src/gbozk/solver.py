@@ -24,13 +24,6 @@ is truncated by the 2/3 rule (Orszag, 1971) by default, which makes the
 discrete L^2 mass an invariant of the semidiscrete flow up to
 time-integration error.
 
-The 2-D round trip of the quadratic term uses scipy.fft: one nonlinear-term
-evaluation with numpy.fft, bit-identical, was 2-19% slower at 256^2 and 512^2
-in every measurement (numpy 2.4.6, scipy 1.17.1, 2-CPU Xeon).  scipy.fft is
-imported by the first ``Stepper`` (or ``nonlinear_term``), not at package
-import: loading it takes about 0.35 s, which the grid and quadrature paths
-never need.
-
 ``Stepper`` holds the precomputed coefficients for one grid and config;
 ``Stepper.advance`` steps the half spectrum and ``Stepper.step`` is the
 full-spectrum boundary around it.  ``evolve`` reuses a single ``Stepper``
@@ -132,11 +125,9 @@ def _full_spectrum(h: np.ndarray, nx: int) -> np.ndarray:
 
 def nonlinear_term(u: RealField2D, dealias: bool = True) -> SpectralField2D:
     """Spectral representation of -1/2 d/dx (u^2); the xi = 0 column is 0."""
-    import scipy.fft
-
     g = u.grid
     w = np.fft.ifftshift(u.samples) * (g.dx * g.dy)
-    half = _nl_multiplier(g, dealias) * scipy.fft.rfft2(w**2)
+    half = _nl_multiplier(g, dealias) * np.fft.rfft2(w**2)
     return SpectralField2D(g, _full_spectrum(half, g.nx))
 
 
@@ -152,9 +143,6 @@ class Stepper:
     """
 
     def __init__(self, grid: GridSpec, cfg: SolverConfig):
-        import scipy.fft
-
-        self._rfft2, self._irfft2 = scipy.fft.rfft2, scipy.fft.irfft2
         self.grid = grid
         self.cfg = cfg
         self._nh = grid.nx // 2 + 1
@@ -187,8 +175,8 @@ class Stepper:
     def _nl(self, v: np.ndarray) -> np.ndarray:
         if not self.cfg.nonlinear:
             return np.zeros_like(v)
-        w = self._irfft2(v, s=(self.grid.ny, self.grid.nx))
-        return self._m * self._rfft2(w**2)
+        w = np.fft.irfft2(v, s=(self.grid.ny, self.grid.nx))
+        return self._m * np.fft.rfft2(w**2)
 
     def step(self, coeffs: np.ndarray) -> np.ndarray:
         """Advance full-spectrum (ny, nx) coefficients by dt.
@@ -279,7 +267,7 @@ def evolve(
     traj = Trajectory()
 
     def physical() -> RealField2D:
-        return RealField2D(g, np.fft.fftshift(stepper._irfft2(v, s=shape)) / dxdy)
+        return RealField2D(g, np.fft.fftshift(np.fft.irfft2(v, s=shape)) / dxdy)
 
     def record(t: float, u: RealField2D) -> None:
         traj.times.append(t)

@@ -528,10 +528,12 @@ class TestCli:
         "old, new, sections",
         [
             ("lx = 16.0\nly = 16.0", "lx = 1e150\nly = 1e150", ["[grid]"]),
+            # the phase overflows too, but the grid alone is already out of range
+            ("lx = 16.0\nly = 16.0", "lx = 1e-150\nly = 1e-150", ["[grid]"]),
             ("dt = 1e-3\nT = 0.01", "dt = 1e160\nT = 1e160", ["[grid]", "[solver]"]),
             ("directory = {out}", "directory = {out}\nsnapshot_stride = -1", ["[output]"]),
         ],
-        ids=["box-1e150", "dt-1e160", "snapshot-stride-negative"],
+        ids=["box-1e150", "box-1e-150", "dt-1e160", "snapshot-stride-negative"],
     )
     def test_config_error_names_the_sections_at_fault(self, tmp_path, capsys, old, new, sections):
         cfg_path = write_cfg(tmp_path, text=BASE_CFG.replace(old, new))
@@ -630,9 +632,9 @@ class TestCli:
 
 
 class TestImportCost:
-    def test_import_and_grid_probe_load_no_scipy_or_mpmath(self):
-        # a fresh process: the package import and the grid Stein path must not
-        # load scipy (scipy.fft alone costs about 0.35 s) or mpmath
+    def test_import_probe_and_solver_load_no_scipy_or_mpmath(self):
+        # a fresh process: the package import, the grid Stein path and the
+        # solver must not load scipy (scipy.fft alone costs about 0.35 s) or mpmath
         code = (
             "import sys\n"
             "heavy = lambda: sorted(m for m in sys.modules if m.startswith(('scipy', 'mpmath')))\n"
@@ -643,10 +645,13 @@ class TestImportCost:
             "grid_stein_rows(fields[0].samples, fields[0].grid.dx, 0.5)\n"
             "lemma_df_probe(0.5, 1.0, 0.5, fields)\n"
             "print(heavy())\n"
+            "cfg = gbozk.SolverConfig(dt=1e-3, T=4e-3, params=gbozk.DispersionParams(0.5))\n"
+            "gbozk.evolve(fields[0], cfg)\n"
+            "print(heavy())\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         out = subprocess.run(
             [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
             capture_output=True, text=True, check=True,
         ).stdout.splitlines()
-        assert out == ["[]", "[]"]
+        assert out == ["[]", "[]", "[]"]
