@@ -1,17 +1,19 @@
 """Command-line interface.
 
 Subcommands: simulate, uc-compare, stein-profile, expansion-check, norms.
-Exit codes: 0 success, 2 configuration error, 3 numerical blow-up.  Malformed
-input (configs, batch files, snapshots, `norms` weight and Sobolev specs,
-GBOZK_WORKERS) ends in a one-line "config error" and exit 2, before any output
+Exit codes: 0 success, 1 an expansion check failed, 2 configuration error,
+3 numerical blow-up.  Malformed input (configs, batch files, snapshots,
+`norms` weight and Sobolev specs, `expansion-check` flags other than `--a`
+in [0, 1], `--k` integers in 1..4, finite `--t` and a finite `--tolerance`
+> 0) ends in a one-line "config error" and exit 2, before any output
 directory exists; a blow-up in `simulate` or `uc-compare` still writes the
-rows reached before exiting 3.
-The only environment variable honoured is GBOZK_WORKERS (batch parallelism).
+rows reached before exiting 3.  No environment variable is read.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .config import ConfigError, load_config
@@ -59,12 +61,29 @@ def _cmd_stein_profile(args) -> int:
     return EXIT_OK
 
 
+def _expansion_args(args) -> tuple[float, list[int], list[float], float]:
+    """``(a, ks, ts, tolerance)`` from the expansion-check flags, checked."""
+    try:
+        a, tolerance = float(args.a), float(args.tolerance)
+        ks = [int(tok) for tok in args.k.split(",")]
+        ts = [float(tok) for tok in args.t.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"expansion-check: {exc}") from None
+    if not (0.0 <= a <= 1.0 and all(1 <= k <= 4 for k in ks)
+            and all(map(math.isfinite, ts)) and 0.0 < tolerance < math.inf):
+        raise ConfigError(
+            "expansion-check needs --a in [0, 1], --k integers in 1..4, finite --t "
+            f"and a finite --tolerance > 0, got --a {args.a} --k {args.k} "
+            f"--t {args.t} --tolerance {args.tolerance}"
+        )
+    return a, ks, ts, tolerance
+
+
 def _cmd_expansion_check(args) -> int:
     from .experiments import run_expansion_check
 
-    ks = [int(tok) for tok in args.k.split(",")]
-    ts = [float(tok) for tok in args.t.split(",")]
-    reports = run_expansion_check(args.a, ks, ts, tolerance=args.tolerance)
+    a, ks, ts, tolerance = _expansion_args(args)
+    reports = run_expansion_check(a, ks, ts, tolerance=tolerance)
     worst = 0.0
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
@@ -146,10 +165,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_stein_profile)
 
     p = sub.add_parser("expansion-check", help="validate the xi-derivative expansions")
-    p.add_argument("--a", type=float, default=0.5)
-    p.add_argument("--k", default="1,2,3,4", help="comma list of orders")
-    p.add_argument("--t", default="0,0.2,1", help="comma list of times")
-    p.add_argument("--tolerance", type=float, default=1e-6)
+    p.add_argument("--a", default="0.5", help="dispersion exponent in [0, 1]")
+    p.add_argument("--k", default="1,2,3,4", help="comma list of orders in 1..4")
+    p.add_argument("--t", default="0,0.2,1", help="comma list of finite times")
+    p.add_argument("--tolerance", default="1e-6", help="finite relative tolerance > 0")
     p.set_defaults(fn=_cmd_expansion_check)
 
     p = sub.add_parser("norms", help="norms of a snapshot file")

@@ -90,6 +90,9 @@ class DiagnosticsPlan:
             raise ValueError("diagnostics r1, r2 and 2 sobolev_s must be finite")
         if not all(N >= 1 for N in self.n_ladder):
             raise ValueError(f"every n_ladder level must be >= 1, got {self.n_ladder}")
+        # each level names its own diagnostics column
+        if len(set(self.n_ladder)) != len(self.n_ladder):
+            raise ValueError(f"n_ladder levels must be distinct, got {self.n_ladder}")
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -37,6 +35,7 @@ from .diagnostics import (
     zero_mode_slice,
 )
 from .fraclab import (
+    _order_regime,
     check_order,
     dstein_profile,
     fit_exponent,
@@ -365,49 +364,29 @@ def _run_one_query(q: SteinBatchQuery) -> dict:
         "verdict": evidence.verdict,
         "increment_slope": evidence.increment_slope,
         "rule": evidence.rule,
+        "slope_large_eta": float("nan"),
+        "fit_window": "",
+        "values": [],
     }
     # pointwise profile values and the large-|eta| decay fit need the Stein
-    # integral itself, which only exists for orders below 1 and a profile
-    # square-integrable at the kink (|y|^p with p > -1/2); otherwise it is
-    # infinite at every point and quadrature would only report artefacts
-    if 0.0 < q.theta < 1.0 and profile.leading_exponent > -0.5:
+    # integral itself, which exists where the order regime leaves a positive
+    # order unreduced; elsewhere quadrature would only report artefacts
+    if _order_regime(profile, q.theta)[1] == q.theta > 0.0:
         eta_large = np.geomspace(10.0, 200.0, 12)
         vals_large = dstein_profile(SteinQuery(q.theta, profile, tuple(eta_large)))
-        fit = fit_exponent(eta_large, vals_large)
-        out["slope_large_eta"] = fit.slope
+        out["slope_large_eta"] = fit_exponent(eta_large, vals_large).slope
         out["fit_window"] = "10..200"
         out["values"] = list(zip(eta_large.tolist(), vals_large.tolist()))
-    else:
-        out["slope_large_eta"] = float("nan")
-        out["fit_window"] = ""
-        out["values"] = []
     return out
-
-
-def _batch_workers() -> int:
-    """GBOZK_WORKERS as a process count, capped at the CPU count."""
-    raw = os.environ.get("GBOZK_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"GBOZK_WORKERS must be a positive integer, got {raw!r}")
-    return min(workers, os.cpu_count() or 1)
 
 
 def stein_report(
     queries: list[SteinBatchQuery], out_dir: str | Path
 ) -> tuple[Path, Path]:
     """Run a query batch; write verdicts and pointwise values as CSV."""
-    workers = _batch_workers()
     out, mhash = _open_run(out_dir, _payload(queries=[vars(q) for q in queries]))
 
-    if workers > 1 and len(queries) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one_query, queries))
-    else:
-        results = [_run_one_query(q) for q in queries]
+    results = [_run_one_query(q) for q in queries]
 
     verdict_header = [
         "name",

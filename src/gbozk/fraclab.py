@@ -19,7 +19,9 @@ geometrically decaying increments integrate to a finite norm, persistent or
 growing increments witness (log- or power-) divergence.  For theta >= 1 the
 Stein integral itself is pointwise divergent, so the classifier applies the
 reduction D^theta ~ D^{theta-1} o d/dxi, which preserves the membership
-threshold; D^0 is the identity.
+threshold; D^0 is the identity.  A profile ~ |y|^p with p <= -1/2 is not
+square integrable at its kink, so D^theta of it is infinite at every point
+for theta > 0; its divergence is witnessed at order 0.
 """
 
 from __future__ import annotations
@@ -186,7 +188,10 @@ def stein_derivative(
         if v <= 0.0:
             return 0.0
         s = delta * v**q
-        return h(s) * s ** (-1.0 - 2.0 * b) * delta * q * v ** (q - 1.0)
+        hs = h(s)
+        if hs == 0.0:  # e.g. x +- s round to x, where s ** (-1 - 2b) may overflow
+            return 0.0
+        return hs * s ** (-1.0 - 2.0 * b) * delta * q * v ** (q - 1.0)
 
     abserr = 0.0
     n_evals = 0
@@ -222,27 +227,26 @@ def stein_derivative(
         return total
 
     diverged = False
-    if far_field == "compact":
-        if support_radius is None:
-            raise ValueError("compact far field needs a support radius")
-        s_out = support_radius + abs(x)
-        outer = quad_piecewise(delta, s_out) if s_out > delta else 0.0
-        # beyond s_out both f(x+s) and f(x-s) vanish: exact remainder
-        tail = abs(fx) ** 2 * s_out ** (-2.0 * b) / b
-        total = inner + outer + tail
-        tail_est = 0.0
-    elif far_field == "constant_modulus":
-        # the radius must hold several oscillations of the slowest phase of
-        # interest before the far field is replaced by its mean
-        r = max(60.0 * scale, abs(x) + 60.0 * scale)
-        outer = quad_piecewise(delta, r)
-        mean_h = 2.0 * (abs(fx) ** 2 + 1.0)
-        tail = mean_h * r ** (-2.0 * b) / (2.0 * b)
-        total = inner + outer + tail
-        # oscillatory correction decays one order faster than the mean term
-        tail_est = tail / max(r, 1.0)
+    if far_field in ("compact", "constant_modulus"):
+        # closed far fields: integrate out to r, add the remainder beyond it
+        if far_field == "compact":
+            if support_radius is None:
+                raise ValueError("compact far field needs a support radius")
+            r = support_radius + abs(x)
+            # beyond r both f(x+s) and f(x-s) vanish: exact remainder
+            tail = abs(fx) ** 2 * r ** (-2.0 * b) / b
+            tail_est = 0.0
+        else:  # constant_modulus
+            # the radius must hold several oscillations of the slowest phase
+            # of interest before the far field is replaced by its mean
+            r = abs(x) + 60.0 * scale
+            mean_h = 2.0 * (abs(fx) ** 2 + 1.0)
+            tail = mean_h * r ** (-2.0 * b) / (2.0 * b)
+            # oscillatory correction decays one order faster than the mean term
+            tail_est = tail / max(r, 1.0)
+        total = inner + quad_piecewise(delta, r) + tail
     else:  # decay
-        r = max(8.0 * scale, abs(x) + 8.0 * scale)
+        r = abs(x) + 8.0 * scale
         total = inner + quad_piecewise(delta, r)
         increments = []
         for _ in range(60):
@@ -387,13 +391,7 @@ def _profile_stein(profile: Profile, b: float, x: float, epsrel: float = 1e-10) 
 
 def dstein_profile(query: SteinQuery) -> np.ndarray:
     """Pointwise D^b(profile) over the requested evaluation points."""
-    out = np.empty(len(query.points))
-    for i, x in enumerate(query.points):
-        res = _profile_stein(query.profile, query.b, float(x))
-        if res.diverged:
-            raise ArithmeticError(f"quadrature diverged at evaluation point {x}")
-        out[i] = res.value
-    return out
+    return np.array([_profile_stein(query.profile, query.b, float(x)).value for x in query.points])
 
 
 # --- exponent fitting --------------------------------------------------------
@@ -502,6 +500,24 @@ def check_order(profile: Profile, theta: float) -> None:
                          "on 2^-32 <= |y| <= 2, whose square overflows a float")
 
 
+def _order_regime(profile: Profile, theta: float) -> tuple[Profile, float, str]:
+    """Check theta and reduce it as the module notes say.
+
+    Returns the profile and order to classify at, and the rule note; the
+    order comes back as theta exactly when D^theta(profile) has pointwise
+    values or theta = 0.
+    """
+    check_order(profile, theta)
+    if theta >= 1.0:
+        lead = profile.leading_exponent - 1.0
+        profile = replace(profile, fn=profile.derivative, label=f"d/dy[{profile.label}]",
+                          derivative=None, leading_exponent=lead)
+        theta = theta - 1.0
+    if theta > 0.0 and profile.leading_exponent <= -0.5:
+        return replace(profile, derivative=None), 0.0, " (profile not square-integrable near 0)"
+    return profile, theta, ""
+
+
 # l2_membership_classify's sampling and decision constants (see its docstring)
 _PER_OCTAVE = 2
 _SLOPE_BAND = 0.02
@@ -527,29 +543,10 @@ def l2_membership_classify(
 
     For theta >= 1 the classification is applied to the analytic derivative
     of the profile at order theta - 1 (D^0 = identity), which preserves the
-    threshold theta < alpha + 1/2.
+    threshold theta < alpha + 1/2; a profile not square integrable at the
+    origin is classified at order 0 (``_order_regime``).
     """
-    check_order(profile, theta)
-    lead = profile.leading_exponent
-    if theta >= 1.0:
-        reduced = replace(
-            profile,
-            fn=profile.derivative,
-            label=f"d/dy[{profile.label}]",
-            derivative=None,
-            leading_exponent=lead - 1.0,
-        )
-        return l2_membership_classify(reduced, theta - 1.0, n_octaves)
-
-    if theta > 0.0 and lead <= -0.5:
-        # the profile itself fails to be square integrable at the origin, so
-        # the pointwise Stein integral is infinite; witness the divergence at
-        # the identity-operator level instead
-        bare = replace(profile, derivative=None)
-        ev = l2_membership_classify(bare, 0.0, n_octaves)
-        ev.rule += " (profile not square-integrable near 0)"
-        return ev
-
+    profile, theta, note = _order_regime(profile, theta)
     ks = np.arange(n_octaves)
     increments = np.empty(n_octaves)
     for k in ks:
@@ -593,7 +590,7 @@ def l2_membership_classify(
         norms=norms,
         increment_slope=slope,
         tail_extrapolation=tail,
-        rule=rule,
+        rule=rule + note,
     )
 
 

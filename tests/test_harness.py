@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import re
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gbozk import evolve, make_grid
 from gbozk.cli import main as cli_main
@@ -404,53 +406,32 @@ class TestSteinBatch:
         assert body["sign_family"] == "non-member"
         assert body["gamma_family"] == "non-member"
 
-    @pytest.mark.parametrize("value", ["two", "0", "-1", "1.5", ""])
-    def test_bad_workers_value_is_config_error(self, tmp_path, monkeypatch, value):
-        monkeypatch.setenv("GBOZK_WORKERS", value)
-        with pytest.raises(ConfigError, match="GBOZK_WORKERS"):
-            stein_report([], tmp_path / "out")
-
-    def test_workers_capped_at_cpu_count(self, tmp_path, monkeypatch):
-        import gbozk.experiments as experiments
-
-        requested = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
-        monkeypatch.setenv("GBOZK_WORKERS", "64")
-        batch = tmp_path / "batch.cfg"
-        batch.write_text(
-            "[q1]\nkind = power\nalpha = 0.5\ntheta = 1.2\n\n"
-            "[q2]\nkind = power\nalpha = 0.5\ntheta = 1.7\n"
-        )
-        stein_report(load_stein_batch(batch), tmp_path / "out")
-        assert requested == [3]
-
-    def test_parallel_workers_match_sequential(self, tmp_path, monkeypatch):
-        batch = tmp_path / "batch.cfg"
-        # orders >= 1 reduce to the identity route and stay cheap
-        batch.write_text(
-            "[q1]\nkind = power\nalpha = 0.5\ntheta = 1.2\n\n"
-            "[q2]\nkind = power\nalpha = 0.5\ntheta = 1.7\n"
-        )
-        queries = load_stein_batch(batch)
-        v_seq, _ = stein_report(queries, tmp_path / "seq")
-        monkeypatch.setenv("GBOZK_WORKERS", "2")
-        v_par, _ = stein_report(queries, tmp_path / "par")
-        assert v_seq.read_bytes() == v_par.read_bytes()
+    @settings(max_examples=40, deadline=None, database=None)
+    # theta near 1: the inner window reaches s so small that x + s rounds to x
+    @example(kind="power", param=-0.45, theta=0.99)
+    @given(
+        kind=st.sampled_from(["power", "power_sign", "gamma"]),
+        param=st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5]), st.floats(-3.0, 3.0)),
+        theta=st.one_of(st.sampled_from([0.0, 0.999, 1.0, 2.0, -0.1]), st.floats(0.0, 2.0)),
+    )
+    def test_fuzzed_batch_runs_through_stein_profile(self, kind, param, theta):
+        key = "gamma" if kind == "gamma" else "alpha"
+        lead = param - 0.5 if kind == "gamma" else param  # the power at the kink
+        with tempfile.TemporaryDirectory() as tmp:
+            batch = Path(tmp) / "batch.cfg"
+            batch.write_text(f"[q]\nkind = {kind}\n{key} = {param!r}\ntheta = {theta!r}\n")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli_main(["stein-profile", str(batch), "--out", f"{tmp}/out"])
+            # orders outside [0, 2), and orders >= 1 without an analytic derivative
+            if not 0.0 <= theta < 2.0 or (kind == "gamma" and theta >= 1.0):
+                assert code == 2
+                (line,) = err.getvalue().splitlines()
+                assert line.startswith("config error:")
+                return
+            assert code == 0 and err.getvalue() == ""
+            values = (Path(tmp) / "out" / "stein_values.csv").read_text().splitlines()[2:]
+            assert bool(values) == (0.0 < theta < 1.0 and lead > -0.5)
 
 
 class TestCli:
@@ -504,6 +485,7 @@ class TestCli:
             ("stride = 2", "stride = -1"),
             ("directory = {out}", "directory = {out}\nsnapshot_stride = -1"),
             ("n_ladder = 2,4", "n_ladder = 0.5"),
+            ("n_ladder = 2,4", "n_ladder = 2,2.0,4"),
             ("sigma_x = 1.0", "sigma_x = 0"),
             ("sigma_y = 1.0", "sigma_y = 1e-200"),
             ("amplitude = 0.3", "amplitude = nan"),
@@ -514,6 +496,7 @@ class TestCli:
             ("lx = 16.0\nly = 16.0", "lx = 1e-150\nly = 1e-150"),
         ],
         ids=["stride-0", "stride-negative", "snapshot-stride-negative", "n-ladder-below-1",
+             "n-ladder-repeated",
              "sigma-x-0", "sigma-y-square-underflow", "amplitude-nan", "path-directory",
              "path-missing", "box-1e150", "box-1e-150"],
     )
@@ -621,6 +604,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "[PASS]" in out
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--k", "1,x"], ["--k", "5"], ["--k", "0"], ["--k", "1.5"], ["--t", "x"],
+         ["--t", "inf"], ["--t", "nan"], ["--a", "2"], ["--a", "nan"], ["--a", "x"],
+         ["--tolerance", "nan"], ["--tolerance", "-1"], ["--tolerance", "0"],
+         ["--tolerance", "inf"]],
+        ids=lambda flags: "=".join(flags),
+    )
+    def test_expansion_check_malformed_flags_exit_code(self, capsys, flags):
+        assert cli_main(["expansion-check", *flags]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error:")
+
     def test_uc_compare_cli(self, tmp_path, capsys):
         text_zm = BASE_CFG.replace(
             "sigma_y = 1.0", "sigma_y = 1.0\nx_mean_removed = true"
@@ -640,6 +636,8 @@ class TestImportCost:
             "heavy = lambda: sorted(m for m in sys.modules if m.startswith(('scipy', 'mpmath')))\n"
             "import gbozk, gbozk.experiments, gbozk.cli\n"
             "print(heavy())\n"
+            # the Stein batch runs in one process: no pool machinery either
+            "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))\n"
             "from gbozk.fraclab import gaussian_ensemble, grid_stein_rows, lemma_df_probe\n"
             "fields = gaussian_ensemble(gbozk.make_grid(32, 32, 16.0, 16.0), 2, seed=1)\n"
             "grid_stein_rows(fields[0].samples, fields[0].grid.dx, 0.5)\n"
@@ -654,4 +652,4 @@ class TestImportCost:
             [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
             capture_output=True, text=True, check=True,
         ).stdout.splitlines()
-        assert out == ["[]", "[]", "[]"]
+        assert out == ["[]", "[]", "[]", "[]"]
