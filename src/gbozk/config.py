@@ -74,6 +74,11 @@ class InitialData:
         return snap.field
 
 
+def _ladder_tag(N: float) -> str:
+    """Column tag of an n_ladder level: the integer, else 6 significant digits."""
+    return str(int(N)) if float(N).is_integer() else ("%g" % N)
+
+
 @dataclass(frozen=True)
 class DiagnosticsPlan:
     stride: int = 100
@@ -91,8 +96,12 @@ class DiagnosticsPlan:
         if not all(N >= 1 for N in self.n_ladder):
             raise ValueError(f"every n_ladder level must be >= 1, got {self.n_ladder}")
         # each level names its own diagnostics column
-        if len(set(self.n_ladder)) != len(self.n_ladder):
-            raise ValueError(f"n_ladder levels must be distinct, got {self.n_ladder}")
+        tags = [_ladder_tag(N) for N in self.n_ladder]
+        if len(set(tags)) != len(tags):
+            raise ValueError(
+                f"n_ladder levels must name distinct columns, got {self.n_ladder} "
+                f"(column tags {', '.join(tags)})"
+            )
 
 
 @dataclass(frozen=True)

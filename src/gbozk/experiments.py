@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, read_ini, read_section
+from .config import ConfigError, RunConfig, _ladder_tag, read_ini, read_section
 from .diagnostics import (
     SobolevSpec,
     directional_sobolev_norms,
@@ -154,10 +154,6 @@ def _scenario_observer(cfg: RunConfig):
         return row
 
     return observe
-
-
-def _ladder_tag(N: float) -> str:
-    return str(int(N)) if float(N).is_integer() else ("%g" % N)
 
 
 def run_scenario(cfg: RunConfig) -> ScenarioResult:

@@ -139,7 +139,6 @@ class SteinResult:
 
     value: float
     tail_estimate: float
-    diverged: bool = False
     abserr: float = 0.0
     n_evals: int = 0
 
@@ -226,7 +225,6 @@ def stein_derivative(
             total += integrate(outer_integrand, lo, hi, 400)
         return total
 
-    diverged = False
     if far_field in ("compact", "constant_modulus"):
         # closed far fields: integrate out to r, add the remainder beyond it
         if far_field == "compact":
@@ -248,21 +246,12 @@ def stein_derivative(
     else:  # decay
         r = abs(x) + 8.0 * scale
         total = inner + quad_piecewise(delta, r)
-        increments = []
         for _ in range(60):
-            inc = quad_piecewise(r, 2.0 * r)
-            total += inc
-            increments.append(inc)
+            total += quad_piecewise(r, 2.0 * r)
             r *= 2.0
             sup2 = max(abs(fx) ** 2, abs(complex(f(r))) ** 2, abs(complex(f(-r))) ** 2)
             bound = 2.0 * sup2 / b * r ** (-2.0 * b)
             if bound <= epsrel * max(total, 1e-300) + 1e-300:
-                tail_est = bound
-                break
-            if len(increments) >= 10 and increments[-1] > 0 and not (
-                increments[-1] < increments[-10]
-            ):
-                diverged = True
                 tail_est = bound
                 break
         else:
@@ -271,7 +260,6 @@ def stein_derivative(
     return SteinResult(
         value=math.sqrt(max(total, 0.0)),
         tail_estimate=tail_est,
-        diverged=diverged,
         abserr=abserr,
         n_evals=n_evals,
     )

@@ -26,10 +26,13 @@ time-integration error.
 
 ``Stepper`` holds the precomputed coefficients for one grid and config;
 ``Stepper.advance`` steps the half spectrum and ``Stepper.step`` is the
-full-spectrum boundary around it.  ``evolve`` reuses a single ``Stepper``
-over [0, T] on raw half-spectrum arrays and records
-``{"t": t, **observe(t, u)}`` at the sampled times, where one ``observe``
-callable computes every diagnostic of a record.
+full-spectrum boundary around it.  A ``Stepper`` owns reusable work
+buffers for the intermediate stages: ``advance`` returns a fresh array and
+leaves its input unchanged, but one ``Stepper`` must not be shared between
+threads.  ``evolve`` reuses a single ``Stepper`` over [0, T] on raw
+half-spectrum arrays and records ``{"t": t, **observe(t, u)}`` at the
+sampled times, where one ``observe`` callable computes every diagnostic of
+a record.
 """
 
 from __future__ import annotations
@@ -139,44 +142,65 @@ class Stepper:
     """Precomputed single-step integrator for a fixed grid and config.
 
     ``advance`` steps the half-spectrum state of shape (ny, nx//2+1);
-    ``step`` is the full-spectrum (ny, nx) boundary around it.
+    ``step`` is the full-spectrum (ny, nx) boundary around it.  Both return
+    a fresh array; the stages run in five work buffers that every call
+    reuses, so one ``Stepper`` must not be shared between threads.
     """
 
     def __init__(self, grid: GridSpec, cfg: SolverConfig):
         self.grid = grid
         self.cfg = cfg
         self._nh = grid.nx // 2 + 1
+        # the symbol is even in eta: rows 0..ny/2 are evaluated and row l of
+        # the rest is row ny - l
+        half = grid.ny // 2
+        mirror = np.r_[0 : half + 1, half - 1 : 0 : -1]
         # fftfreq order: column nx/2 carries the negative Nyquist xi
         xi = grid.xi[: self._nh]
-        lin = 1j * dispersion_symbol(xi[None, :], grid.eta[:, None], cfg.params.a)
+        lin = 1j * dispersion_symbol(xi[None, :], grid.eta[: half + 1, None], cfg.params.a)
         dt = cfg.dt
-        self.exp_full = np.exp(dt * lin)
-        self.exp_half = np.exp(0.5 * dt * lin)
+        dt_lin = dt * lin
+        self.exp_full = np.exp(dt_lin)[mirror]
+        self.exp_half = np.exp(0.5 * dt * lin)[mirror]
         self._m = _nl_multiplier(grid, cfg.dealias)
+        self._work = tuple(np.empty((grid.ny, self._nh), dtype=complex) for _ in range(5))
         if cfg.integrator == "etdrk4":
             # contour means of the phi functions around each dt*lin, summed
-            # one contour point at a time
+            # one contour point at a time.  These are the full-row loop's
+            # expressions, so they give its bits wherever numpy's temporary
+            # elision (see the steps) treats half and full rows alike: on
+            # square grids below 182^2 and from 254^2 on
             n = _CONTOUR_POINTS
             circ = np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)
             q, f1, f2, f3 = (np.zeros_like(lin) for _ in range(4))
             for c in circ:
-                z = dt * lin + c
+                z = dt_lin + c
                 ez = np.exp(z)
+                z2 = z**2
                 z3 = z**3
                 q += (np.exp(z / 2.0) - 1.0) / z
-                f1 += (-4.0 - z + ez * (4.0 - 3.0 * z + z**2)) / z3
+                f1 += (-4.0 - z + ez * (4.0 - 3.0 * z + z2)) / z3
                 f2 += (2.0 + z + ez * (z - 2.0)) / z3
-                f3 += (-4.0 - 3.0 * z - z**2 + ez * (4.0 - z)) / z3
-            self.q = dt * (q / n)
-            self.f1 = dt * (f1 / n)
-            self.f2 = dt * (f2 / n)
-            self.f3 = dt * (f3 / n)
+                f3 += (-4.0 - 3.0 * z - z2 + ez * (4.0 - z)) / z3
+            self.q = (dt * (q / n))[mirror]
+            self.f1 = (dt * (f1 / n))[mirror]
+            # the step reads f2 only as 2 f2
+            self.two_f2 = (2.0 * (dt * (f2 / n)))[mirror]
+            self.f3 = (dt * (f3 / n))[mirror]
 
-    def _nl(self, v: np.ndarray) -> np.ndarray:
+    def _nl(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the quadratic term of the half spectrum v into out.
+
+        ``out`` may be v itself: v is read in full before out is written.
+        """
         if not self.cfg.nonlinear:
-            return np.zeros_like(v)
+            out.fill(0.0)
+            return out
         w = np.fft.irfft2(v, s=(self.grid.ny, self.grid.nx))
-        return self._m * np.fft.rfft2(w**2)
+        np.square(w, out=w)
+        np.fft.rfft2(w, out=out)
+        out *= self._m
+        return out
 
     def step(self, coeffs: np.ndarray) -> np.ndarray:
         """Advance full-spectrum (ny, nx) coefficients by dt.
@@ -193,31 +217,63 @@ class Stepper:
             return self._step_etdrk4(v)
         return self._step_strang(v)
 
+    # Complex multiplication is not bitwise commutative under numpy's SIMD
+    # loops, so each product below keeps the operand order in which numpy
+    # evaluates the plain expression on arrays of 256 KiB and more, where it
+    # reuses temporaries in place: ``q * (2 n3 - n1)`` runs there as
+    # ``(2 n3 - n1) * q``.
+
     def _step_etdrk4(self, v: np.ndarray) -> np.ndarray:
-        n1 = self._nl(v)
-        a = self.exp_half * v + self.q * n1
-        n2 = self._nl(a)
-        b = self.exp_half * v + self.q * n2
-        n3 = self._nl(b)
-        c = self.exp_half * a + self.q * (2.0 * n3 - n1)
-        n4 = self._nl(c)
-        return (
-            self.exp_full * v
-            + self.f1 * n1
-            + 2.0 * self.f2 * (n2 + n3)
-            + self.f3 * n4
-        )
+        n1, ehv, a, n2, b = self._work
+        eh, q = self.exp_half, self.q
+        self._nl(v, n1)
+        np.multiply(eh, v, out=ehv)
+        np.multiply(q, n1, out=a)
+        a += ehv
+        self._nl(a, n2)
+        np.multiply(q, n2, out=b)
+        b += ehv
+        n3 = self._nl(b, b)
+        # ehv is dead: t = (2 n3 - n1) q there, and c = exp_half a + t in a
+        t = ehv
+        np.multiply(2.0, n3, out=t)
+        t -= n1
+        t *= q
+        c = a
+        np.multiply(eh, a, out=c)
+        c += t
+        n4 = self._nl(c, c)
+        # exp_full v + f1 n1 + 2 f2 (n2 + n3) + f3 n4, summed left to right
+        out = self.exp_full * v
+        np.multiply(self.f1, n1, out=t)
+        out += t
+        n2 += n3
+        np.multiply(self.two_f2, n2, out=n2)
+        out += n2
+        np.multiply(self.f3, n4, out=n4)
+        out += n4
+        return out
 
     def _step_strang(self, v: np.ndarray) -> np.ndarray:
-        dt = self.cfg.dt
-        w = self.exp_half * v
+        w, k1, k2, k3, k4 = self._work
+        np.multiply(self.exp_half, v, out=w)
         if self.cfg.nonlinear:
-            # one classical RK4 step of uhat' = N(uhat)
-            k1 = self._nl(w)
-            k2 = self._nl(w + 0.5 * dt * k1)
-            k3 = self._nl(w + 0.5 * dt * k2)
-            k4 = self._nl(w + dt * k3)
-            w = w + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            # one classical RK4 step of uhat' = N(uhat); each stage input is
+            # formed in the buffer its stage value then overwrites
+            dt = self.cfg.dt
+            self._nl(w, k1)
+            for k_prev, k, h in ((k1, k2, 0.5 * dt), (k2, k3, 0.5 * dt), (k3, k4, dt)):
+                np.multiply(h, k_prev, out=k)
+                k += w
+                self._nl(k, k)
+            # w += dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
+            k2 *= 2.0
+            k2 += k1
+            k3 *= 2.0
+            k2 += k3
+            k2 += k4
+            k2 *= dt / 6.0
+            w += k2
         return self.exp_half * w
 
 

@@ -486,6 +486,8 @@ class TestCli:
             ("directory = {out}", "directory = {out}\nsnapshot_stride = -1"),
             ("n_ladder = 2,4", "n_ladder = 0.5"),
             ("n_ladder = 2,4", "n_ladder = 2,2.0,4"),
+            # distinct levels whose column tags agree (%g keeps 6 digits)
+            ("n_ladder = 2,4", "n_ladder = 2,2.0000001,4"),
             ("sigma_x = 1.0", "sigma_x = 0"),
             ("sigma_y = 1.0", "sigma_y = 1e-200"),
             ("amplitude = 0.3", "amplitude = nan"),
@@ -496,7 +498,7 @@ class TestCli:
             ("lx = 16.0\nly = 16.0", "lx = 1e-150\nly = 1e-150"),
         ],
         ids=["stride-0", "stride-negative", "snapshot-stride-negative", "n-ladder-below-1",
-             "n-ladder-repeated",
+             "n-ladder-repeated", "n-ladder-tag-collision",
              "sigma-x-0", "sigma-y-square-underflow", "amplitude-nan", "path-directory",
              "path-missing", "box-1e150", "box-1e-150"],
     )

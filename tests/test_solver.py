@@ -18,7 +18,7 @@ from gbozk import (
 from gbozk.diagnostics import mass, zero_mode_slice
 from gbozk.propagator import dispersion_symbol
 from gbozk.solver import Stepper, _blowup_mode
-from gbozk.spectral import dealias_mask
+from gbozk.spectral import dealias_mask, half_spectrum
 
 from conftest import gaussian_field, random_field
 
@@ -106,6 +106,32 @@ class _FullSpectrumStepper:
 
 def _max_rel(got: np.ndarray, ref: np.ndarray) -> float:
     return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+def _seed_coefficients(grid, cfg) -> dict[str, np.ndarray]:
+    """The Stepper coefficients as the full-row contour loop computed them."""
+    nh = grid.nx // 2 + 1
+    xi = grid.xi[:nh]
+    lin = 1j * dispersion_symbol(xi[None, :], grid.eta[:, None], cfg.params.a)
+    dt = cfg.dt
+    out = {"exp_full": np.exp(dt * lin), "exp_half": np.exp(0.5 * dt * lin)}
+    n = 32
+    circ = np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)
+    q, f1, f2, f3 = (np.zeros_like(lin) for _ in range(4))
+    for c in circ:
+        z = dt * lin + c
+        ez = np.exp(z)
+        z3 = z**3
+        q += (np.exp(z / 2.0) - 1.0) / z
+        f1 += (-4.0 - z + ez * (4.0 - 3.0 * z + z**2)) / z3
+        f2 += (2.0 + z + ez * (z - 2.0)) / z3
+        f3 += (-4.0 - 3.0 * z - z**2 + ez * (4.0 - z)) / z3
+    out["q"] = dt * (q / n)
+    out["f1"] = dt * (f1 / n)
+    f2 = dt * (f2 / n)
+    out["two_f2"] = 2.0 * f2  # the step read f2 only as 2 f2
+    out["f3"] = dt * (f3 / n)
+    return out
 
 
 class TestNonlinearTerm:
@@ -227,6 +253,47 @@ class TestStep:
             errs.append(np.linalg.norm(final(dt) - ref))
         order = np.polyfit(np.log(dts), np.log(errs), 1)[0]
         assert order > 3.7
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        nx=st.integers(4, 32).map(lambda k: 2 * k),
+        ny=st.integers(4, 32).map(lambda k: 2 * k),
+        lx=st.floats(2.0, 100.0),
+        ly=st.floats(2.0, 100.0),
+        a=st.floats(0.0, 1.0),
+        dt=st.floats(1e-4, 0.1),
+    )
+    def test_coefficients_match_full_row_loop_bitwise(self, nx, ny, lx, ly, a, dt):
+        # rows past ny/2 are mirrored, not evaluated: the bits must not move
+        g = make_grid(nx, ny, lx, ly)
+        cfg = SolverConfig(dt=dt, T=1.0, params=DispersionParams(a))
+        stepper = Stepper(g, cfg)
+        for name, ref in _seed_coefficients(g, cfg).items():
+            got = getattr(stepper, name)
+            assert got.shape == ref.shape, name
+            assert got.tobytes() == ref.tobytes(), name
+
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    @pytest.mark.parametrize("integrator", ["etdrk4", "strang"])
+    def test_advance_returns_fresh_arrays(self, integrator, nonlinear):
+        # the stages run in buffers the Stepper reuses; no result may alias
+        # them, the input or an earlier result
+        g = make_grid(24, 16, 6.0, 4.0)
+        cfg = SolverConfig(dt=1e-2, T=1.0, params=P, integrator=integrator,
+                           nonlinear=nonlinear)
+        stepper = Stepper(g, cfg)
+        v0 = half_spectrum(random_field(g, seed=3))
+        v0_bytes = v0.tobytes()
+        v1 = stepper.advance(v0)
+        v1_bytes = v1.tobytes()
+        v2 = stepper.advance(v1)
+        v2_bytes = v2.tobytes()
+        v3 = stepper.advance(v0)
+        assert v0.tobytes() == v0_bytes
+        assert v1.tobytes() == v1_bytes and v2.tobytes() == v2_bytes
+        assert v3.tobytes() == v1_bytes and v2_bytes != v1_bytes
+        for x, y in [(v0, v1), (v0, v2), (v1, v2), (v1, v3), (v2, v3)]:
+            assert not np.shares_memory(x, y)
 
 
 class TestEvolve:
