@@ -26,28 +26,58 @@ for theta > 0; its divergence is witnessed at order 0.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+_QUADPACK = "scipy.integrate._quadpack"
 
-def quad(fn, a, b, **kw):
-    """scipy.integrate.quad returning (value, abserr, neval).
 
-    ``full_output`` keeps QUADPACK's accuracy complaints out of the warning
-    stream.  The requested tolerances here are deliberately tighter than
-    needed so a partially converged panel is still far more accurate than the
-    decisions built on it; the engine's absolute accuracy is pinned by
-    independent oracles in the test suite, not by quad's own error report,
-    which is passed on for monitoring only.  scipy.integrate (which loads
-    scipy.optimize) is imported on first use, so the grid-only paths never
-    pay for it.
+def _quadpack():
+    """scipy's compiled QUADPACK extension, loaded without its package.
+
+    An entry already in ``sys.modules`` is used as it is; otherwise the
+    extension is loaded from scipy's ``integrate`` directory and registered
+    under its own name, so a later ``import scipy.integrate`` reuses it.
     """
-    import scipy.integrate
+    mod = sys.modules.get(_QUADPACK)
+    if mod is None:
+        import scipy
 
-    value, abserr, info, *_ = scipy.integrate.quad(fn, a, b, full_output=1, **kw)
-    return value, abserr, info["neval"]
+        spec = importlib.machinery.PathFinder.find_spec(
+            _QUADPACK, [os.path.join(scipy.__path__[0], "integrate")]
+        )
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        sys.modules[_QUADPACK] = mod
+    return mod
+
+
+def quad(fn, a, b, epsabs, epsrel, limit):
+    """QUADPACK's qagse on the finite interval [a, b]: (value, abserr, neval, ier).
+
+    This is the call ``scipy.integrate.quad(fn, a, b, full_output=1, ...)``
+    makes for a finite interval without break points, and it returns the same
+    bits.  The extension is loaded alone: ``import scipy.integrate`` costs
+    about 0.6 s and 355 scipy modules (``scipy.optimize``, ``scipy.special``,
+    ``scipy.sparse``, ...), half of a three-query Stein batch, and none of it
+    is used here.  ``ier`` is QUADPACK's flag, 0 for a converged panel (1 at
+    the subdivision limit, 2-5 for roundoff or bad integrand behaviour).  The
+    requested tolerances here are deliberately tighter than needed so a
+    partially converged panel is still far more accurate than the decisions
+    built on it; the engine's absolute accuracy is pinned by independent
+    oracles in the test suite, not by quad's own error report, which is
+    passed on for monitoring only.
+    """
+    value, abserr, info, ier = _quadpack()._qagse(fn, a, b, (), 1, epsabs, epsrel, limit)
+    if ier == 6:  # QUADPACK rejected the input and computed nothing
+        raise ValueError(f"invalid quadrature input: epsrel {epsrel}, limit {limit}")
+    return value, abserr, info["neval"], ier
 
 from .diagnostics import _spectral_sums, _weighted_l2, mass
 from .propagator import dispersion_symbol
@@ -133,14 +163,16 @@ def cutoff_phi_prime(x):
 class SteinResult:
     """Value with the analytic remainder estimate of the truncated integral.
 
-    ``abserr`` sums quad's error estimates over every panel and ``n_evals``
-    counts the integrand evaluations behind the value.
+    ``abserr`` sums quad's error estimates over every panel, ``n_evals``
+    counts the integrand evaluations behind the value and ``n_unconverged``
+    the panels QUADPACK flagged (``ier != 0``).
     """
 
     value: float
     tail_estimate: float
     abserr: float = 0.0
     n_evals: int = 0
+    n_unconverged: int = 0
 
     def __float__(self) -> float:
         return self.value
@@ -193,13 +225,14 @@ def stein_derivative(
         return hs * s ** (-1.0 - 2.0 * b) * delta * q * v ** (q - 1.0)
 
     abserr = 0.0
-    n_evals = 0
+    n_evals = n_unconverged = 0
 
     def integrate(fn, lo, hi, limit):
-        nonlocal abserr, n_evals
-        val, err, neval = quad(fn, lo, hi, epsabs=0.0, epsrel=epsrel, limit=limit)
+        nonlocal abserr, n_evals, n_unconverged
+        val, err, neval, ier = quad(fn, lo, hi, epsabs=0.0, epsrel=epsrel, limit=limit)
         abserr += err
         n_evals += neval
+        n_unconverged += ier != 0
         return val
 
     inner = integrate(inner_integrand, 0.0, 1.0, 200)
@@ -262,6 +295,7 @@ def stein_derivative(
         tail_estimate=tail_est,
         abserr=abserr,
         n_evals=n_evals,
+        n_unconverged=n_unconverged,
     )
 
 
@@ -519,8 +553,10 @@ def l2_membership_classify(
 
     The squared profile is integrated over dyadic windows eta in
     [2^{-k-1}, 2^{-k}] (doubled for the mirror side), each sampled at its
-    ends and midpoint on a log scale (2 points per octave).  Decision rules
-    on the fitted log2-slope s of the increments:
+    ends and midpoint on a log scale (2 points per octave).  Neighbouring
+    octaves share an end point, so n octaves take 2n + 1 evaluations of the
+    squared profile, each point once.  Decision rules on the fitted
+    log2-slope s of the increments:
 
     * s > +0.02: power divergence, non-member;
     * s < -0.02: geometric decay, member (the extrapolated tail
@@ -536,12 +572,14 @@ def l2_membership_classify(
     """
     profile, theta, note = _order_regime(profile, theta)
     ks = np.arange(n_octaves)
+    # log-spaced points from 2^{-n} to 1; octave k, [2^{-k-1}, 2^{-k}], is the
+    # slice starting at 2 (n - k - 1)
+    etas = 2.0 ** (-n_octaves + np.arange(_PER_OCTAVE * n_octaves + 1) / _PER_OCTAVE)
+    q = _squared_profile_values(profile, theta, etas)
     increments = np.empty(n_octaves)
     for k in ks:
-        # log-spaced points across the octave [2^{-k-1}, 2^{-k}]
-        etas = 2.0 ** (-(k + 1) + np.linspace(0.0, 1.0, _PER_OCTAVE + 1))
-        q = _squared_profile_values(profile, theta, etas)
-        increments[k] = 2.0 * _integrate_power_segments(etas, q)  # both signs
+        octave = slice(_PER_OCTAVE * (n_octaves - k - 1), _PER_OCTAVE * (n_octaves - k) + 1)
+        increments[k] = 2.0 * _integrate_power_segments(etas[octave], q[octave])  # both signs
 
     norms = np.sqrt(np.cumsum(increments))
     fit_win = increments[max(4, n_octaves // 2):]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import platform
 
@@ -226,6 +227,34 @@ class TestMembership:
         assert len(ev.increments) == 10
         assert len(ev.norms) == 10
         assert np.all(np.diff(ev.norms) >= 0)
+
+
+class TestOctaveSampling:
+    """Neighbouring octaves share their end points: each eta is evaluated once."""
+
+    @pytest.mark.parametrize("n_octaves", [10, 18])
+    def test_stein_regime_evaluates_2n_plus_1_points(self, monkeypatch, n_octaves):
+        etas = []
+        profile_stein = fraclab._profile_stein
+
+        def counting(profile, b, x, epsrel=1e-10):
+            etas.append(x)
+            return profile_stein(profile, b, x, epsrel=epsrel)
+
+        monkeypatch.setattr(fraclab, "_profile_stein", counting)
+        ev = l2_membership_classify(make_profile("power", alpha=1.0), 0.6, n_octaves=n_octaves)
+        assert len(etas) == len(set(etas)) == 2 * n_octaves + 1
+        assert min(etas) == 2.0**-n_octaves and max(etas) == 1.0
+        assert len(ev.increments) == n_octaves
+
+    def test_order_zero_evaluates_each_eta_once(self):
+        # gamma = 0 puts |y|^{-1/2} outside L^2 at its kink: classified at order 0
+        etas = []
+        prof = make_profile("gamma", gamma=0.0)
+        counting = dataclasses.replace(prof, fn=lambda y: etas.append(y) or prof.fn(y))
+        ev = l2_membership_classify(counting, 0.3, n_octaves=10)
+        assert ev.rule.endswith("(profile not square-integrable near 0)")
+        assert len(etas) == len(set(etas)) == 21
 
 
 class TestFitExponent:
@@ -660,10 +689,31 @@ class TestQuadratureReport:
         monkeypatch.setattr(fraclab, "quad", recording_quad)
         res = _profile_stein(make_profile("power", alpha=1.5), 0.9, 0.25)
         assert len(calls) > 1
-        assert res.abserr == sum(err for _, err, _ in calls)
-        assert res.n_evals == sum(n for _, _, n in calls)
+        assert res.abserr == sum(err for _, err, _, _ in calls)
+        assert res.n_evals == sum(n for _, _, n, _ in calls)
         assert res.n_evals % 21 == 0  # 21-point Gauss-Kronrod panels
         assert 0.0 < res.abserr < 1e-3 * res.value**2
+
+    def test_unconverged_panels_are_counted(self, monkeypatch):
+        # at the classifier's epsrel the inner window of this profile runs into
+        # QUADPACK's subdivision limit (ier = 1), which the result must count
+        calls = []
+        quad = fraclab.quad
+
+        def recording_quad(fn, a, b, **kwargs):
+            calls.append(((a, b, kwargs["limit"]), quad(fn, a, b, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(fraclab, "quad", recording_quad)
+        res = _profile_stein(make_profile("power", alpha=1.5), 0.9, 0.25, epsrel=1e-7)
+        assert ((0.0, 1.0, 200), 1) in [(panel, out[3]) for panel, out in calls]
+        assert res.n_unconverged == sum(out[3] != 0 for _, out in calls) >= 1
+        assert res.abserr == sum(out[1] for _, out in calls)
+
+    def test_rejected_tolerance_raises(self):
+        # below 50 machine epsilons QUADPACK computes nothing (ier = 6)
+        with pytest.raises(ValueError, match="invalid quadrature input"):
+            stein_derivative(cutoff_phi, 0.5, 0.5, epsrel=1e-16)
 
     def test_complex_profile_reports_too(self):
         res = stein_derivative(lambda y: np.exp(1j * y), 0.5, 0.0, far_field="constant_modulus")

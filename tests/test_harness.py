@@ -655,3 +655,47 @@ class TestImportCost:
             capture_output=True, text=True, check=True,
         ).stdout.splitlines()
         assert out == ["[]", "[]", "[]", "[]"]
+
+    # one integrand for fraclab.quad and scipy.integrate.quad, whose bits must agree
+    _QUAD_BITS = (
+        "import math\n"
+        "f = lambda x: abs(x - 0.3) ** 0.5 * math.cos(7.0 * x)\n"
+        "ours = fraclab.quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=200)\n"
+        "theirs = scipy.integrate.quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=200,\n"
+        "                              full_output=1)\n"
+        "print(ours[:3] == (theirs[0], theirs[1], theirs[2]['neval']))\n"
+        "print(fraclab._quadpack() is scipy.integrate._quadpack_py._quadpack)\n"
+    )
+
+    def _run(self, code, cwd):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        return subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, cwd=cwd,
+        ).stdout.splitlines()
+
+    def test_stein_quadrature_loads_quadpack_alone(self, tmp_path):
+        # a fresh process: the Stein path loads QUADPACK's extension but not
+        # the scipy.integrate package (about 0.6 s and 355 scipy modules)
+        (tmp_path / "batch.cfg").write_text("[q]\nkind = gamma\ngamma = 0.3\ntheta = 0.3\n")
+        code = (
+            "import sys\n"
+            "from gbozk import fraclab\n"
+            "from gbozk.experiments import load_stein_batch, stein_report\n"
+            "loaded = lambda: [m for m in ('scipy.integrate._quadpack', 'scipy.integrate',\n"
+            "                  'scipy.optimize', 'scipy.special') if m in sys.modules]\n"
+            "fraclab._profile_stein(fraclab.make_profile('power', alpha=1.5), 0.9, 0.25)\n"
+            "print(loaded())\n"
+            "stein_report(load_stein_batch('batch.cfg'), 'out')\n"
+            "print(loaded())\n"
+            "import scipy.integrate\n" + self._QUAD_BITS
+        )
+        out = self._run(code, tmp_path)
+        assert out == ["['scipy.integrate._quadpack']"] * 2 + ["True", "True"]
+
+    def test_quadpack_reuses_an_imported_scipy_integrate(self, tmp_path):
+        code = (
+            "import scipy.integrate\n"
+            "from gbozk import fraclab\n" + self._QUAD_BITS
+        )
+        assert self._run(code, tmp_path) == ["True", "True"]
