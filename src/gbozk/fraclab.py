@@ -108,10 +108,12 @@ __all__ = [
 
 # --- smooth cutoff -----------------------------------------------------------
 
-# quad calls the cutoff once per point on a Python float, so the cutoff is
-# written for floats alone; arrays map it elementwise.  It calls np.exp, not
-# math.exp: numpy's vectorised exp can differ from libm's in the last bit, and
-# the regression-pinned Stein values were computed with numpy's.
+# quad evaluates the profiles once per point on a Python float, so the cutoff
+# has a float-only core at |x|, _phi_abs, which the profiles' float branches
+# call directly; cutoff_phi maps other inputs onto it (arrays elementwise).
+# It calls np.exp, not math.exp: numpy's exp differs from libm's in the last
+# bit for a few percent of arguments, and the regression-pinned Stein values
+# were computed with numpy's.
 
 def _elementwise(fn, x):
     """fn mapped over an array-like x; a 0-d x gives a float."""
@@ -129,17 +131,21 @@ def _bump_s(t: float) -> float:
     return float(np.exp(-1.0 / t)) if t > 0.0 else 0.0
 
 
-def cutoff_phi(x):
-    """Even C-infinity cutoff: 1 on (-1, 1), 0 outside [-2, 2], monotone between."""
-    if not isinstance(x, float):
-        return _elementwise(cutoff_phi, x)
-    ax = abs(float(x))
+def _phi_abs(ax: float) -> float:
+    """The cutoff at |x| = ax, a float >= 0 (or NaN)."""
     if ax <= 1.0:
         return 1.0
     if ax < 2.0:
         sa, sb = _bump_s(2.0 - ax), _bump_s(ax - 1.0)
         return sa / (sa + sb)
     return 0.0 if ax >= 2.0 else math.nan
+
+
+def cutoff_phi(x):
+    """Even C-infinity cutoff: 1 on (-1, 1), 0 outside [-2, 2], monotone between."""
+    if not isinstance(x, float):
+        return _elementwise(cutoff_phi, x)
+    return _phi_abs(abs(float(x)))
 
 
 def cutoff_phi_prime(x):
@@ -205,24 +211,24 @@ def stein_derivative(
     if not 0.0 < b < 1.0:
         raise ValueError(f"Stein order b must lie in (0, 1), got {b}")
     fx = f(x)
-
-    def h(s):
-        return abs(fx - f(x + s)) ** 2 + abs(fx - f(x - s)) ** 2
-
     scale = local_scale if local_scale is not None else 1.0
     delta = scale / 100.0
 
-    # inner window: s = delta * v^q makes the integrand bounded at v = 0
+    # inner window: s = delta * v^q makes the integrand bounded at v = 0.
+    # Both integrands run once per quadrature point, so the exponents are
+    # bound here and h(s) = |f(x) - f(x+s)|^2 + |f(x) - f(x-s)|^2 is inline.
     q = 1.0 / (2.0 - 2.0 * b)
+    e = -1.0 - 2.0 * b
+    e_v = q - 1.0
 
     def inner_integrand(v):
         if v <= 0.0:
             return 0.0
         s = delta * v**q
-        hs = h(s)
+        hs = abs(fx - f(x + s)) ** 2 + abs(fx - f(x - s)) ** 2
         if hs == 0.0:  # e.g. x +- s round to x, where s ** (-1 - 2b) may overflow
             return 0.0
-        return hs * s ** (-1.0 - 2.0 * b) * delta * q * v ** (q - 1.0)
+        return hs * s**e * delta * q * v**e_v
 
     abserr = 0.0
     n_evals = n_unconverged = 0
@@ -238,7 +244,7 @@ def stein_derivative(
     inner = integrate(inner_integrand, 0.0, 1.0, 200)
 
     def outer_integrand(s):
-        return h(s) * s ** (-1.0 - 2.0 * b)
+        return (abs(fx - f(x + s)) ** 2 + abs(fx - f(x - s)) ** 2) * s**e
 
     # breakpoints where x +- s crosses a kink or support edge
     breaks = set()
@@ -347,25 +353,66 @@ def make_profile(kind: str, alpha: float | None = None, gamma: float | None = No
     for name, value in (("alpha", alpha), ("gamma", gamma)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"profile {name} must be finite, got {value}")
+    # Each function has a branch for a Python float, the type quad passes: it
+    # binds the exponents once and calls the cutoff's float core, with every
+    # operation in the same order, so it gives the bits of the general path
+    # below it.  Other inputs take that path, and so does a float for which
+    # Python raises (0 ** p with p < 0, overflow), to get numpy's inf.
     if kind == "power":
         if alpha is None:
             raise ValueError("power profile needs alpha")
         a = float(alpha)
-        f = lambda y: _abs_pow(y, a) * cutoff_phi(y)
-        fp = lambda y: (
-            a * _sign(y) * _abs_pow(y, a - 1.0) * cutoff_phi(y)
-            + _abs_pow(y, a) * cutoff_phi_prime(y)
-        )
+        am1 = a - 1.0
+
+        def f(y):
+            if type(y) is float:
+                ay = abs(y)
+                try:
+                    return ay**a * _phi_abs(ay)
+                except (ZeroDivisionError, OverflowError):
+                    pass
+            return _abs_pow(y, a) * cutoff_phi(y)
+
+        def fp(y):
+            if type(y) is float:
+                ay = abs(y)
+                try:
+                    return a * _sign(y) * ay**am1 * _phi_abs(ay) + ay**a * cutoff_phi_prime(y)
+                except (ZeroDivisionError, OverflowError):
+                    pass
+            return (
+                a * _sign(y) * _abs_pow(y, am1) * cutoff_phi(y)
+                + _abs_pow(y, a) * cutoff_phi_prime(y)
+            )
+
         return Profile(f, f"|y|^{a}*phi", fp, a)
     if kind == "power_sign":
         if alpha is None:
             raise ValueError("power_sign profile needs alpha")
         a = float(alpha)
-        f = lambda y: _abs_pow(y, a) * _sign(y) * cutoff_phi(y)
-        fp = lambda y: (
-            a * _abs_pow(y, a - 1.0) * cutoff_phi(y)
-            + _abs_pow(y, a) * _sign(y) * cutoff_phi_prime(y)
-        )
+        am1 = a - 1.0
+
+        def f(y):
+            if type(y) is float:
+                ay = abs(y)
+                try:
+                    return ay**a * _sign(y) * _phi_abs(ay)
+                except (ZeroDivisionError, OverflowError):
+                    pass
+            return _abs_pow(y, a) * _sign(y) * cutoff_phi(y)
+
+        def fp(y):
+            if type(y) is float:
+                ay = abs(y)
+                try:
+                    return a * ay**am1 * _phi_abs(ay) + ay**a * _sign(y) * cutoff_phi_prime(y)
+                except (ZeroDivisionError, OverflowError):
+                    pass
+            return (
+                a * _abs_pow(y, am1) * cutoff_phi(y)
+                + _abs_pow(y, a) * _sign(y) * cutoff_phi_prime(y)
+            )
+
         return Profile(f, f"|y|^{a}*sgn*phi", fp, a)
     if kind == "gamma":
         if gamma is None:
@@ -373,6 +420,14 @@ def make_profile(kind: str, alpha: float | None = None, gamma: float | None = No
         g1 = float(gamma) - 0.5
 
         def f(y):
+            if type(y) is float:
+                if y == 0.0:
+                    return 0.0
+                ay = abs(y)
+                try:
+                    return ay**g1 * _phi_abs(ay)
+                except OverflowError:
+                    pass
             if isinstance(y, float):
                 return _abs_pow(y, g1) * cutoff_phi(y) if y != 0.0 else 0.0
             y = np.asarray(y, dtype=float)
@@ -565,6 +620,9 @@ def l2_membership_classify(
       the series diverges like a log (non-member); otherwise the evidence is
       inconclusive.
 
+    A squared value that is not finite makes the evidence inconclusive, with
+    no increments computed.
+
     For theta >= 1 the classification is applied to the analytic derivative
     of the profile at order theta - 1 (D^0 = identity), which preserves the
     threshold theta < alpha + 1/2; a profile not square integrable at the
@@ -576,6 +634,17 @@ def l2_membership_classify(
     # slice starting at 2 (n - k - 1)
     etas = 2.0 ** (-n_octaves + np.arange(_PER_OCTAVE * n_octaves + 1) / _PER_OCTAVE)
     q = _squared_profile_values(profile, theta, etas)
+    bad = np.count_nonzero(~np.isfinite(q))
+    if bad:
+        # an infinite or NaN value (say 1/b overflows at a tiny order) leaves
+        # no increment to decide on
+        return MembershipEvidence(
+            verdict="inconclusive",
+            octaves=ks,
+            increments=np.full(n_octaves, math.nan),
+            norms=np.full(n_octaves, math.nan),
+            rule=f"{bad} of {q.size} squared Stein values not finite" + note,
+        )
     increments = np.empty(n_octaves)
     for k in ks:
         octave = slice(_PER_OCTAVE * (n_octaves - k - 1), _PER_OCTAVE * (n_octaves - k) + 1)

@@ -2,11 +2,14 @@
 
 Header: magic (4 bytes), version u32, nx u32, ny u32, then lx, ly, a, t as
 IEEE-754 binary64; payload is the ny*nx sample array, row-major (y outer).
-Write-then-read is the identity, bit for bit.
+Write-then-read is the identity, bit for bit.  ``read_snapshot`` raises
+``SnapshotFormatError`` for a wrong magic, version or size, a grid or samples
+``RealField2D`` rejects, a non-finite t or an a outside [0, 1].
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,6 +52,10 @@ def read_snapshot(path: str | Path) -> SnapshotFile:
         raise SnapshotFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise SnapshotFormatError(f"{path}: unsupported version {version}")
+    if not math.isfinite(t):
+        raise SnapshotFormatError(f"{path}: time t must be finite, got {t}")
+    if not 0.0 <= a <= 1.0:
+        raise SnapshotFormatError(f"{path}: dispersion exponent a must lie in [0, 1], got {a}")
     expected = _HEADER.size + nx * ny * 8
     if len(raw) != expected:
         raise SnapshotFormatError(

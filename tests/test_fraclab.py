@@ -228,6 +228,17 @@ class TestMembership:
         assert len(ev.norms) == 10
         assert np.all(np.diff(ev.norms) >= 0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_values_are_inconclusive(self):
+        # at the smallest positive order the exact far-field term |f|^2 r^-2b / b
+        # overflows, so every squared Stein value is inf; without increments
+        # there is nothing to decide on, and no warning on the way
+        ev = l2_membership_classify(make_profile("power", alpha=0.5), 5e-324, n_octaves=6)
+        assert ev.verdict == "inconclusive"
+        assert ev.rule == "13 of 13 squared Stein values not finite"
+        assert len(ev.increments) == 6 and np.all(np.isnan(ev.increments))
+        assert math.isnan(ev.increment_slope) and math.isnan(ev.tail_extrapolation)
+
 
 class TestOctaveSampling:
     """Neighbouring octaves share their end points: each eta is evaluated once."""
@@ -607,6 +618,98 @@ class TestScalarFastPath:
                 vec = fn(np.full(9, x))
             assert _hex(zero_d) == _hex(val)
             assert np.allclose(vec, val, rtol=1e-13, atol=1e-13, equal_nan=True)
+
+
+# The profiles' Python-float branch against the composition it replaced, a
+# test-local copy: the cutoff with numpy's exp, |y|^p with numpy's inf where
+# Python raises, and the two-term derivatives.
+
+def _ref_bump(t):
+    return float(np.exp(-1.0 / t)) if t > 0.0 else 0.0
+
+
+def _ref_phi(x):
+    ax = abs(x)
+    if ax <= 1.0:
+        return 1.0
+    if ax < 2.0:
+        sa, sb = _ref_bump(2.0 - ax), _ref_bump(ax - 1.0)
+        return sa / (sa + sb)
+    return 0.0 if ax >= 2.0 else math.nan
+
+
+def _ref_phi_prime(x):
+    ax = abs(x)
+    if not 1.0 + 1e-12 < ax < 2.0 - 1e-12:
+        return 0.0
+    ta, tb = 2.0 - ax, ax - 1.0
+    sa, sb = _ref_bump(ta), _ref_bump(tb)
+    dsa, dsb = -sa / (ta * ta), sb / (tb * tb)
+    d_abs = (dsa * (sa + sb) - sa * (dsa + dsb)) / ((sa + sb) * (sa + sb))
+    return d_abs if x > 0.0 else -d_abs
+
+
+def _ref_abs_pow(y, p):
+    try:
+        return abs(y) ** p
+    except (ZeroDivisionError, OverflowError):
+        with np.errstate(divide="ignore", over="ignore"):
+            return float(np.float64(abs(y)) ** p)
+
+
+def _ref_sign(y):
+    return 1.0 if y > 0.0 else -1.0 if y < 0.0 else 0.0 if y == 0.0 else math.nan
+
+
+def _ref_family(kind, p):
+    """(fn, derivative) of a family, composed as before the float branch."""
+    if kind == "power":
+        return (
+            lambda y: _ref_abs_pow(y, p) * _ref_phi(y),
+            lambda y: p * _ref_sign(y) * _ref_abs_pow(y, p - 1.0) * _ref_phi(y)
+            + _ref_abs_pow(y, p) * _ref_phi_prime(y),
+        )
+    if kind == "power_sign":
+        return (
+            lambda y: _ref_abs_pow(y, p) * _ref_sign(y) * _ref_phi(y),
+            lambda y: p * _ref_abs_pow(y, p - 1.0) * _ref_phi(y)
+            + _ref_abs_pow(y, p) * _ref_sign(y) * _ref_phi_prime(y),
+        )
+    g1 = p - 0.5
+    return (lambda y: _ref_abs_pow(y, g1) * _ref_phi(y) if y != 0.0 else 0.0), None
+
+
+# at 0 a negative exponent gives numpy's inf, where Python raises, and 1e308
+# overflows for exponents above 1
+_BRANCH_EDGES = [0.0, 1.0, 2.0, 2.0**-1074, 1e308, math.nextafter(1.0, 2.0),
+                 math.nextafter(2.0, 1.0), 1.0 + 1e-12, 2.0 - 1e-12]
+_BRANCH_EDGES += [-y for y in _BRANCH_EDGES]
+
+
+class TestProfileFloatBranch:
+    """Each family's float branch gives its old composition's bits."""
+
+    # a glue region 1 < |y| < 2 sample, dense enough to meet the few percent
+    # of arguments where numpy's exp and the C library's differ in the last bit
+    GLUE = np.random.default_rng(1).uniform(1.0, 2.0, 4000) * np.resize([1.0, -1.0], 4000)
+
+    @pytest.mark.parametrize(
+        "kind, p",
+        [("power", a) for a in (1.5, 1.0, 0.5, 2.0, 0.3, -0.3)]
+        + [("power_sign", a) for a in (0.5, 1.5, 1.0, -0.3)]
+        + [("gamma", g) for g in (0.3, 0.8, 1.2, -0.2)],
+    )
+    def test_float_branch_bits(self, kind, p):
+        prof = _family_profile(kind, p)
+        ys = _BRANCH_EDGES + self.GLUE.tolist() + np.linspace(-3.0, 3.0, 601).tolist()
+        for got, want in zip((prof.fn, prof.derivative), _ref_family(kind, p)):
+            if want is None:
+                assert got is None
+                continue
+            for y in ys:
+                val = got(y)
+                assert type(val) is float
+                assert _hex(val) == _hex(want(y)), (kind, p, y)
 
 
 def _numeric_platform():

@@ -30,6 +30,7 @@ from gbozk.snapshot import (
     read_snapshot,
     write_snapshot,
 )
+from gbozk.spectral import RealField2D
 
 from conftest import random_field
 
@@ -134,6 +135,98 @@ class TestSnapshot:
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(SnapshotFormatError):
             read_snapshot(path)
+
+    @pytest.mark.parametrize(
+        "a, t, match",
+        [(0.5, math.nan, "time t"), (0.5, math.inf, "time t"), (0.5, -math.inf, "time t"),
+         (math.nan, 1.0, "exponent a"), (math.inf, 1.0, "exponent a"),
+         (-0.25, 1.0, "exponent a"), (1.5, 1.0, "exponent a")],
+    )
+    def test_bad_header_values(self, tmp_path, capsys, a, t, match):
+        path = tmp_path / "f.gbzk"
+        write_snapshot(path, SnapshotFile(random_field(make_grid(8, 8, 4.0, 4.0)), a=a, t=t))
+        with pytest.raises(SnapshotFormatError, match=match):
+            read_snapshot(path)
+        assert cli_main(["norms", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (err,) = captured.err.splitlines()
+        assert err.startswith("config error:") and match in err
+
+
+# a small grid with every header value write_snapshot accepts
+SNAPSHOT_GRIDS = st.builds(
+    make_grid,
+    st.integers(4, 12).map(lambda k: 2 * k),
+    st.integers(4, 12).map(lambda k: 2 * k),
+    st.floats(1e-3, 1e3),
+    st.floats(1e-3, 1e3),
+)
+
+
+@st.composite
+def snapshots(draw):
+    g = draw(SNAPSHOT_GRIDS)
+    samples = draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False, width=64),
+        min_size=g.nx * g.ny, max_size=g.nx * g.ny,
+    ))
+    u = RealField2D(g, np.array(samples).reshape(g.ny, g.nx))
+    a = draw(st.floats(0.0, 1.0))
+    t = draw(st.floats(allow_nan=False, allow_infinity=False))
+    return SnapshotFile(u, a=a, t=t)
+
+
+class TestSnapshotProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(snap=snapshots())
+    def test_write_read_bit_identity(self, snap):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.gbzk"
+            write_snapshot(path, snap)
+            back = read_snapshot(path)
+            write_snapshot(Path(tmp) / "g.gbzk", back)
+            assert (Path(tmp) / "g.gbzk").read_bytes() == path.read_bytes()
+        assert back.field.grid == snap.field.grid
+        assert back.field.samples.tobytes() == snap.field.samples.tobytes()
+        assert struct.pack("<2d", back.a, back.t) == struct.pack("<2d", snap.a, snap.t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=SNAPSHOT_GRIDS, data=st.data())
+    def test_every_truncation_is_rejected(self, g, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.gbzk"
+            write_snapshot(path, SnapshotFile(random_field(g), a=0.5, t=1.0))
+            raw = path.read_bytes()
+            path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1))])
+            with pytest.raises(SnapshotFormatError):
+                read_snapshot(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        g=SNAPSHOT_GRIDS,
+        pos=st.integers(0, 47),  # the 48-byte header
+        mask=st.integers(1, 255),
+        args=st.sampled_from([[], ["2:1:4", "1"], ["--sobolev", "1:0.5"]]),
+    )
+    def test_header_byte_flip_exits_cleanly(self, g, pos, mask, args):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.gbzk"
+            write_snapshot(path, SnapshotFile(random_field(g), a=0.5, t=1.0))
+            raw = bytearray(path.read_bytes())
+            raw[pos] ^= mask
+            path.write_bytes(bytes(raw))
+            out, err = io.StringIO(), io.StringIO()
+            # no exception may escape main: exit 0 with the norms, or exit 2
+            # with one config error line and no output
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    np.errstate(all="ignore"):
+                code = cli_main(["norms", str(path), *args])
+        assert code in (0, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            (line,) = err.getvalue().splitlines()
+            assert line.startswith("config error:")
 
 
 class TestConfig:
