@@ -813,23 +813,20 @@ def _toeplitz_apply(h: np.ndarray, kernel_hat: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(h, n2) * kernel_hat[: n + 1], n2)[..., :n]
 
 
-def grid_stein_rows(values: np.ndarray, dx: float, b: float) -> np.ndarray:
-    """Row-wise D^b on a uniform grid (trapezoid sum + local and tail terms).
+def _stein_kernel(values: np.ndarray, dx: float, b: float):
+    """Check the row operator's arguments and build its kernel terms.
 
-    ``values`` has shape (n_rows, n); each row is treated as samples of a
-    function on a uniform grid with spacing dx that decays beyond the grid.
-
-    With K_m = (m dx)^{-1-2b} dx (K_0 = 0) and |g_i - g_j|^2 = |g_i|^2 +
-    |g_j|^2 - 2 Re(conj(g_i) g_j), the trapezoid sum sum_j K_{|i-j|}
-    |g_i - g_j|^2 is |g_i|^2 S_i + (K*|g|^2)_i - 2 Re(conj(g_i) (K*g)_i),
-    S_i = sum_j K_{|i-j|}; both convolutions are FFTs, O(n log n) per row.
+    With K_m = (m dx)^{-1-2b} dx (K_0 = 0), returns ``values`` as an array,
+    the kernel sums S_i = sum_j K_{|i-j|}, the real FFT of K's length-2n
+    circulant embedding, the local-cell coefficient and the constant-tail
+    coefficients.
     """
     values = np.asarray(values)
     if not 0.0 < b < 1.0:
         raise ValueError("b must lie in (0, 1)")
     if values.ndim != 2:
         raise ValueError(f"values must be 2-D (n_rows, n), got shape {values.shape}")
-    rows, n = values.shape
+    n = values.shape[1]
     if n < 2:
         raise ValueError(f"rows need at least 2 samples, got {n}")
     if not (math.isfinite(dx) and dx > 0.0):
@@ -850,8 +847,25 @@ def grid_stein_rows(values: np.ndarray, dx: float, b: float) -> np.ndarray:
     left = (idx + 0.5) * dx
     right = (n - idx - 0.5) * dx
     tail_coef = (left ** (-2.0 * b) + right ** (-2.0 * b)) / (2.0 * b)
-    out = np.empty((rows, n))
-    for lo in range(0, rows, _STEIN_ROW_BLOCK):
+    return values, kernel_sum, kernel_hat, local_coef, tail_coef
+
+
+def grid_stein_rows(values: np.ndarray, dx: float, b: float) -> np.ndarray:
+    """Row-wise D^b on a uniform grid (trapezoid sum + local and tail terms).
+
+    ``values`` has shape (n_rows, n); each row is treated as samples of a
+    function on a uniform grid with spacing dx that decays beyond the grid.
+
+    With K_m = (m dx)^{-1-2b} dx (K_0 = 0) and |g_i - g_j|^2 = |g_i|^2 +
+    |g_j|^2 - 2 Re(conj(g_i) g_j), the trapezoid sum sum_j K_{|i-j|}
+    |g_i - g_j|^2 is |g_i|^2 S_i + (K*|g|^2)_i - 2 Re(conj(g_i) (K*g)_i),
+    S_i = sum_j K_{|i-j|}; both convolutions are FFTs, O(n log n) per row.
+    A caller that needs only the sum of the squares calls
+    ``_grid_stein_sq_sum``, which takes one forward transform per row block.
+    """
+    values, kernel_sum, kernel_hat, local_coef, tail_coef = _stein_kernel(values, dx, b)
+    out = np.empty(values.shape)
+    for lo in range(0, values.shape[0], _STEIN_ROW_BLOCK):
         g = values[lo : lo + _STEIN_ROW_BLOCK]
         g2 = np.abs(g) ** 2
         acc = g2 * kernel_sum + _toeplitz_apply(g2, kernel_hat)
@@ -860,6 +874,30 @@ def grid_stein_rows(values: np.ndarray, dx: float, b: float) -> np.ndarray:
         acc += g2 * tail_coef
         out[lo : lo + _STEIN_ROW_BLOCK] = np.sqrt(acc)
     return out
+
+
+def _grid_stein_sq_sum(values: np.ndarray, dx: float, b: float) -> float:
+    """sum(grid_stein_rows(values, dx, b) ** 2) without forming the rows.
+
+    K is real and symmetric, so sum_i (K*|g|^2)_i = sum_j |g_j|^2 S_j, and by
+    Plancherel g^H K g = sum_k Khat_k |G_k|^2 / (2n) with G the length-2n
+    FFT of the row.  Each block of rows therefore adds
+
+        sum |g|^2 (2 S + T) - 2 sum_k Khat_k |G_k|^2 / (2n) + c sum |g'|^2
+
+    (T the tail and c the local-cell coefficient): one forward transform per
+    block, no inverse and no square root.
+    """
+    values, kernel_sum, kernel_hat, local_coef, tail_coef = _stein_kernel(values, dx, b)
+    n2 = kernel_hat.size
+    weight = 2.0 * kernel_sum + tail_coef
+    total = 0.0
+    for lo in range(0, values.shape[0], _STEIN_ROW_BLOCK):
+        g = values[lo : lo + _STEIN_ROW_BLOCK]
+        spec = np.abs(np.fft.fft(g, n2)) ** 2
+        total += np.sum(np.abs(g) ** 2 @ weight) - 2.0 / n2 * np.sum(spec @ kernel_hat)
+        total += local_coef * np.sum(np.abs(np.gradient(g, dx, axis=1)) ** 2)
+    return float(total)
 
 
 def rho_weight(t: float, theta: float) -> float:
@@ -886,11 +924,11 @@ def _df_probe_grid(g, theta: float, t: float, a: float):
     |eta|^{4 theta} and |xi|^{2(1+a) theta} multipliers (the latter on the
     half-spectrum columns 0..nx/2) and the |x|^theta weight.
     """
-    xi, eta = g.spectral_meshgrid()
-    order = np.argsort(g.xi)
-    phase = np.exp(1j * t * dispersion_symbol(xi, eta, a))[:, order]
-    m_eta = np.abs(g.eta[:, None]) ** (4.0 * theta)
-    m_xi = np.abs(g.xi[: g.nx // 2 + 1]) ** (2.0 * (1 + a) * theta)
+    xi, eta = g.xi, g.eta[:, None]
+    order = np.argsort(xi)
+    phase = np.exp(1j * t * dispersion_symbol(xi[order][None, :], eta, a))
+    m_eta = np.abs(eta) ** (4.0 * theta)
+    m_xi = np.abs(xi[: g.nx // 2 + 1]) ** (2.0 * (1 + a) * theta)
     return order, phase, m_eta, m_xi, np.abs(g.x) ** theta
 
 
@@ -898,13 +936,19 @@ def lemma_df_probe(theta: float, t: float, a: float, fields: list[RealField2D]) 
     """Max of ||D^theta_xi(psi fhat)|| over its Duhamel-lemma bound.
 
     The left side applies the 1D grid Stein derivative in xi row by row at
-    fixed eta and takes L^2 over both variables; the right side combines the
-    spectral norms rho(t)(||f|| + ||D_y^{2 theta} f|| + ||D_x^{(1+a) theta} f||)
-    with the weighted norm || |x|^theta f ||.  Fields may live on different
-    grids.
+    fixed eta and takes L^2 over both variables, by Plancherel with one
+    forward transform per row block (``_grid_stein_sq_sum``); the right side
+    combines the spectral norms
+    rho(t)(||f|| + ||D_y^{2 theta} f|| + ||D_x^{(1+a) theta} f||) with the
+    weighted norm || |x|^theta f ||.  Fields may live on different grids.
+    theta, t and a are checked before any field is read.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
+    if not 0.0 <= a <= 1.0:
+        raise ValueError(f"a must lie in [0, 1], got {a}")
     if len(fields) == 0:
         raise ValueError("fields must hold at least one field")
     per_grid = {}
@@ -920,9 +964,8 @@ def lemma_df_probe(theta: float, t: float, a: float, fields: list[RealField2D]) 
         coeffs = to_spectral(f).coeffs
         rows = phase * coeffs[:, order]
         dxi = 2.0 * np.pi / g.lx
-        stein_rows = grid_stein_rows(rows, dxi, theta)
         deta = 2.0 * np.pi / g.ly
-        lhs = np.sqrt(np.sum(stein_rows**2) * dxi * deta) / (2.0 * np.pi)
+        lhs = np.sqrt(_grid_stein_sq_sum(rows, dxi, theta) * dxi * deta) / (2.0 * np.pi)
 
         l2, dy, dxn = np.sqrt(_spectral_sums(coeffs[:, : g.nx // 2 + 1], g, 1.0, m_eta, m_xi))
         rhs = rho_weight(t, theta) * (l2 + dy + dxn) + _weighted_l2(f, wx)
@@ -934,15 +977,17 @@ def lemma_df_probe(theta: float, t: float, a: float, fields: list[RealField2D]) 
 def gaussian_ensemble(grid, n_members: int, seed: int = 0) -> list[RealField2D]:
     """Random superpositions of anisotropic Gaussians, localized in the box."""
     rng = np.random.default_rng(seed)
-    X, Y = grid.meshgrid()
+    x, y = grid.x, grid.y
     fields = []
     max_c = min(grid.lx, grid.ly) / 8.0
     for _ in range(n_members):
-        u = np.zeros_like(X)
+        u = np.zeros((grid.ny, grid.nx))
         for _ in range(rng.integers(1, 4)):
             amp = rng.uniform(-1.0, 1.0)
             cx, cy = rng.uniform(-max_c, max_c, size=2)
             sx, sy = rng.uniform(0.6, 1.8, size=2)
-            u += amp * np.exp(-((X - cx) ** 2) / sx**2 - ((Y - cy) ** 2) / sy**2)
+            ex = -((x - cx) ** 2) / sx**2
+            ey = ((y - cy) ** 2) / sy**2
+            u += amp * np.exp(ex[None, :] - ey[:, None])
         fields.append(RealField2D(grid, u))
     return fields

@@ -435,6 +435,23 @@ class TestGridStein:
         assert not np.isnan(got).any()
         np.testing.assert_allclose(got, _grid_stein_rows_dense(rows, dx, b), rtol=1e-8, atol=0.0)
 
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        kind=st.sampled_from(["real", "complex", "spike"]),
+        n_rows=st.integers(1, 70),
+        n=st.integers(8, 300),
+        b=st.floats(0.05, 0.95),
+        dx=st.floats(1e-3, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_square_sum_by_plancherel(self, kind, n_rows, n, b, dx, seed):
+        # one forward transform per block gives the sum of the squared rows
+        rows = _stein_test_rows(kind, n_rows, n, seed)
+        got = fraclab._grid_stein_sq_sum(rows, dx, b)
+        assert isinstance(got, float)
+        assert got == pytest.approx(np.sum(_grid_stein_rows_dense(rows, dx, b) ** 2), rel=1e-12)
+        assert got == pytest.approx(np.sum(grid_stein_rows(rows, dx, b) ** 2), rel=1e-12)
+
     def test_row_blocks_match_dense_kernel(self):
         # more rows than one internal block, real and complex
         for kind in ("real", "complex"):
@@ -462,6 +479,62 @@ class TestGridStein:
     def test_rejects_bad_spacing(self, dx):
         with pytest.raises(ValueError, match="dx"):
             grid_stein_rows(np.ones((1, 8)), dx, 0.5)
+
+
+def _meshgrid_ensemble(grid, n_members, seed):
+    """gaussian_ensemble as written on full coordinate meshgrids."""
+    rng = np.random.default_rng(seed)
+    X, Y = grid.meshgrid()
+    fields = []
+    max_c = min(grid.lx, grid.ly) / 8.0
+    for _ in range(n_members):
+        u = np.zeros_like(X)
+        for _ in range(rng.integers(1, 4)):
+            amp = rng.uniform(-1.0, 1.0)
+            cx, cy = rng.uniform(-max_c, max_c, size=2)
+            sx, sy = rng.uniform(0.6, 1.8, size=2)
+            u += amp * np.exp(-((X - cx) ** 2) / sx**2 - ((Y - cy) ** 2) / sy**2)
+        fields.append(u)
+    return fields
+
+
+def _meshgrid_probe_grid(g, theta, t, a):
+    """_df_probe_grid as written on the full wavenumber meshgrid."""
+    from gbozk.propagator import dispersion_symbol
+
+    xi, eta = g.spectral_meshgrid()
+    order = np.argsort(g.xi)
+    phase = np.exp(1j * t * dispersion_symbol(xi, eta, a))[:, order]
+    m_eta = np.abs(g.eta[:, None]) ** (4.0 * theta)
+    m_xi = np.abs(g.xi[: g.nx // 2 + 1]) ** (2.0 * (1 + a) * theta)
+    return order, phase, m_eta, m_xi, np.abs(g.x) ** theta
+
+
+_BUILD_GRIDS = [
+    (32, 32, 16.0, 16.0), (64, 48, 24.0, 20.0), (48, 128, 20.0, 30.0), (128, 128, 32.0, 32.0),
+]
+
+
+class TestProbeBuildBits:
+    """The probe's inputs are built from broadcast vectors with the meshgrid bits."""
+
+    @pytest.mark.parametrize("shape", _BUILD_GRIDS)
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_ensemble_matches_meshgrid_build(self, shape, seed):
+        g = make_grid(*shape)
+        got = gaussian_ensemble(g, 3, seed=seed)
+        want = _meshgrid_ensemble(g, 3, seed)
+        assert [f.samples.tobytes() for f in got] == [w.tobytes() for w in want]
+
+    @pytest.mark.parametrize("shape", _BUILD_GRIDS)
+    @pytest.mark.parametrize("t", [0.0, 0.7, 1.0])
+    @pytest.mark.parametrize("a", [0.0, 0.5, 1.0])
+    def test_probe_grid_matches_meshgrid_build(self, shape, t, a):
+        g = make_grid(*shape)
+        for theta in (0.3, 0.5):
+            got = fraclab._df_probe_grid(g, theta, t, a)
+            want = _meshgrid_probe_grid(g, theta, t, a)
+            assert [np.asarray(x).tobytes() for x in got] == [x.tobytes() for x in want]
 
 
 class TestLemmaDfProbe:
@@ -497,6 +570,22 @@ class TestLemmaDfProbe:
     def test_rejects_empty_field_list(self):
         with pytest.raises(ValueError, match="at least one field"):
             lemma_df_probe(0.5, 1.0, 0.5, [])
+
+    @pytest.mark.parametrize(
+        "t, a, match",
+        [(1.0, 5.0, "a must"), (1.0, -1.0, "a must"), (1.0, math.nan, "a must"),
+         (-1.0, 0.5, "t must"), (math.inf, 0.5, "t must"), (math.nan, 0.5, "t must")],
+    )
+    def test_rejects_bad_time_and_dispersion_before_reading_fields(self, t, a, match):
+        from gbozk import RealField2D
+
+        g = make_grid(32, 32, 16.0, 16.0)
+        zero = RealField2D(g, np.zeros((32, 32)))
+        (nonzero,) = gaussian_ensemble(g, 1, seed=1)
+        # a zero field, a nonzero field and something that is no field at all
+        for fields in ([zero], [nonzero], [object()]):
+            with pytest.raises(ValueError, match=match):
+                lemma_df_probe(0.5, t, a, fields)
 
     def test_mixed_grids_match_single_grid_calls(self):
         fa = gaussian_ensemble(make_grid(32, 32, 16.0, 16.0), 2, seed=2)

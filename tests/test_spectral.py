@@ -221,3 +221,16 @@ class TestHalfSpectrumProperties:
         c = to_spectral(u)
         for out in (x_derivative(c), hilbert_x(c), fractional_x_derivative(c, z)):
             assert imag_residue(out) <= 1e-13 * np.max(np.abs(to_physical(out).samples))
+
+
+class TestFullSpectrumProperties:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(u=grid_fields())
+    def test_plancherel_on_the_full_spectrum(self, u):
+        assert spectral_l2_norm(to_spectral(u)) == pytest.approx(l2_norm(u), rel=1e-13)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(u=grid_fields())
+    def test_round_trip_returns_the_samples(self, u):
+        back = to_physical(to_spectral(u)).samples
+        assert np.max(np.abs(back - u.samples)) <= 1e-13 * np.max(np.abs(u.samples))
