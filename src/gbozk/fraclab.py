@@ -79,9 +79,9 @@ def quad(fn, a, b, epsabs, epsrel, limit):
         raise ValueError(f"invalid quadrature input: epsrel {epsrel}, limit {limit}")
     return value, abserr, info["neval"], ier
 
-from .diagnostics import _spectral_sums, _weighted_l2, mass
+from .diagnostics import _spectral_sums, _weighted_l2
 from .propagator import dispersion_symbol
-from .spectral import RealField2D, to_spectral
+from .spectral import RealField2D, half_spectrum
 
 __all__ = [
     "cutoff_phi",
@@ -792,8 +792,9 @@ def phase_lemma_probe(
 
 # --- grid-based Stein rows and the Duhamel-weight probe ------------------------
 
-# Rows are transformed this many at a time: temporaries of shape (rows, 2n)
-# for a whole 512^2 spectrum would dominate the probe's peak memory.
+# Rows are transformed (and the probe's rows mirrored) this many at a time:
+# (rows, 2n) temporaries for a whole 512^2 spectrum would dominate the
+# probe's peak memory.
 _STEIN_ROW_BLOCK = 64
 
 
@@ -888,16 +889,23 @@ def _grid_stein_sq_sum(values: np.ndarray, dx: float, b: float) -> float:
     (T the tail and c the local-cell coefficient): one forward transform per
     block, no inverse and no square root.
     """
-    values, kernel_sum, kernel_hat, local_coef, tail_coef = _stein_kernel(values, dx, b)
-    n2 = kernel_hat.size
-    weight = 2.0 * kernel_sum + tail_coef
+    values, *kernel = _stein_kernel(values, dx, b)
     total = 0.0
     for lo in range(0, values.shape[0], _STEIN_ROW_BLOCK):
-        g = values[lo : lo + _STEIN_ROW_BLOCK]
-        spec = np.abs(np.fft.fft(g, n2)) ** 2
-        total += np.sum(np.abs(g) ** 2 @ weight) - 2.0 / n2 * np.sum(spec @ kernel_hat)
-        total += local_coef * np.sum(np.abs(np.gradient(g, dx, axis=1)) ** 2)
+        total = _stein_block_sq_sum(total, values[lo : lo + _STEIN_ROW_BLOCK], dx, kernel)
     return float(total)
+
+
+def _stein_block_sq_sum(total, g: np.ndarray, dx: float, kernel):
+    """``total`` plus block ``g``'s share of ``_grid_stein_sq_sum`` (``kernel``:
+    ``_stein_kernel``'s output after ``values``)."""
+    kernel_sum, kernel_hat, local_coef, tail_coef = kernel
+    n2 = kernel_hat.size
+    spec = np.abs(np.fft.fft(g, n2)) ** 2
+    weight = 2.0 * kernel_sum + tail_coef
+    total += np.sum(np.abs(g) ** 2 @ weight) - 2.0 / n2 * np.sum(spec @ kernel_hat)
+    total += local_coef * np.sum(np.abs(np.gradient(g, dx, axis=1)) ** 2)
+    return total
 
 
 def rho_weight(t: float, theta: float) -> float:
@@ -919,28 +927,48 @@ class DfProbeResult:
 def _df_probe_grid(g, theta: float, t: float, a: float):
     """Arrays lemma_df_probe needs once per grid.
 
-    Returns the xi order that makes rows monotone for the row-wise
-    uniform-grid operator, the dispersion phase exp(i t w) in that order, the
-    |eta|^{4 theta} and |xi|^{2(1+a) theta} multipliers (the latter on the
-    half-spectrum columns 0..nx/2) and the |x|^theta weight.
+    Returns the dispersion phase exp(i t w) and the |xi|^{2(1+a) theta}
+    multiplier on the half-spectrum columns 0..nx/2 (the last is the
+    negative Nyquist xi), the row index of -eta, the |eta|^{4 theta}
+    multiplier and the |x|^theta weight.
     """
-    xi, eta = g.xi, g.eta[:, None]
-    order = np.argsort(xi)
-    phase = np.exp(1j * t * dispersion_symbol(xi[order][None, :], eta, a))
+    xi, eta = g.xi[: g.nx // 2 + 1], g.eta[:, None]
+    phase = np.exp(1j * t * dispersion_symbol(xi[None, :], eta, a))
     m_eta = np.abs(eta) ** (4.0 * theta)
-    m_xi = np.abs(xi[: g.nx // 2 + 1]) ** (2.0 * (1 + a) * theta)
-    return order, phase, m_eta, m_xi, np.abs(g.x) ** theta
+    m_xi = np.abs(xi) ** (2.0 * (1 + a) * theta)
+    return phase, -np.arange(g.ny) % g.ny, m_eta, m_xi, np.abs(g.x) ** theta
+
+
+def _mirrored_rows(out: np.ndarray, phase: np.ndarray, v: np.ndarray, neg_eta: np.ndarray, lo: int):
+    """Rows lo.. of the full phase * c in increasing-xi order, into ``out``.
+
+    ``phase`` and ``v`` hold the columns 0..h = nx/2.  Both are Hermitian (w
+    is odd in xi, even in eta), so the xi < 0 half of row eta is row -eta
+    conjugated and reversed: out = [(p v)[:, h], conj(p v)[-eta, h-1..1],
+    (p v)[:, :h]].
+    """
+    h = v.shape[1] - 1
+    hi = lo + out.shape[0]
+    np.multiply(phase[lo:hi, h], v[lo:hi, h], out=out[:, 0])
+    neg = neg_eta[lo:hi]
+    np.multiply(phase[neg, h - 1 : 0 : -1], v[neg, h - 1 : 0 : -1], out=out[:, 1:h])
+    np.conjugate(out[:, 1:h], out=out[:, 1:h])
+    np.multiply(phase[lo:hi, :h], v[lo:hi, :h], out=out[:, h:])
+    return out
 
 
 def lemma_df_probe(theta: float, t: float, a: float, fields: list[RealField2D]) -> DfProbeResult:
     """Max of ||D^theta_xi(psi fhat)|| over its Duhamel-lemma bound.
 
-    The left side applies the 1D grid Stein derivative in xi row by row at
-    fixed eta and takes L^2 over both variables, by Plancherel with one
-    forward transform per row block (``_grid_stein_sq_sum``); the right side
-    combines the spectral norms
-    rho(t)(||f|| + ||D_y^{2 theta} f|| + ||D_x^{(1+a) theta} f||) with the
-    weighted norm || |x|^theta f ||.  Fields may live on different grids.
+    Both sides read the ``rfft2`` half spectrum v of each field; no full
+    spectrum is formed.  The left side applies the 1D grid Stein derivative
+    in xi row by row at fixed eta and takes L^2 over both variables: the
+    rows of exp(i t w) fhat are mirrored from v block by block into one
+    buffer and summed by Plancherel (``_stein_block_sq_sum``).  The right
+    side combines rho(t)(||f|| + ||D_y^{2 theta} f|| + ||D_x^{(1+a) theta}
+    f||) with || |x|^theta f ||.  Both are degree one in f, so each field is
+    scaled by the power of two that brings max |f| into [1/2, 1): exact, and
+    no square overflows or underflows.  Fields may live on different grids.
     theta, t and a are checked before any field is read.
     """
     if not 0.0 < theta < 1.0:
@@ -955,20 +983,28 @@ def lemma_df_probe(theta: float, t: float, a: float, fields: list[RealField2D]) 
     ratios = []
     for f in fields:
         g = f.grid
-        if mass(f) == 0.0:
+        peak = max(float(f.samples.max()), -float(f.samples.min()))
+        if peak == 0.0:
             ratios.append(0.0)
             continue
-        if g not in per_grid:
-            per_grid[g] = _df_probe_grid(g, theta, t, a)
-        order, phase, m_eta, m_xi, wx = per_grid[g]
-        coeffs = to_spectral(f).coeffs
-        rows = phase * coeffs[:, order]
         dxi = 2.0 * np.pi / g.lx
         deta = 2.0 * np.pi / g.ly
-        lhs = np.sqrt(_grid_stein_sq_sum(rows, dxi, theta) * dxi * deta) / (2.0 * np.pi)
+        if g not in per_grid:
+            buf = np.empty((min(_STEIN_ROW_BLOCK, g.ny), g.nx), complex)
+            _, *kernel = _stein_kernel(buf, dxi, theta)
+            per_grid[g] = _df_probe_grid(g, theta, t, a), buf, kernel
+        (phase, neg_eta, m_eta, m_xi, wx), buf, kernel = per_grid[g]
+        scale = math.ldexp(1.0, -math.frexp(peak)[1])
+        v = half_spectrum(f)
+        v *= scale
+        total = 0.0
+        for lo in range(0, g.ny, _STEIN_ROW_BLOCK):
+            rows = _mirrored_rows(buf[: g.ny - lo], phase, v, neg_eta, lo)
+            total = _stein_block_sq_sum(total, rows, dxi, kernel)
+        lhs = np.sqrt(float(total) * dxi * deta) / (2.0 * np.pi)
 
-        l2, dy, dxn = np.sqrt(_spectral_sums(coeffs[:, : g.nx // 2 + 1], g, 1.0, m_eta, m_xi))
-        rhs = rho_weight(t, theta) * (l2 + dy + dxn) + _weighted_l2(f, wx)
+        l2, dy, dxn = np.sqrt(_spectral_sums(v, g, 1.0, m_eta, m_xi))
+        rhs = rho_weight(t, theta) * (l2 + dy + dxn) + _weighted_l2(f, wx * scale)
         ratios.append(float(lhs / rhs))
     ratios = np.asarray(ratios)
     return DfProbeResult(float(np.max(ratios)), ratios, theta, t, a)
@@ -980,6 +1016,7 @@ def gaussian_ensemble(grid, n_members: int, seed: int = 0) -> list[RealField2D]:
     x, y = grid.x, grid.y
     fields = []
     max_c = min(grid.lx, grid.ly) / 8.0
+    term = np.empty((grid.ny, grid.nx))
     for _ in range(n_members):
         u = np.zeros((grid.ny, grid.nx))
         for _ in range(rng.integers(1, 4)):
@@ -988,6 +1025,9 @@ def gaussian_ensemble(grid, n_members: int, seed: int = 0) -> list[RealField2D]:
             sx, sy = rng.uniform(0.6, 1.8, size=2)
             ex = -((x - cx) ** 2) / sx**2
             ey = ((y - cy) ** 2) / sy**2
-            u += amp * np.exp(ex[None, :] - ey[:, None])
+            np.subtract(ex[None, :], ey[:, None], out=term)
+            np.exp(term, out=term)
+            term *= amp
+            u += term
         fields.append(RealField2D(grid, u))
     return fields

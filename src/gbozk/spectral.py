@@ -167,9 +167,15 @@ def to_physical(field: SpectralField2D) -> RealField2D:
 
 
 def half_spectrum(field: RealField2D) -> np.ndarray:
-    """``rfft2`` half spectrum: columns 0..nx/2 of ``to_spectral``'s coefficients."""
+    """``rfft2`` half spectrum: columns 0..nx/2 of ``to_spectral``'s coefficients.
+
+    The continuum normalisation dx dy is applied in place (same bits as a
+    product), so no second spectrum-sized array is formed.
+    """
     g = field.grid
-    return np.fft.rfft2(np.fft.ifftshift(field.samples)) * (g.dx * g.dy)
+    v = np.fft.rfft2(np.fft.ifftshift(field.samples))
+    v *= g.dx * g.dy
+    return v
 
 
 def hermitian_weights(nx: int) -> np.ndarray:

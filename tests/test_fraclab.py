@@ -499,12 +499,14 @@ def _meshgrid_ensemble(grid, n_members, seed):
 
 
 def _meshgrid_probe_grid(g, theta, t, a):
-    """_df_probe_grid as written on the full wavenumber meshgrid."""
+    """_df_probe_grid's arrays built on the full wavenumber meshgrid: the
+    argsort xi order, the full phase in fft column order and the
+    multipliers."""
     from gbozk.propagator import dispersion_symbol
 
     xi, eta = g.spectral_meshgrid()
     order = np.argsort(g.xi)
-    phase = np.exp(1j * t * dispersion_symbol(xi, eta, a))[:, order]
+    phase = np.exp(1j * t * dispersion_symbol(xi, eta, a))
     m_eta = np.abs(g.eta[:, None]) ** (4.0 * theta)
     m_xi = np.abs(g.xi[: g.nx // 2 + 1]) ** (2.0 * (1 + a) * theta)
     return order, phase, m_eta, m_xi, np.abs(g.x) ** theta
@@ -530,11 +532,43 @@ class TestProbeBuildBits:
     @pytest.mark.parametrize("t", [0.0, 0.7, 1.0])
     @pytest.mark.parametrize("a", [0.0, 0.5, 1.0])
     def test_probe_grid_matches_meshgrid_build(self, shape, t, a):
+        # the half phase is the meshgrid phase's columns 0..nx/2 byte for byte;
+        # mirrored into xi order it is the argsort-ordered phase (under ==:
+        # at t = 0 the conjugated half carries -0.0 imaginary parts)
         g = make_grid(*shape)
+        h = g.nx // 2
         for theta in (0.3, 0.5):
-            got = fraclab._df_probe_grid(g, theta, t, a)
-            want = _meshgrid_probe_grid(g, theta, t, a)
-            assert [np.asarray(x).tobytes() for x in got] == [x.tobytes() for x in want]
+            phase, neg_eta, *rest = fraclab._df_probe_grid(g, theta, t, a)
+            order, full, *want = _meshgrid_probe_grid(g, theta, t, a)
+            assert phase.tobytes() == full[:, : h + 1].tobytes()
+            assert np.all((g.ky[neg_eta] + g.ky) % g.ny == 0)
+            mirrored = fraclab._mirrored_rows(
+                np.empty((g.ny, g.nx), complex), phase, np.ones_like(phase), neg_eta, 0
+            )
+            assert np.array_equal(mirrored, full[:, order])
+            assert [x.tobytes() for x in rest] == [x.tobytes() for x in want]
+
+
+def _full_spectrum_probe_ratio(theta, t, a, f):
+    """lemma_df_probe's ratio for one nonzero field from the full complex
+    spectrum: to_spectral, the rows gathered into increasing-xi order and one
+    _grid_stein_sq_sum over all of them."""
+    from gbozk.diagnostics import _spectral_sums, _weighted_l2
+    from gbozk.propagator import dispersion_symbol
+    from gbozk.spectral import to_spectral
+
+    g = f.grid
+    order = np.argsort(g.xi)
+    phase = np.exp(1j * t * dispersion_symbol(g.xi[order][None, :], g.eta[:, None], a))
+    coeffs = to_spectral(f).coeffs
+    rows = phase * coeffs[:, order]
+    dxi, deta = 2.0 * np.pi / g.lx, 2.0 * np.pi / g.ly
+    lhs = np.sqrt(fraclab._grid_stein_sq_sum(rows, dxi, theta) * dxi * deta) / (2.0 * np.pi)
+    m_eta = np.abs(g.eta[:, None]) ** (4.0 * theta)
+    m_xi = np.abs(g.xi[: g.nx // 2 + 1]) ** (2.0 * (1 + a) * theta)
+    l2, dy, dxn = np.sqrt(_spectral_sums(coeffs[:, : g.nx // 2 + 1], g, 1.0, m_eta, m_xi))
+    rhs = fraclab.rho_weight(t, theta) * (l2 + dy + dxn) + _weighted_l2(f, np.abs(g.x) ** theta)
+    return lhs / rhs
 
 
 class TestLemmaDfProbe:
@@ -594,6 +628,69 @@ class TestLemmaDfProbe:
         ra = lemma_df_probe(0.4, 0.7, 0.5, fa).ratios
         rb = lemma_df_probe(0.4, 0.7, 0.5, fb).ratios
         assert list(mixed) == [ra[0], rb[0], ra[1], rb[1]]
+
+    @pytest.mark.parametrize("amp", [1e-200, 1e-170, 1e-100, 1e-10, 1e10, 1e160, 1e200])
+    def test_ratio_invariant_under_amplitude(self, amp):
+        # both sides are degree one in f: a tiny field is not read as zero and
+        # a huge one does not overflow its squares
+        from gbozk import RealField2D
+
+        g = make_grid(64, 64, 24.0, 24.0)
+        (f,) = gaussian_ensemble(g, 1, seed=3)
+        want = lemma_df_probe(0.5, 1.0, 0.5, [f]).ratios[0]
+        got = lemma_df_probe(0.5, 1.0, 0.5, [RealField2D(g, f.samples * amp)]).ratios[0]
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(k=st.integers(-400, 400), seed=st.integers(0, 50))
+    def test_power_of_two_scaling_is_exact(self, k, seed):
+        # the scaling to max |f| in [1/2, 1) is exact, so a field scaled by
+        # 2^k gives the same ratio bit for bit
+        from gbozk import RealField2D
+
+        g = make_grid(64, 48, 24.0, 20.0)
+        (f,) = gaussian_ensemble(g, 1, seed=seed)
+        # Gaussian tails reach the subnormal range; below 1e-100 they are set
+        # to zero so that the input scaling by 2^k is itself exact
+        f.samples[np.abs(f.samples) < 1e-100] = 0.0
+        scaled = np.ldexp(f.samples, k)
+        assert np.array_equal(np.ldexp(scaled, -k), f.samples)
+        want = lemma_df_probe(0.4, 0.7, 0.5, [f]).ratios[0]
+        assert lemma_df_probe(0.4, 0.7, 0.5, [RealField2D(g, scaled)]).ratios[0] == want
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        nx=st.integers(4, 100).map(lambda k: 2 * k),
+        ny=st.integers(4, 100).map(lambda k: 2 * k),
+        lx=st.floats(8.0, 40.0),
+        ly=st.floats(8.0, 40.0),
+        theta=st.floats(0.01, 0.99),
+        t=st.floats(0.0, 10.0),
+        a=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_spectrum_probe(self, nx, ny, lx, ly, theta, t, a, seed):
+        # the streamed half-spectrum probe against the full-spectrum one;
+        # ny up to 200 crosses the 64-row block boundary
+        fields = gaussian_ensemble(make_grid(nx, ny, lx, ly), 2, seed=seed)
+        got = lemma_df_probe(theta, t, a, fields).ratios
+        want = [_full_spectrum_probe_ratio(theta, t, a, f) for f in fields]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_traced_peak_below_six_and_a_half_fields(self):
+        # streamed blocks: no full complex spectrum, phase or gathered rows
+        import tracemalloc
+
+        g = make_grid(256, 256, 32.0, 32.0)
+        fields = gaussian_ensemble(g, 4, seed=1)
+        lemma_df_probe(0.5, 1.0, 0.5, fields)
+        tracemalloc.start()
+        try:
+            lemma_df_probe(0.5, 1.0, 0.5, fields)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (g.nx * g.ny * 8) < 6.5
 
     # Ratios of the dense O(n^2) grid operator, before the FFT convolution:
     # (n, seed) -> {(theta, t, a): ratios of a 3-member ensemble on a 24 x 24 box}
