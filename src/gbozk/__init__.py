@@ -15,10 +15,6 @@ from .spectral import (
     make_grid,
     to_spectral,
     to_physical,
-    fractional_x_derivative,
-    bessel_potential,
-    hilbert_x,
-    dealias,
 )
 from .propagator import (
     DispersionParams,

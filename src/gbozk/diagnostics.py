@@ -26,14 +26,13 @@ from functools import lru_cache
 import numpy as np
 
 from .propagator import DispersionParams
-from .spectral import GridSpec, RealField2D, half_spectrum, hermitian_weights
+from .spectral import GridSpec, RealField2D, half_spectrum, half_xi, hermitian_weights
 
 __all__ = [
     "WeightSpec",
     "SobolevSpec",
     "truncated_weight",
     "truncated_abs_weight",
-    "truncated_weight_blend_constant",
     "weighted_norm",
     "truncated_x_norm",
     "truncated_y_norm",
@@ -175,21 +174,6 @@ def _blend_values(xs: np.ndarray, N: float, p: float) -> np.ndarray:
     return np.sqrt(1.0 + N**2) + np.sum(wts[None, :] * integrand, axis=1) * half
 
 
-def truncated_weight_blend_constant(N: float) -> float:
-    """Measured sup |<x>_N''| / <x>'' over the blend (reported, not asserted).
-
-    The second derivative is estimated by central differences on 4001
-    points; the ratio grows with N because the plateau forces the slope from
-    ~1 to 0 across a window where <x>'' has already decayed.
-    """
-    x = np.linspace(N * (1 - 1e-3), 3.0 * N * (1 + 1e-3), 4001)
-    w = truncated_weight(x, N)
-    h = x[1] - x[0]
-    second = np.abs(np.diff(w, 2)) / h**2
-    ref = (1.0 + x[1:-1] ** 2) ** (-1.5)
-    return float(np.max(second / ref))
-
-
 # --- norm cores --------------------------------------------------------------
 
 @lru_cache(maxsize=64)
@@ -204,11 +188,6 @@ def _weighted_l2(u: RealField2D, w) -> float:
     """sqrt(sum (w u)^2 dx dy); ``w`` broadcasts against the (ny, nx) samples."""
     g = u.grid
     return float(np.sqrt(np.sum((w * u.samples) ** 2) * g.dx * g.dy))
-
-
-def _half_xi(grid: GridSpec) -> np.ndarray:
-    """xi on the half-spectrum columns 0..nx/2 (the last is the negative Nyquist)."""
-    return grid.xi[: grid.nx // 2 + 1]
 
 
 def _spectral_sums(v: np.ndarray, grid: GridSpec, *mults) -> list[float]:
@@ -249,7 +228,7 @@ def truncated_y_norm(u: RealField2D, r2: float, N: float = np.inf) -> float:
 
 def _sobolev_multipliers(grid: GridSpec, spec: SobolevSpec) -> tuple[np.ndarray, np.ndarray]:
     """Squared multipliers (1+xi^2)^{s1} and (1+eta^2)^{s2} on the half spectrum."""
-    return (1.0 + _half_xi(grid) ** 2) ** spec.s1, (1.0 + grid.eta[:, None] ** 2) ** spec.s2
+    return (1.0 + half_xi(grid) ** 2) ** spec.s1, (1.0 + grid.eta[:, None] ** 2) ** spec.s2
 
 
 def sobolev_norm(u: RealField2D, spec: SobolevSpec) -> float:
@@ -279,7 +258,7 @@ def hamiltonian(u: RealField2D, params: DispersionParams) -> float:
     time derivative is the integral of an exact x-derivative.
     """
     g = u.grid
-    m = np.abs(_half_xi(g)) ** (params.a + 1.0) - g.eta[:, None] ** 2
+    m = np.abs(half_xi(g)) ** (params.a + 1.0) - g.eta[:, None] ** 2
     (quadratic,) = _spectral_sums(half_spectrum(u), g, m)
     cube = u.samples * u.samples  # not u**3, which goes through libm pow
     cube *= u.samples
@@ -341,7 +320,7 @@ def interx_probe(
     for f in fields:
         g = f.grid
         w = _axis_weight(g, "x", N)
-        xi2 = 1.0 + _half_xi(g) ** 2
+        xi2 = 1.0 + half_xi(g) ** 2
         weighted = RealField2D(g, w ** ((1.0 - beta) * b) * f.samples)
         (lhs,) = _spectral_sums(half_spectrum(weighted), g, xi2 ** (alpha * beta))
         (jnorm,) = _spectral_sums(half_spectrum(f), g, xi2**alpha)

@@ -81,7 +81,7 @@ def quad(fn, a, b, epsabs, epsrel, limit):
 
 from .diagnostics import _spectral_sums, _weighted_l2
 from .propagator import dispersion_symbol
-from .spectral import RealField2D, half_spectrum
+from .spectral import RealField2D, half_spectrum, half_xi
 
 __all__ = [
     "cutoff_phi",
@@ -932,7 +932,7 @@ def _df_probe_grid(g, theta: float, t: float, a: float):
     negative Nyquist xi), the row index of -eta, the |eta|^{4 theta}
     multiplier and the |x|^theta weight.
     """
-    xi, eta = g.xi[: g.nx // 2 + 1], g.eta[:, None]
+    xi, eta = half_xi(g), g.eta[:, None]
     phase = np.exp(1j * t * dispersion_symbol(xi[None, :], eta, a))
     m_eta = np.abs(eta) ** (4.0 * theta)
     m_xi = np.abs(xi) ** (2.0 * (1 + a) * theta)

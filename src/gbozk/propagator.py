@@ -63,9 +63,9 @@ def apply_linear_propagator(
     field: SpectralField2D, t: float, params: DispersionParams
 ) -> SpectralField2D:
     """Multiply every coefficient by exp(i t w); per-mode modulus preserved."""
-    xi, eta = field.grid.spectral_meshgrid()
-    w = dispersion_symbol(xi, eta, params.a)
-    return SpectralField2D(field.grid, field.coeffs * np.exp(1j * t * w))
+    g = field.grid
+    w = dispersion_symbol(g.xi[None, :], g.eta[:, None], params.a)
+    return SpectralField2D(g, field.coeffs * np.exp(1j * t * w))
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ import numpy as np
 
 from .propagator import DispersionParams, dispersion_symbol
 from .spectral import GridSpec, RealField2D, SpectralField2D, dealias_mask
-from .spectral import half_spectrum, hermitian_weights
+from .spectral import half_spectrum, half_xi, hermitian_weights
 
 __all__ = [
     "SolverConfig",
@@ -108,7 +108,7 @@ def _nl_multiplier(grid: GridSpec, dealias: bool) -> np.ndarray:
     """
     nh = grid.nx // 2 + 1
     m = np.zeros((grid.ny, nh), dtype=complex)
-    m[:, :-1] = (-0.5j / (grid.dx * grid.dy)) * grid.xi[: nh - 1]
+    m[:, :-1] = (-0.5j / (grid.dx * grid.dy)) * half_xi(grid)[:-1]
     if dealias:
         m *= dealias_mask(grid)[:, :nh]
     return m
@@ -155,9 +155,8 @@ class Stepper:
         # the rest is row ny - l
         half = grid.ny // 2
         mirror = np.r_[0 : half + 1, half - 1 : 0 : -1]
-        # fftfreq order: column nx/2 carries the negative Nyquist xi
-        xi = grid.xi[: self._nh]
-        lin = 1j * dispersion_symbol(xi[None, :], grid.eta[: half + 1, None], cfg.params.a)
+        xi, eta = half_xi(grid)[None, :], grid.eta[: half + 1, None]
+        lin = 1j * dispersion_symbol(xi, eta, cfg.params.a)
         dt = cfg.dt
         dt_lin = dt * lin
         self.exp_full = np.exp(dt_lin)[mirror]
@@ -306,8 +305,13 @@ def evolve(
     ``blowup_factor`` times its initial value) is checked after every step,
     whatever the stride.  On blow-up the last good snapshot is stored and a
     ``BlowUpError`` is raised with the partial trajectory attached as its
-    ``trajectory``.
+    ``trajectory``.  ``stride`` < 1 or ``snapshot_stride`` < 0 raises
+    ``ValueError`` before any step.
     """
+    if stride < 1 or snapshot_stride < 0:
+        raise ValueError(
+            f"need stride >= 1 and snapshot_stride >= 0, got {stride} and {snapshot_stride}"
+        )
     g = initial.grid
     # rounding to whole steps lands the final time within dt/2 of T
     n_steps = max(1, int(round(cfg.T / cfg.dt)))

@@ -1,4 +1,4 @@
-"""Periodic grid, discrete Fourier transforms and anisotropic multiplier operators.
+"""Periodic grid, discrete Fourier transforms and the rfft2 half spectrum.
 
 The physical domain is a centered periodic box [-lx/2, lx/2) x [-ly/2, ly/2)
 sampled on an nx-by-ny lattice (x fastest varying, row-major with y outer).
@@ -9,14 +9,17 @@ continuous forward integral
 
 i.e. ``coeffs = fft2(ifftshift(samples)) * dx * dy`` with wavenumbers in
 numpy fft order.  With this convention closed-form transforms of Gaussians
-and the value f_hat(0, 0) = int f are directly comparable.
+and the value f_hat(0, 0) = int f are directly comparable.  Real fields are
+computed on the ``rfft2`` half spectrum, columns 0..nx/2 of those
+coefficients (``half_spectrum``, ``half_xi``, ``hermitian_weights``).
 
 Conventions fixed here and relied on elsewhere:
 
 * |xi|^z at xi = 0 is 0 for z > 0 (principal-value reading of the Riesz
   multiplier).
-* Odd-symbol operators (Hilbert transform, d/dx) zero the Nyquist column;
-  otherwise the asymmetric Nyquist mode would break realness.
+* The odd symbol of the quadratic term (``solver._nl_multiplier``) zeroes
+  the Nyquist column; otherwise the asymmetric Nyquist mode would break
+  realness.
 * Dealiasing keeps integer modes with |k| <= nx/3 and |l| <= ny/3.
 """
 
@@ -34,14 +37,8 @@ __all__ = [
     "to_spectral",
     "to_physical",
     "half_spectrum",
+    "half_xi",
     "hermitian_weights",
-    "fractional_x_derivative",
-    "bessel_potential",
-    "hilbert_x",
-    "x_derivative",
-    "dealias",
-    "l2_norm",
-    "spectral_l2_norm",
 ]
 
 
@@ -103,10 +100,6 @@ class GridSpec:
         """(X, Y) physical coordinate arrays of shape (ny, nx)."""
         return np.meshgrid(self.x, self.y, indexing="xy")
 
-    def spectral_meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
-        """(XI, ETA) wavenumber arrays of shape (ny, nx), fft order."""
-        return np.meshgrid(self.xi, self.eta, indexing="xy")
-
 
 def make_grid(nx: int, ny: int, lx: float, ly: float) -> GridSpec:
     return GridSpec(nx=nx, ny=ny, lx=float(lx), ly=float(ly))
@@ -148,9 +141,6 @@ class SpectralField2D:
                 f"({self.grid.ny}, {self.grid.nx})"
             )
 
-    def copy(self) -> "SpectralField2D":
-        return SpectralField2D(self.grid, self.coeffs.copy())
-
 
 def to_spectral(field: RealField2D) -> SpectralField2D:
     """Forward transform with continuous-integral normalization."""
@@ -178,61 +168,17 @@ def half_spectrum(field: RealField2D) -> np.ndarray:
     return v
 
 
+def half_xi(grid: GridSpec) -> np.ndarray:
+    """xi on the half-spectrum columns 0..nx/2 (the last is the negative Nyquist)."""
+    return grid.xi[: grid.nx // 2 + 1]
+
+
 def hermitian_weights(nx: int) -> np.ndarray:
     """Half-spectrum column weights: 2 where column k also stands for its
     mirror nx - k (real data, summand even in (xi, eta)), 1 at k = 0 and nx/2."""
     w = np.full(nx // 2 + 1, 2.0)
     w[[0, -1]] = 1.0
     return w
-
-
-def imag_residue(field: SpectralField2D) -> float:
-    """Max |imaginary part| after inversion; ~1e-16 for Hermitian data."""
-    g = field.grid
-    u = np.fft.fftshift(np.fft.ifft2(field.coeffs)) / (g.dx * g.dy)
-    return float(np.max(np.abs(u.imag)))
-
-
-def _multiplied(field: SpectralField2D, mult: np.ndarray) -> SpectralField2D:
-    return SpectralField2D(field.grid, field.coeffs * mult)
-
-
-def fractional_x_derivative(field: SpectralField2D, z: float) -> SpectralField2D:
-    """Riesz derivative in x: multiplier |xi|^z, with |0|^z := 0."""
-    if not z > 0:
-        raise ValueError(f"fractional order z must be positive, got {z}")
-    return _multiplied(field, np.abs(field.grid.xi)[None, :] ** z)
-
-
-def bessel_potential(field: SpectralField2D, s: float, axis: str = "x") -> SpectralField2D:
-    """Bessel potential J^s: multiplier (1 + |.|^2)^(s/2) along x, y or both."""
-    g = field.grid
-    if axis == "x":
-        m = (1.0 + g.xi[None, :] ** 2) ** (s / 2.0)
-    elif axis == "y":
-        m = (1.0 + g.eta[:, None] ** 2) ** (s / 2.0)
-    elif axis == "both":
-        xi, eta = g.spectral_meshgrid()
-        m = (1.0 + xi**2 + eta**2) ** (s / 2.0)
-    else:
-        raise ValueError(f"axis must be 'x', 'y' or 'both', got {axis!r}")
-    return _multiplied(field, m)
-
-
-def hilbert_x(field: SpectralField2D) -> SpectralField2D:
-    """Hilbert transform in x: multiplier -i sgn(xi), Nyquist column zeroed."""
-    g = field.grid
-    m = -1j * np.sign(g.xi)[None, :].astype(complex)
-    m[0, g.nx // 2] = 0.0
-    return _multiplied(field, m)
-
-
-def x_derivative(field: SpectralField2D) -> SpectralField2D:
-    """d/dx: multiplier i xi with the Nyquist column zeroed (odd symbol)."""
-    g = field.grid
-    m = 1j * g.xi[None, :].copy()
-    m[0, g.nx // 2] = 0.0
-    return _multiplied(field, m)
 
 
 def dealias_mask(grid: GridSpec) -> np.ndarray:
@@ -246,20 +192,3 @@ def dealias_mask(grid: GridSpec) -> np.ndarray:
     keep_x = np.abs(grid.kx) <= grid.nx / 3.0
     keep_y = np.abs(grid.ky) <= grid.ny / 3.0
     return keep_y[:, None] & keep_x[None, :]
-
-
-def dealias(field: SpectralField2D) -> SpectralField2D:
-    """2/3-rule truncation, alias-free for quadratic products."""
-    return _multiplied(field, dealias_mask(field.grid))
-
-
-def l2_norm(field: RealField2D) -> float:
-    """Box L2 norm sqrt(sum u^2 dx dy)."""
-    g = field.grid
-    return float(np.sqrt(np.sum(field.samples**2) * g.dx * g.dy))
-
-
-def spectral_l2_norm(field: SpectralField2D) -> float:
-    """Same L2 norm evaluated from coefficients (Plancherel)."""
-    g = field.grid
-    return float(np.sqrt(np.sum(np.abs(field.coeffs) ** 2) / (g.lx * g.ly)))

@@ -504,7 +504,7 @@ def _meshgrid_probe_grid(g, theta, t, a):
     multipliers."""
     from gbozk.propagator import dispersion_symbol
 
-    xi, eta = g.spectral_meshgrid()
+    xi, eta = np.meshgrid(g.xi, g.eta, indexing="xy")
     order = np.argsort(g.xi)
     phase = np.exp(1j * t * dispersion_symbol(xi, eta, a))
     m_eta = np.abs(g.eta[:, None]) ** (4.0 * theta)

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import types
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import gbozk
 from gbozk import evolve, make_grid
 from gbozk.cli import main as cli_main
 from gbozk.config import _SCHEMA, ConfigError, load_config
@@ -792,3 +794,13 @@ class TestImportCost:
             "from gbozk import fraclab\n" + self._QUAD_BITS
         )
         assert self._run(code, tmp_path) == ["True", "True"]
+
+
+class TestPublicApi:
+    def test_package_exports(self):
+        # gbozk exports exactly the names README's "Python API" lists
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Python API", 1)[1]
+        listing = section.split("exports exactly these names:", 1)[1].split("\n\n", 2)[1]
+        exported = {n for n in gbozk.__all__ if not isinstance(getattr(gbozk, n), types.ModuleType)}
+        assert exported == set(re.findall(r"`(\w+)`", listing))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gbozk import (
     DispersionParams,
@@ -13,7 +14,6 @@ from gbozk import (
     xi_expansion_terms,
 )
 from gbozk.propagator import fd_oracle
-from gbozk.spectral import spectral_l2_norm
 
 from conftest import gaussian_field, random_field
 
@@ -39,7 +39,7 @@ class TestDispersionSymbol:
     def test_zk_symbol_on_lattice(self):
         # at a = 1 the phase rate is the cubic ZK symbol xi eta^2 - xi^3
         g = make_grid(16, 16, 2 * np.pi, 2 * np.pi)
-        XI, ETA = g.spectral_meshgrid()
+        XI, ETA = np.meshgrid(g.xi, g.eta, indexing="xy")
         w = dispersion_symbol(XI, ETA, 1.0)
         assert np.max(np.abs(w - (XI * ETA**2 - XI**3))) < 1e-12
 
@@ -57,11 +57,10 @@ class TestLinearPropagator:
         assert np.array_equal(out.coeffs, c.coeffs)
 
     def test_l2_norm_preserved(self, grid_box):
+        # mode by mode, which preserves the Plancherel norm
         c = to_spectral(random_field(grid_box, seed=1))
         out = apply_linear_propagator(c, 3.7, DispersionParams(0.3))
-        assert np.isclose(
-            spectral_l2_norm(out), spectral_l2_norm(c), rtol=1e-13, atol=0.0
-        )
+        np.testing.assert_allclose(np.abs(out.coeffs), np.abs(c.coeffs), rtol=1e-13, atol=0.0)
 
     def test_single_mode_half_period(self):
         # mode (1, 0): rate -1, so t = pi multiplies by exp(-i pi) = -1
@@ -82,6 +81,22 @@ class TestLinearPropagator:
         )
         rel = np.max(np.abs(once.coeffs - twice.coeffs)) / np.max(np.abs(c.coeffs))
         assert rel < 1e-12
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        half_n=st.tuples(st.integers(4, 32), st.integers(4, 32)),
+        box=st.tuples(st.floats(0.5, 100.0), st.floats(0.5, 100.0)),
+        a=st.floats(0.0, 1.0),
+        t=st.floats(-10.0, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_broadcast_phase_matches_meshgrid_build(self, half_n, box, a, t, seed):
+        g = make_grid(2 * half_n[0], 2 * half_n[1], *box)
+        c = to_spectral(random_field(g, seed=seed))
+        XI, ETA = np.meshgrid(g.xi, g.eta, indexing="xy")
+        want = c.coeffs * np.exp(1j * t * dispersion_symbol(XI, ETA, a))
+        got = apply_linear_propagator(c, t, DispersionParams(a)).coeffs
+        assert got.tobytes() == want.tobytes()
 
 
 class TestExpansionEval:

@@ -44,7 +44,7 @@ class _FullSpectrumStepper:
     def __init__(self, grid, cfg, n_contour: int = 32):
         self.grid = grid
         self.cfg = cfg
-        xi, eta = grid.spectral_meshgrid()
+        xi, eta = np.meshgrid(grid.xi, grid.eta, indexing="xy")
         lin = 1j * dispersion_symbol(xi, eta, cfg.params.a)  # i w, diagonal
         dt = cfg.dt
         self.exp_full = np.exp(dt * lin)
@@ -409,6 +409,21 @@ class TestEvolve:
             assert _blowup_mode(v, g) == (g.kx[k], g.ky[l])
             v[(l + 1) % g.ny, k] = np.nan  # a non-finite entry wins
             assert _blowup_mode(v, g) == (g.kx[k], g.ky[(l + 1) % g.ny])
+
+    @pytest.mark.parametrize("stride, snapshot_stride", [(0, 0), (-2, 0), (1, -2), (0, -1)])
+    def test_rejects_bad_strides_before_stepping(
+        self, monkeypatch, grid_2pi, stride, snapshot_stride
+    ):
+        # unchecked, stride 0 divides by zero after the first step and a
+        # negative stride records every |stride| steps
+        def no_stepper(*args):
+            raise AssertionError("Stepper built for a bad stride")
+
+        monkeypatch.setattr("gbozk.solver.Stepper", no_stepper)
+        u0 = gaussian_field(grid_2pi, 0.1)
+        with pytest.raises(ValueError, match="stride"):
+            evolve(u0, SolverConfig(dt=0.01, T=0.05, params=P), stride=stride,
+                   snapshot_stride=snapshot_stride)
 
     def test_determinism(self, grid_2pi):
         u0 = gaussian_field(grid_2pi, 0.4, 0.9, 1.1)
