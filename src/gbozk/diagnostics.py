@@ -311,11 +311,14 @@ def interx_probe(
 
     Probes ||J_x^{alpha beta}(<x>_N^{(1-beta) b} f)|| <=
     C ||<x>_N^b f||^{1-beta} ||J_x^alpha f||^beta over the given family and
-    returns the max ratio.  Stability of this number under grid refinement
-    and truncation level is what the callers test.
+    returns the max ratio; a zero field's ratio is 0.  Stability of this
+    number under grid refinement and truncation level is what the callers
+    test.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
+    if len(fields) == 0:
+        raise ValueError("fields must hold at least one field")
     ratios = []
     for f in fields:
         g = f.grid
@@ -325,6 +328,5 @@ def interx_probe(
         (lhs,) = _spectral_sums(half_spectrum(weighted), g, xi2 ** (alpha * beta))
         (jnorm,) = _spectral_sums(half_spectrum(f), g, xi2**alpha)
         rhs = _weighted_l2(f, w**b) ** (1.0 - beta) * np.sqrt(jnorm) ** beta
-        if rhs > 0:
-            ratios.append(float(np.sqrt(lhs) / rhs))
+        ratios.append(float(np.sqrt(lhs) / rhs) if rhs > 0 else 0.0)
     return max(ratios)

@@ -336,6 +336,8 @@ class SteinBatchQuery:
     gamma: float | None = None
 
     def __post_init__(self) -> None:
+        if "," in self.name or '"' in self.name:
+            raise ValueError("section name must not contain ',' or '\"' (it is a CSV field)")
         # the checks the query's run would make, made when it is read
         check_order(make_profile(self.kind, alpha=self.alpha, gamma=self.gamma), self.theta)
 

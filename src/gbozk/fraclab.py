@@ -109,11 +109,13 @@ __all__ = [
 # --- smooth cutoff -----------------------------------------------------------
 
 # quad evaluates the profiles once per point on a Python float, so the cutoff
-# has a float-only core at |x|, _phi_abs, which the profiles' float branches
-# call directly; cutoff_phi maps other inputs onto it (arrays elementwise).
-# It calls np.exp, not math.exp: numpy's exp differs from libm's in the last
-# bit for a few percent of arguments, and the regression-pinned Stein values
-# were computed with numpy's.
+# and the profiles (make_profile) are written for floats only, the profiles
+# calling the cutoff's core at |x|, _phi_abs, directly.  _elementwise maps any
+# other input (a numpy scalar, a 0-d array, an array) onto the float
+# function, so every input gets the bits a float gets.  The cutoff calls
+# np.exp, not math.exp: numpy's exp differs from libm's in the last bit for a
+# few percent of arguments, and the regression-pinned Stein values were
+# computed with numpy's.
 
 def _elementwise(fn, x):
     """fn mapped over an array-like x; a 0-d x gives a float."""
@@ -320,27 +322,19 @@ class Profile:
         return self.fn(y)
 
 
-def _abs_pow(y, p: float):
-    """|y| ** p; a float y gets a Python float, with numpy's inf for 0 ** (p < 0)
-    and on overflow, where Python raises."""
-    if isinstance(y, float):
-        try:
-            return abs(float(y)) ** p
-        except (ZeroDivisionError, OverflowError):
-            with np.errstate(divide="ignore", over="ignore"):
-                return float(np.float64(abs(y)) ** p)
-    return np.abs(y) ** p
+def _abs_pow(y: float, p: float) -> float:
+    """|y| ** p for a float y, with numpy's inf for 0 ** (p < 0) and on
+    overflow, where Python raises."""
+    try:
+        return abs(y) ** p
+    except (ZeroDivisionError, OverflowError):
+        with np.errstate(divide="ignore", over="ignore"):
+            return float(np.float64(abs(y)) ** p)
 
 
-def _sign(y):
-    """np.sign; a float y gets a Python float."""
-    if isinstance(y, float):
-        if y > 0.0:
-            return 1.0
-        if y < 0.0:
-            return -1.0
-        return 0.0 if y == 0.0 else math.nan
-    return np.sign(y)
+def _sign(y: float) -> float:
+    """np.sign of a float, as a Python float."""
+    return 1.0 if y > 0.0 else -1.0 if y < 0.0 else 0.0 if y == 0.0 else math.nan
 
 
 def make_profile(kind: str, alpha: float | None = None, gamma: float | None = None) -> Profile:
@@ -348,70 +342,64 @@ def make_profile(kind: str, alpha: float | None = None, gamma: float | None = No
 
     kind: "power" -> |y|^alpha phi(y); "power_sign" -> |y|^alpha sgn(y) phi(y);
     "gamma" -> |y|^{gamma - 1/2} phi(y).  The family's parameter must be
-    finite; ``check_order`` bounds its size for a given order.
+    finite; ``check_order`` bounds its size for a given order.  Each function
+    is written once, for a Python float; ``_elementwise`` maps other inputs
+    onto it.
     """
     for name, value in (("alpha", alpha), ("gamma", gamma)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"profile {name} must be finite, got {value}")
-    # Each function has a branch for a Python float, the type quad passes: it
-    # binds the exponents once and calls the cutoff's float core, with every
-    # operation in the same order, so it gives the bits of the general path
-    # below it.  Other inputs take that path, and so does a float for which
-    # Python raises (0 ** p with p < 0, overflow), to get numpy's inf.
-    if kind == "power":
+    # The exponents are bound once and the cutoff's float core is called
+    # directly.  |y| ** p stays inline, as the per-point path can afford no
+    # extra call; where Python raises (0 ** p with p < 0, overflow) the
+    # except clause takes the powers from _abs_pow, which gives numpy's inf.
+    if kind in ("power", "power_sign"):
         if alpha is None:
-            raise ValueError("power profile needs alpha")
+            raise ValueError(f"{kind} profile needs alpha")
         a = float(alpha)
         am1 = a - 1.0
-
+    if kind == "power":
         def f(y):
-            if type(y) is float:
-                ay = abs(y)
-                try:
-                    return ay**a * _phi_abs(ay)
-                except (ZeroDivisionError, OverflowError):
-                    pass
-            return _abs_pow(y, a) * cutoff_phi(y)
+            if type(y) is not float:
+                return _elementwise(f, y)
+            ay = abs(y)
+            try:
+                pa = ay**a
+            except (ZeroDivisionError, OverflowError):
+                pa = _abs_pow(y, a)
+            return pa * _phi_abs(ay)
 
         def fp(y):
-            if type(y) is float:
-                ay = abs(y)
-                try:
-                    return a * _sign(y) * ay**am1 * _phi_abs(ay) + ay**a * cutoff_phi_prime(y)
-                except (ZeroDivisionError, OverflowError):
-                    pass
-            return (
-                a * _sign(y) * _abs_pow(y, am1) * cutoff_phi(y)
-                + _abs_pow(y, a) * cutoff_phi_prime(y)
-            )
+            if type(y) is not float:
+                return _elementwise(fp, y)
+            ay = abs(y)
+            try:
+                pm, pa = ay**am1, ay**a
+            except (ZeroDivisionError, OverflowError):
+                pm, pa = _abs_pow(y, am1), _abs_pow(y, a)
+            return a * _sign(y) * pm * _phi_abs(ay) + pa * cutoff_phi_prime(y)
 
         return Profile(f, f"|y|^{a}*phi", fp, a)
     if kind == "power_sign":
-        if alpha is None:
-            raise ValueError("power_sign profile needs alpha")
-        a = float(alpha)
-        am1 = a - 1.0
-
         def f(y):
-            if type(y) is float:
-                ay = abs(y)
-                try:
-                    return ay**a * _sign(y) * _phi_abs(ay)
-                except (ZeroDivisionError, OverflowError):
-                    pass
-            return _abs_pow(y, a) * _sign(y) * cutoff_phi(y)
+            if type(y) is not float:
+                return _elementwise(f, y)
+            ay = abs(y)
+            try:
+                pa = ay**a
+            except (ZeroDivisionError, OverflowError):
+                pa = _abs_pow(y, a)
+            return pa * _sign(y) * _phi_abs(ay)
 
         def fp(y):
-            if type(y) is float:
-                ay = abs(y)
-                try:
-                    return a * ay**am1 * _phi_abs(ay) + ay**a * _sign(y) * cutoff_phi_prime(y)
-                except (ZeroDivisionError, OverflowError):
-                    pass
-            return (
-                a * _abs_pow(y, am1) * cutoff_phi(y)
-                + _abs_pow(y, a) * _sign(y) * cutoff_phi_prime(y)
-            )
+            if type(y) is not float:
+                return _elementwise(fp, y)
+            ay = abs(y)
+            try:
+                pm, pa = ay**am1, ay**a
+            except (ZeroDivisionError, OverflowError):
+                pm, pa = _abs_pow(y, am1), _abs_pow(y, a)
+            return a * pm * _phi_abs(ay) + pa * _sign(y) * cutoff_phi_prime(y)
 
         return Profile(f, f"|y|^{a}*sgn*phi", fp, a)
     if kind == "gamma":
@@ -420,19 +408,16 @@ def make_profile(kind: str, alpha: float | None = None, gamma: float | None = No
         g1 = float(gamma) - 0.5
 
         def f(y):
-            if type(y) is float:
-                if y == 0.0:
-                    return 0.0
-                ay = abs(y)
-                try:
-                    return ay**g1 * _phi_abs(ay)
-                except OverflowError:
-                    pass
-            if isinstance(y, float):
-                return _abs_pow(y, g1) * cutoff_phi(y) if y != 0.0 else 0.0
-            y = np.asarray(y, dtype=float)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(y != 0.0, _abs_pow(y, g1) * cutoff_phi(y), 0.0)[()]
+            if type(y) is not float:
+                return _elementwise(f, y)
+            if y == 0.0:
+                return 0.0
+            ay = abs(y)
+            try:
+                pg = ay**g1
+            except OverflowError:
+                pg = _abs_pow(y, g1)
+            return pg * _phi_abs(ay)
 
         return Profile(f, f"|y|^{g1}*phi", None, g1)
     raise ValueError(f"unknown profile kind {kind!r}")
@@ -621,13 +606,17 @@ def l2_membership_classify(
       inconclusive.
 
     A squared value that is not finite makes the evidence inconclusive, with
-    no increments computed.
+    no increments computed.  The slope is fitted on the octaves from
+    max(4, n_octaves // 2) on and needs 4 of them, so fewer than 8 octaves
+    leave the evidence inconclusive too; n_octaves < 1 raises ValueError.
 
     For theta >= 1 the classification is applied to the analytic derivative
     of the profile at order theta - 1 (D^0 = identity), which preserves the
     threshold theta < alpha + 1/2; a profile not square integrable at the
     origin is classified at order 0 (``_order_regime``).
     """
+    if n_octaves < 1:
+        raise ValueError(f"n_octaves must be at least 1, got {n_octaves}")
     profile, theta, note = _order_regime(profile, theta)
     ks = np.arange(n_octaves)
     # log-spaced points from 2^{-n} to 1; octave k, [2^{-k-1}, 2^{-k}], is the
@@ -654,16 +643,20 @@ def l2_membership_classify(
     fit_win = increments[max(4, n_octaves // 2):]
     kfit = ks[max(4, n_octaves // 2):]
     positive = fit_win > 0
+    slope = math.nan
     if positive.sum() >= 4:
         coef = np.polyfit(kfit[positive], np.log2(fit_win[positive]), 1)
         slope = float(coef[0])
-    else:
+    elif fit_win.size >= 4:
         slope = -math.inf  # increments already indistinguishable from zero
 
     early = float(np.max(increments[:3]))
     late = float(np.mean(increments[-3:]))
 
-    if slope > _SLOPE_BAND:
+    if fit_win.size < 4:
+        verdict, tail = "inconclusive", math.nan
+        rule = f"fit window holds {fit_win.size} of the 4 increments a slope needs (n_octaves < 8)"
+    elif slope > _SLOPE_BAND:
         verdict, rule = "non-member", "increments grow (power divergence)"
         tail = math.inf
     elif slope < -_SLOPE_BAND:

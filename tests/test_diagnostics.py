@@ -285,6 +285,18 @@ class TestInterxProbe:
         with pytest.raises(ValueError):
             interx_probe([gaussian_field(grid_2pi)], 1.0, 1.0, 1.5)
 
+    def test_rejects_empty_field_list(self):
+        with pytest.raises(ValueError, match="fields must hold at least one field"):
+            interx_probe([], alpha=2.0, b=1.0, beta=0.5)
+
+    def test_zero_field_ratio_is_zero(self, grid_box):
+        zero = RealField2D(grid_box, np.zeros((grid_box.ny, grid_box.nx)))
+        assert interx_probe([zero], alpha=2.0, b=1.0, beta=0.5, N=8.0) == 0.0
+        # next to a nonzero field, a zero field leaves the max unchanged
+        family = self._family(grid_box)
+        want = interx_probe(family, alpha=2.0, b=1.0, beta=0.5, N=8.0)
+        assert interx_probe(family + [zero], alpha=2.0, b=1.0, beta=0.5, N=8.0) == want
+
 
 class TestTruncatedLadderNorm:
     def test_monotone_in_level(self, grid_box):

@@ -239,6 +239,21 @@ class TestMembership:
         assert len(ev.increments) == 6 and np.all(np.isnan(ev.increments))
         assert math.isnan(ev.increment_slope) and math.isnan(ev.tail_extrapolation)
 
+    @pytest.mark.parametrize("n_octaves, in_window", [(3, 0), (7, 3)])
+    def test_short_fit_window_is_inconclusive(self, n_octaves, in_window):
+        # alpha = 0.2 at theta = 0.9 is past the threshold 0.7 (a non-member);
+        # fewer than 8 octaves leave fewer than the 4 increments a slope needs
+        ev = l2_membership_classify(make_profile("power", alpha=0.2), 0.9, n_octaves=n_octaves)
+        assert ev.verdict == "inconclusive"
+        assert ev.rule.startswith(f"fit window holds {in_window} of the 4 increments")
+        assert len(ev.increments) == n_octaves and np.all(np.isfinite(ev.increments))
+        assert math.isnan(ev.increment_slope) and math.isnan(ev.tail_extrapolation)
+
+    @pytest.mark.parametrize("n_octaves", [0, -1])
+    def test_rejects_fewer_than_one_octave(self, n_octaves):
+        with pytest.raises(ValueError, match="n_octaves must be at least 1"):
+            l2_membership_classify(make_profile("power", alpha=0.2), 0.9, n_octaves=n_octaves)
+
 
 class TestOctaveSampling:
     """Neighbouring octaves share their end points: each eta is evaluated once."""
@@ -787,10 +802,6 @@ class TestScalarFastPath:
         ),
     )
     def test_profile_scalar_matches_array(self, kind, p, x):
-        # numpy computes ``array ** p`` with its vectorised pow but a numpy
-        # scalar ``** p`` with the C library's, as Python floats do.  The two
-        # can differ in the last bits, so the float branch is pinned bit for
-        # bit to the 0-d (scalar) evaluation and to rounding on vectors.
         prof = _family_profile(kind, min(p, 1.0) if kind == "gamma" else p)
         for fn in (prof.fn, prof.derivative):
             if fn is None:
@@ -803,7 +814,7 @@ class TestScalarFastPath:
                 zero_d = fn(np.array(x))
                 vec = fn(np.full(9, x))
             assert _hex(zero_d) == _hex(val)
-            assert np.allclose(vec, val, rtol=1e-13, atol=1e-13, equal_nan=True)
+            assert vec.shape == (9,) and all(_hex(v) == _hex(val) for v in vec)
 
 
 # The profiles' Python-float branch against the composition it replaced, a

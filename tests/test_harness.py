@@ -573,6 +573,17 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("config error:")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', ",", 'q"'])
+    def test_batch_section_name_that_breaks_the_csv(self, tmp_path, capsys, name):
+        # the section name is an unquoted field of both CSVs: a comma in it
+        # would write a 10-field row under the 9-field verdict header
+        batch = tmp_path / "batch.cfg"
+        batch.write_text(f"[{name}]\nkind = gamma\ngamma = 0.3\ntheta = 0.2\n")
+        assert cli_main(["stein-profile", str(batch), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {batch}: [{name}] ")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "old, new",
         [
