@@ -195,10 +195,15 @@ def _spectral_sums(v: np.ndarray, grid: GridSpec, *mults) -> list[float]:
 
     ``v`` holds columns 0..nx/2 of ``to_spectral``'s coefficients.  Each m
     broadcasts against ``v`` and is even in (xi, eta), so the Hermitian
-    column weights w_k make this the full-spectrum Plancherel sum.
+    column weights w_k make this the full-spectrum Plancherel sum.  One
+    power array and one product buffer are formed, whatever the number of
+    multipliers (same operations, in the same order, as the plain products).
     """
-    power = (v.real**2 + v.imag**2) * (hermitian_weights(grid.nx) / (grid.lx * grid.ly))
-    return [float(np.sum(m * power)) for m in mults]
+    power = np.square(v.real)
+    power += np.square(v.imag)
+    power *= hermitian_weights(grid.nx) / (grid.lx * grid.ly)
+    tmp = np.empty_like(power)
+    return [float(np.sum(np.multiply(m, power, out=tmp))) for m in mults]
 
 
 # --- norms -------------------------------------------------------------------

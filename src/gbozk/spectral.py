@@ -156,14 +156,35 @@ def to_physical(field: SpectralField2D) -> RealField2D:
     return RealField2D(g, u.real)
 
 
+# rows shifted and x-transformed at a time by half_spectrum
+_SHIFT_ROW_BLOCK = 64
+
+
 def half_spectrum(field: RealField2D) -> np.ndarray:
     """``rfft2`` half spectrum: columns 0..nx/2 of ``to_spectral``'s coefficients.
 
-    The continuum normalisation dx dy is applied in place (same bits as a
-    product), so no second spectrum-sized array is formed.
+    The result is the one spectrum-sized array formed.  ``ifftshift`` is
+    folded into the row blocks: output row r reads sample row (r + ny/2) mod
+    ny, its two x halves are swapped into one reused (64, nx) real buffer,
+    and each block's ``rfft`` along x writes into the result; one in-place
+    ``fft`` along y finishes it.  These are ``rfft2``'s own 1-D transforms,
+    so the bits are ``rfft2(ifftshift(samples))``'s.  The continuum
+    normalisation dx dy is applied in place (same bits as a product).
     """
     g = field.grid
-    v = np.fft.rfft2(np.fft.ifftshift(field.samples))
+    s = field.samples
+    hx, hy = g.nx // 2, g.ny // 2
+    v = np.empty((g.ny, hx + 1), complex)
+    buf = np.empty((min(_SHIFT_ROW_BLOCK, hy), g.nx))
+    # output rows 0..ny/2-1 come from sample rows ny/2.., the rest from 0..
+    for dst, src in ((0, hy), (hy, 0)):
+        for k in range(0, hy, _SHIFT_ROW_BLOCK):
+            m = min(_SHIFT_ROW_BLOCK, hy - k)
+            rows, b = s[src + k : src + k + m], buf[:m]
+            b[:, :hx] = rows[:, hx:]
+            b[:, hx:] = rows[:, :hx]
+            np.fft.rfft(b, axis=1, out=v[dst + k : dst + k + m])
+    np.fft.fft(v, axis=0, out=v)
     v *= g.dx * g.dy
     return v
 

@@ -128,6 +128,44 @@ class TestHalfSpectrumProperties:
         assert np.max(np.abs(half_spectrum(u) - full)) <= 1e-13 * np.max(np.abs(full))
 
     @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        nx=st.integers(4, 100).map(lambda k: 2 * k),
+        ny=st.integers(4, 100).map(lambda k: 2 * k),
+        box=st.tuples(BOX, BOX),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_half_spectrum_bits_are_rfft2_of_the_shifted_samples(self, nx, ny, box, seed):
+        # the blocked shift and per-block x transforms give rfft2's bits;
+        # ny up to 200 gives half heights below, at and across the 64-row block
+        g = make_grid(nx, ny, *box)
+        u = random_field(g, seed=seed)
+        before = u.samples.tobytes()
+        want = np.fft.rfft2(np.fft.ifftshift(u.samples))
+        want *= g.dx * g.dy
+        got = half_spectrum(u)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous and got.flags.owndata
+        assert not np.shares_memory(got, u.samples)
+        assert u.samples.tobytes() == before
+
+    def test_half_spectrum_traced_peak_at_most_two_fields(self):
+        # the result is the one spectrum-sized array: no shifted copy and no
+        # separate x-pass output (a second call, after one warm-up call)
+        import tracemalloc
+
+        g = make_grid(256, 256, 32.0, 32.0)
+        u = random_field(g, seed=3)
+        half_spectrum(u)
+        tracemalloc.start()
+        try:
+            half_spectrum(u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (g.nx * g.ny * 8) <= 2.0
+
+    @settings(max_examples=60, deadline=None, database=None)
     @given(u=grid_fields())
     def test_hermitian_half_spectrum_mass_is_mass(self, u):
         (spectral,) = _spectral_sums(half_spectrum(u), u.grid, 1.0)
