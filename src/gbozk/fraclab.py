@@ -930,33 +930,36 @@ class DfProbeResult:
 def _df_probe_grid(g, theta: float, t: float, a: float):
     """Arrays lemma_df_probe needs once per grid.
 
-    Returns the dispersion phase exp(i t w) and the |xi|^{2(1+a) theta}
-    multiplier on the half-spectrum columns 0..nx/2 (the last is the
-    negative Nyquist xi), the row index of -eta, the |eta|^{4 theta}
-    multiplier and the |x|^theta weight.
+    Returns the dispersion phase exp(i t w) on the eta >= 0 rows 0..ny/2 (w
+    is even in eta) and the |xi|^{2(1+a) theta} multiplier, both on the
+    half-spectrum columns 0..nx/2 (the last is the negative Nyquist xi),
+    the row index of -eta, the |eta|^{4 theta} multiplier and |x|^theta.
     """
     xi, eta = half_xi(g), g.eta[:, None]
-    phase = np.exp(1j * t * dispersion_symbol(xi[None, :], eta, a))
+    phase = np.exp(1j * t * dispersion_symbol(xi[None, :], eta[: g.ny // 2 + 1], a))
     m_eta = np.abs(eta) ** (4.0 * theta)
     m_xi = np.abs(xi) ** (2.0 * (1 + a) * theta)
     return phase, -np.arange(g.ny) % g.ny, m_eta, m_xi, np.abs(g.x) ** theta
 
 
-def _mirrored_rows(out: np.ndarray, phase: np.ndarray, v: np.ndarray, neg_eta: np.ndarray, lo: int):
+def _mirrored_rows(out, prow, phase, v, neg_eta, lo: int) -> np.ndarray:
     """Rows lo.. of the full phase * c in increasing-xi order, into ``out``.
 
-    ``phase`` and ``v`` hold the columns 0..h = nx/2.  Both are Hermitian (w
-    is odd in xi, even in eta), so the xi < 0 half of row eta is row -eta
-    conjugated and reversed: out = [(p v)[:, h], conj(p v)[-eta, h-1..1],
-    (p v)[:, :h]].
+    ``phase`` (rows 0..ny/2) and ``v`` hold the columns 0..h = nx/2.  Both
+    are Hermitian (w is odd in xi, even in eta), so the xi < 0 half of row
+    eta is row -eta conjugated and reversed: out = [(p v)[:, h], conj(p
+    v)[-eta, h-1..1], (p v)[:, :h]].  Rows eta and -eta share the phase
+    row min(eta, -eta), gathered into the reused block ``prow``.
     """
     h = v.shape[1] - 1
     hi = lo + out.shape[0]
-    np.multiply(phase[lo:hi, h], v[lo:hi, h], out=out[:, 0])
     neg = neg_eta[lo:hi]
-    np.multiply(phase[neg, h - 1 : 0 : -1], v[neg, h - 1 : 0 : -1], out=out[:, 1:h])
+    # the indices are in range; mode "clip" skips the copy "raise" makes
+    p = np.take(phase, np.minimum(np.arange(lo, hi), neg), 0, prow[: hi - lo], mode="clip")
+    np.multiply(p[:, h], v[lo:hi, h], out=out[:, 0])
+    np.multiply(p[:, h - 1 : 0 : -1], v[neg, h - 1 : 0 : -1], out=out[:, 1:h])
     np.conjugate(out[:, 1:h], out=out[:, 1:h])
-    np.multiply(phase[lo:hi, :h], v[lo:hi, :h], out=out[:, h:])
+    np.multiply(p[:, :h], v[lo:hi, :h], out=out[:, h:])
     return out
 
 
@@ -994,15 +997,16 @@ def lemma_df_probe(theta: float, t: float, a: float, fields: list[RealField2D]) 
         deta = 2.0 * np.pi / g.ly
         if g not in per_grid:
             buf = np.empty((min(_STEIN_ROW_BLOCK, g.ny), g.nx), complex)
+            prow = np.empty((buf.shape[0], g.nx // 2 + 1), complex)
             _, *kernel = _stein_kernel(buf, dxi, theta)
-            per_grid[g] = _df_probe_grid(g, theta, t, a), buf, kernel
-        (phase, neg_eta, m_eta, m_xi, wx), buf, kernel = per_grid[g]
+            per_grid[g] = _df_probe_grid(g, theta, t, a), buf, prow, kernel
+        (phase, neg_eta, m_eta, m_xi, wx), buf, prow, kernel = per_grid[g]
         scale = math.ldexp(1.0, -math.frexp(peak)[1])
         v = half_spectrum(f)
         v *= scale
         total = 0.0
         for lo in range(0, g.ny, _STEIN_ROW_BLOCK):
-            rows = _mirrored_rows(buf[: g.ny - lo], phase, v, neg_eta, lo)
+            rows = _mirrored_rows(buf[: g.ny - lo], prow, phase, v, neg_eta, lo)
             total = _stein_block_sq_sum(total, rows, dxi, kernel)
         lhs = np.sqrt(float(total) * dxi * deta) / (2.0 * np.pi)
 

@@ -24,7 +24,8 @@ is truncated by the 2/3 rule (Orszag, 1971) by default, which makes the
 discrete L^2 mass an invariant of the semidiscrete flow up to
 time-integration error.
 
-``Stepper`` holds the precomputed coefficients for one grid and config;
+``Stepper`` holds the precomputed coefficients for one grid and config on
+the eta >= 0 rows 0..ny/2 (the symbol, so each table, is even in eta);
 ``Stepper.advance`` steps the half spectrum and ``Stepper.step`` is the
 full-spectrum boundary around it.  A ``Stepper`` owns reusable work
 buffers for the intermediate stages: ``advance`` returns a fresh array and
@@ -84,6 +85,8 @@ class SolverConfig:
             raise ValueError(f"need 0 < dt <= T < inf, got dt = {self.dt}, T = {self.T}")
         if self.integrator not in ("etdrk4", "strang"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
+        if not self.blowup_factor > 0:  # and NaN, which never trips the bound check
+            raise ValueError(f"blowup_factor must be positive, got {self.blowup_factor}")
 
 
 @dataclass
@@ -134,6 +137,16 @@ def nonlinear_term(u: RealField2D, dealias: bool = True) -> SpectralField2D:
     return SpectralField2D(g, _full_spectrum(half, g.nx))
 
 
+def _mul_even(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.multiply(a, b, out=out)``, a or b a table even in eta on rows
+    0..ny/2: out's rows past ny/2 read its rows ny/2-1..1 in a reversed view."""
+    k = out.shape[0] // 2 + 1
+    np.multiply(a[:k], b[:k], out=out[:k])
+    rest = [x[k - 2 : 0 : -1] if len(x) == k else x[k:] for x in (a, b)]
+    np.multiply(*rest, out=out[k:])
+    return out
+
+
 # points on each unit circle of the ETDRK4 contour means
 _CONTOUR_POINTS = 32
 
@@ -145,24 +158,23 @@ class Stepper:
     ``step`` is the full-spectrum (ny, nx) boundary around it.  Both return
     a fresh array; the stages run in five work buffers that every call
     reuses, so one ``Stepper`` must not be shared between threads.
+    The tables (``exp_full``, ``exp_half``, ``q``, ``f1``, ``two_f2``,
+    ``f3``, ``_m``) hold rows 0..ny/2; row l > ny/2 is row ny - l.  The work
+    buffers come after the contour temporaries are freed, so the build
+    peaks at what the ``Stepper`` holds.
     """
 
     def __init__(self, grid: GridSpec, cfg: SolverConfig):
         self.grid = grid
         self.cfg = cfg
         self._nh = grid.nx // 2 + 1
-        # the symbol is even in eta: rows 0..ny/2 are evaluated and row l of
-        # the rest is row ny - l
-        half = grid.ny // 2
-        mirror = np.r_[0 : half + 1, half - 1 : 0 : -1]
-        xi, eta = half_xi(grid)[None, :], grid.eta[: half + 1, None]
+        rows = grid.ny // 2 + 1
+        xi, eta = half_xi(grid)[None, :], grid.eta[:rows, None]
         lin = 1j * dispersion_symbol(xi, eta, cfg.params.a)
         dt = cfg.dt
         dt_lin = dt * lin
-        self.exp_full = np.exp(dt_lin)[mirror]
-        self.exp_half = np.exp(0.5 * dt * lin)[mirror]
-        self._m = _nl_multiplier(grid, cfg.dealias)
-        self._work = tuple(np.empty((grid.ny, self._nh), dtype=complex) for _ in range(5))
+        self.exp_full = np.exp(dt_lin)
+        self.exp_half = np.exp(0.5 * dt * lin)
         if cfg.integrator == "etdrk4":
             # contour means of the phi functions around each dt*lin, summed
             # one contour point at a time.  These are the full-row loop's
@@ -181,11 +193,15 @@ class Stepper:
                 f1 += (-4.0 - z + ez * (4.0 - 3.0 * z + z2)) / z3
                 f2 += (2.0 + z + ez * (z - 2.0)) / z3
                 f3 += (-4.0 - 3.0 * z - z2 + ez * (4.0 - z)) / z3
-            self.q = (dt * (q / n))[mirror]
-            self.f1 = (dt * (f1 / n))[mirror]
+            self.q = dt * (q / n)
+            self.f1 = dt * (f1 / n)
             # the step reads f2 only as 2 f2
-            self.two_f2 = (2.0 * (dt * (f2 / n)))[mirror]
-            self.f3 = (dt * (f3 / n))[mirror]
+            self.two_f2 = 2.0 * (dt * (f2 / n))
+            self.f3 = dt * (f3 / n)
+            del z, ez, z2, z3, q, f1, f2, f3
+        del lin, dt_lin
+        self._m = _nl_multiplier(grid, cfg.dealias)[:rows].copy()
+        self._work = tuple(np.empty((grid.ny, self._nh), dtype=complex) for _ in range(5))
 
     def _nl(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the quadratic term of the half spectrum v into out.
@@ -198,8 +214,7 @@ class Stepper:
         w = np.fft.irfft2(v, s=(self.grid.ny, self.grid.nx))
         np.square(w, out=w)
         np.fft.rfft2(w, out=out)
-        out *= self._m
-        return out
+        return _mul_even(out, self._m, out)
 
     def step(self, coeffs: np.ndarray) -> np.ndarray:
         """Advance full-spectrum (ny, nx) coefficients by dt.
@@ -226,36 +241,36 @@ class Stepper:
         n1, ehv, a, n2, b = self._work
         eh, q = self.exp_half, self.q
         self._nl(v, n1)
-        np.multiply(eh, v, out=ehv)
-        np.multiply(q, n1, out=a)
+        _mul_even(eh, v, ehv)
+        _mul_even(q, n1, a)
         a += ehv
         self._nl(a, n2)
-        np.multiply(q, n2, out=b)
+        _mul_even(q, n2, b)
         b += ehv
         n3 = self._nl(b, b)
         # ehv is dead: t = (2 n3 - n1) q there, and c = exp_half a + t in a
         t = ehv
         np.multiply(2.0, n3, out=t)
         t -= n1
-        t *= q
+        _mul_even(t, q, t)
         c = a
-        np.multiply(eh, a, out=c)
+        _mul_even(eh, a, c)
         c += t
         n4 = self._nl(c, c)
         # exp_full v + f1 n1 + 2 f2 (n2 + n3) + f3 n4, summed left to right
-        out = self.exp_full * v
-        np.multiply(self.f1, n1, out=t)
+        out = _mul_even(self.exp_full, v, np.empty_like(v, dtype=complex))
+        _mul_even(self.f1, n1, t)
         out += t
         n2 += n3
-        np.multiply(self.two_f2, n2, out=n2)
+        _mul_even(self.two_f2, n2, n2)
         out += n2
-        np.multiply(self.f3, n4, out=n4)
+        _mul_even(self.f3, n4, n4)
         out += n4
         return out
 
     def _step_strang(self, v: np.ndarray) -> np.ndarray:
         w, k1, k2, k3, k4 = self._work
-        np.multiply(self.exp_half, v, out=w)
+        _mul_even(self.exp_half, v, w)
         if self.cfg.nonlinear:
             # one classical RK4 step of uhat' = N(uhat); each stage input is
             # formed in the buffer its stage value then overwrites
@@ -273,7 +288,7 @@ class Stepper:
             k2 += k4
             k2 *= dt / 6.0
             w += k2
-        return self.exp_half * w
+        return _mul_even(self.exp_half, w, np.empty_like(w))
 
 
 def _blowup_mode(coeffs: np.ndarray, grid: GridSpec) -> tuple[int, int]:

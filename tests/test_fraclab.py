@@ -562,18 +562,22 @@ class TestProbeBuildBits:
     @pytest.mark.parametrize("t", [0.0, 0.7, 1.0])
     @pytest.mark.parametrize("a", [0.0, 0.5, 1.0])
     def test_probe_grid_matches_meshgrid_build(self, shape, t, a):
-        # the half phase is the meshgrid phase's columns 0..nx/2 byte for byte;
-        # mirrored into xi order it is the argsort-ordered phase (under ==:
-        # at t = 0 the conjugated half carries -0.0 imaginary parts)
+        # the half phase is the meshgrid phase's rows 0..ny/2 and columns
+        # 0..nx/2 byte for byte, and the meshgrid phase's rows past ny/2
+        # repeat rows ny/2-1..1 byte for byte; mirrored into xi order it is
+        # the argsort-ordered phase (under ==: at t = 0 the conjugated half
+        # carries -0.0 imaginary parts)
         g = make_grid(*shape)
-        h = g.nx // 2
+        h, half = g.nx // 2, g.ny // 2
         for theta in (0.3, 0.5):
             phase, neg_eta, *rest = fraclab._df_probe_grid(g, theta, t, a)
             order, full, *want = _meshgrid_probe_grid(g, theta, t, a)
-            assert phase.tobytes() == full[:, : h + 1].tobytes()
+            assert phase.tobytes() == full[: half + 1, : h + 1].tobytes()
+            assert full[half + 1 :].tobytes() == full[half - 1 : 0 : -1].tobytes()
             assert np.all((g.ky[neg_eta] + g.ky) % g.ny == 0)
             mirrored = fraclab._mirrored_rows(
-                np.empty((g.ny, g.nx), complex), phase, np.ones_like(phase), neg_eta, 0
+                np.empty((g.ny, g.nx), complex), np.empty((g.ny, h + 1), complex),
+                phase, np.ones((g.ny, h + 1), complex), neg_eta, 0,
             )
             assert np.array_equal(mirrored, full[:, order])
             assert [x.tobytes() for x in rest] == [x.tobytes() for x in want]

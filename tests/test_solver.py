@@ -17,7 +17,7 @@ from gbozk import (
 )
 from gbozk.diagnostics import mass, zero_mode_slice
 from gbozk.propagator import dispersion_symbol
-from gbozk.solver import Stepper, _blowup_mode
+from gbozk.solver import Stepper, _blowup_mode, _nl_multiplier
 from gbozk.spectral import dealias_mask, half_spectrum
 
 from conftest import gaussian_field, random_field
@@ -104,6 +104,105 @@ class _FullSpectrumStepper:
         return self.exp_half * w
 
 
+class _FullRowStepper(Stepper):
+    """The Stepper with full-height tables, each mirrored from rows 0..ny/2,
+    and one ``np.multiply`` per coefficient product: the layout before the
+    tables were kept on the eta >= 0 rows only."""
+
+    def __init__(self, grid, cfg):
+        super().__init__(grid, cfg)
+        half = grid.ny // 2
+        mirror = np.r_[0 : half + 1, half - 1 : 0 : -1]
+        for name in ("exp_full", "exp_half", "q", "f1", "two_f2", "f3"):
+            if hasattr(self, name):
+                setattr(self, name, getattr(self, name)[mirror])
+        self._m = _nl_multiplier(grid, cfg.dealias)
+
+    def _nl(self, v, out):
+        if not self.cfg.nonlinear:
+            out.fill(0.0)
+            return out
+        w = np.fft.irfft2(v, s=(self.grid.ny, self.grid.nx))
+        np.square(w, out=w)
+        np.fft.rfft2(w, out=out)
+        out *= self._m
+        return out
+
+    def _step_etdrk4(self, v):
+        n1, ehv, a, n2, b = self._work
+        eh, q = self.exp_half, self.q
+        self._nl(v, n1)
+        np.multiply(eh, v, out=ehv)
+        np.multiply(q, n1, out=a)
+        a += ehv
+        self._nl(a, n2)
+        np.multiply(q, n2, out=b)
+        b += ehv
+        n3 = self._nl(b, b)
+        t = ehv
+        np.multiply(2.0, n3, out=t)
+        t -= n1
+        t *= q
+        c = a
+        np.multiply(eh, a, out=c)
+        c += t
+        n4 = self._nl(c, c)
+        out = self.exp_full * v
+        np.multiply(self.f1, n1, out=t)
+        out += t
+        n2 += n3
+        np.multiply(self.two_f2, n2, out=n2)
+        out += n2
+        np.multiply(self.f3, n4, out=n4)
+        out += n4
+        return out
+
+    def _step_strang(self, v):
+        w, k1, k2, k3, k4 = self._work
+        np.multiply(self.exp_half, v, out=w)
+        if self.cfg.nonlinear:
+            dt = self.cfg.dt
+            self._nl(w, k1)
+            for k_prev, k, h in ((k1, k2, 0.5 * dt), (k2, k3, 0.5 * dt), (k3, k4, dt)):
+                np.multiply(h, k_prev, out=k)
+                k += w
+                self._nl(k, k)
+            k2 *= 2.0
+            k2 += k1
+            k3 *= 2.0
+            k2 += k3
+            k2 += k4
+            k2 *= dt / 6.0
+            w += k2
+        return self.exp_half * w
+
+
+def _assert_advance_matches_full_rows(g, cfg, seed):
+    got = ref = half_spectrum(random_field(g, seed=seed))
+    half, full = Stepper(g, cfg), _FullRowStepper(g, cfg)
+    for _ in range(3):
+        got, ref = half.advance(got), full.advance(ref)
+        assert got.tobytes() == ref.tobytes()
+
+
+def _stepper_traced_fields(n: int) -> tuple[float, float]:
+    """What one n^2 ETDRK4 Stepper holds and its build's traced peak above
+    the entry level (after one warm-up build), in n^2 float64 field sizes."""
+    import tracemalloc
+
+    g = make_grid(n, n, 32.0, 32.0)
+    cfg = SolverConfig(dt=1e-3, T=0.2, params=P)
+    Stepper(g, cfg)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        stepper = Stepper(g, cfg)  # noqa: F841 (held while measured)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (held - entry) / (n * n * 8), (peak - entry) / (n * n * 8)
+
+
 def _max_rel(got: np.ndarray, ref: np.ndarray) -> float:
     return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
 
@@ -185,6 +284,16 @@ class TestStep:
         with pytest.raises(ValueError):
             SolverConfig(dt=0.1, T=1.0, params=P, integrator="euler")
 
+    @pytest.mark.parametrize("factor", [float("nan"), 0.0, -1.0])
+    def test_rejects_bad_blowup_factor(self, factor):
+        # with NaN the bound check never trips; blow-up would surface only
+        # once the state overflows
+        with pytest.raises(ValueError, match="blowup_factor"):
+            SolverConfig(dt=0.1, T=1.0, params=P, blowup_factor=factor)
+
+    def test_infinite_blowup_factor_allowed(self):
+        assert SolverConfig(dt=0.1, T=1.0, params=P, blowup_factor=np.inf).blowup_factor == np.inf
+
     @settings(max_examples=40, deadline=None, database=None)
     @given(
         nx=st.integers(4, 32).map(lambda k: 2 * k),
@@ -264,14 +373,58 @@ class TestStep:
         dt=st.floats(1e-4, 0.1),
     )
     def test_coefficients_match_full_row_loop_bitwise(self, nx, ny, lx, ly, a, dt):
-        # rows past ny/2 are mirrored, not evaluated: the bits must not move
+        # the tables are kept on rows 0..ny/2 only: those rows must carry the
+        # full-row loop's bits, and its rows past ny/2 must repeat rows
+        # ny/2-1..1 bit for bit, which is what lets the steps read them there
         g = make_grid(nx, ny, lx, ly)
         cfg = SolverConfig(dt=dt, T=1.0, params=DispersionParams(a))
         stepper = Stepper(g, cfg)
+        half = ny // 2
         for name, ref in _seed_coefficients(g, cfg).items():
             got = getattr(stepper, name)
-            assert got.shape == ref.shape, name
-            assert got.tobytes() == ref.tobytes(), name
+            assert got.shape == (half + 1, nx // 2 + 1), name
+            assert got.tobytes() == ref[: half + 1].tobytes(), name
+            assert ref[half + 1 :].tobytes() == ref[half - 1 : 0 : -1].tobytes(), name
+        m = _nl_multiplier(g, cfg.dealias)
+        assert stepper._m.tobytes() == m[: half + 1].tobytes()
+        assert m[half + 1 :].tobytes() == m[half - 1 : 0 : -1].tobytes()
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        nx=st.integers(4, 32).map(lambda k: 2 * k),
+        ny=st.integers(4, 32).map(lambda k: 2 * k),
+        integrator=st.sampled_from(["etdrk4", "strang"]),
+        nonlinear=st.booleans(),
+        dealias=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_advance_matches_full_row_tables_bitwise(
+        self, nx, ny, integrator, nonlinear, dealias, seed
+    ):
+        # each product reads the rows past ny/2 through a reversed view of
+        # the half-row table: the same bits as the full mirrored table
+        g = make_grid(nx, ny, 8.0, 6.0)
+        cfg = SolverConfig(dt=1e-2, T=1.0, params=P, integrator=integrator,
+                           nonlinear=nonlinear, dealias=dealias)
+        _assert_advance_matches_full_rows(g, cfg, seed)
+
+    @pytest.mark.parametrize("integrator", ["etdrk4", "strang"])
+    @pytest.mark.parametrize("n", [182, 256])
+    def test_advance_matches_full_row_tables_bitwise_large(self, n, integrator):
+        # numpy's temporary elision starts between these sizes (256 KiB)
+        g = make_grid(n, n, 32.0, 32.0)
+        cfg = SolverConfig(dt=1e-3, T=1.0, params=P, integrator=integrator)
+        _assert_advance_matches_full_rows(g, cfg, seed=4)
+
+    def test_stepper_holds_at_most_nine_fields(self):
+        # seven half-row tables and five work buffers at 256^2
+        held, _ = _stepper_traced_fields(256)
+        assert held <= 9.0
+
+    def test_stepper_build_peak_at_most_nine_and_a_half_fields(self):
+        # the work buffers come after the contour temporaries are released
+        _, peak = _stepper_traced_fields(256)
+        assert peak <= 9.5
 
     @pytest.mark.parametrize("nonlinear", [True, False])
     @pytest.mark.parametrize("integrator", ["etdrk4", "strang"])
