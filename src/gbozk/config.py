@@ -158,13 +158,11 @@ _SECTIONS = {
     "output": (None, RunConfig),
 }
 _ECHO = {"output_dir": "directory"}  # key names that differ from the field name
-_FIXED = {"blowup_factor"}  # numerical settings no file may change
 
 
 def _keys(cls, filled) -> dict[str, Field]:
     """INI key -> field, for every field of ``cls`` a file sets."""
-    skip = _FIXED | set(filled)
-    return {_ECHO.get(f.name, f.name).lower(): f for f in fields(cls) if f.name not in skip}
+    return {_ECHO.get(f.name, f.name).lower(): f for f in fields(cls) if f.name not in filled}
 
 
 _SCHEMA = {

@@ -104,10 +104,10 @@ def truncated_abs_weight(x, N: float):
     ax = np.abs(np.asarray(x, dtype=float))
     if np.isinf(N):
         return ax if ax.shape else float(ax)
-    tau = (ax - N) / (2.0 * N)
-    out = np.where(
-        ax <= N, ax, np.where(ax >= 3.0 * N, 2.0 * N, N + 2.0 * N * _smootherstep_antideriv(tau))
-    )
+    out = np.where(ax <= N, ax, 2.0 * N)
+    blend = (ax > N) & (ax < 3.0 * N)  # off the blend, 2N * 0 is NaN once 2N = inf
+    tau = (ax[blend] - N) / (2.0 * N)
+    out[blend] = N + 2.0 * N * _smootherstep_antideriv(tau)
     return out if out.shape else float(out)
 
 
@@ -226,9 +226,9 @@ def truncated_x_norm(u: RealField2D, r1: float, N: float) -> float:
     return _weighted_l2(u, _axis_weight(u.grid, "x", N) ** r1)
 
 
-def truncated_y_norm(u: RealField2D, r2: float, N: float = np.inf) -> float:
-    """Transverse norm ||<y>_N^{r2} u||_{L^2} (untruncated by default)."""
-    return _weighted_l2(u, _axis_weight(u.grid, "y", N)[:, None] ** r2)
+def truncated_y_norm(u: RealField2D, r2: float) -> float:
+    """Transverse norm ||<y>^{r2} u||_{L^2}, with the untruncated <y> = sqrt(1+y^2)."""
+    return _weighted_l2(u, _axis_weight(u.grid, "y", np.inf)[:, None] ** r2)
 
 
 def _sobolev_multipliers(grid: GridSpec, spec: SobolevSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -289,12 +289,16 @@ def boundary_mass_ratio(u: RealField2D) -> float:
     return float(edge / peak)
 
 
-def x_moment(u: RealField2D, eta: float = 0.0, localization_tol: float = 1e-12) -> complex:
+# x_moment warns when max |u| on the box boundary exceeds this share of the peak
+_LOCALIZATION_TOL = 1e-12
+
+
+def x_moment(u: RealField2D, eta: float = 0.0) -> complex:
     """int x exp(-i eta y) u dx dy with centered box coordinates."""
-    if boundary_mass_ratio(u) > localization_tol:
+    if boundary_mass_ratio(u) > _LOCALIZATION_TOL:
         warnings.warn(
             "x_moment: field is not localized (boundary mass above "
-            f"{localization_tol:g} of peak); moment of a periodic field is "
+            f"{_LOCALIZATION_TOL:g} of peak); moment of a periodic field is "
             "a box-truncated proxy only",
             stacklevel=2,
         )

@@ -133,10 +133,8 @@ def _run(cfg: RunConfig, initial, observe, snapshot_stride: int = 0):
 
 @dataclass
 class ScenarioResult:
-    config: RunConfig
     csv_path: Path
     manifest_path: Path
-    columns: list[str]
     rows: list[list[float]]
     sup_es_norm: float
 
@@ -194,10 +192,8 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
         raise blowup
 
     return ScenarioResult(
-        config=cfg,
         csv_path=csv_path,
         manifest_path=manifest_path,
-        columns=columns,
         rows=rows,
         sup_es_norm=sup_es,
     )
@@ -209,7 +205,6 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
 class UcCompareResult:
     csv_path: Path
     report_path: Path
-    columns: list[str]
     rows: list[list[float]]
     moment_residuals: dict[str, float]
     zero_mode_maxdev: dict[str, float]
@@ -312,7 +307,6 @@ def uc_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: str | Path) -> UcCom
     return UcCompareResult(
         csv_path=csv_path,
         report_path=report_path,
-        columns=columns,
         rows=rows,
         moment_residuals=residuals,
         zero_mode_maxdev=zmdev,

@@ -182,9 +182,6 @@ class SteinResult:
     n_evals: int = 0
     n_unconverged: int = 0
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def stein_derivative(
     f,
@@ -463,8 +460,6 @@ class FitResult:
     slope: float
     intercept: float
     ci95: float
-    r_squared: float
-    n_points: int
 
 
 def fit_exponent(abscissa, values, window: tuple[float, float] | None = None) -> FitResult:
@@ -481,19 +476,13 @@ def fit_exponent(abscissa, values, window: tuple[float, float] | None = None) ->
     u, v = np.log(x), np.log(y)
     n = len(u)
     A = np.vstack([u, np.ones(n)]).T
-    coef, res, *_ = np.linalg.lstsq(A, v, rcond=None)
+    coef, *_ = np.linalg.lstsq(A, v, rcond=None)
     slope, intercept = float(coef[0]), float(coef[1])
-    fitted = A @ coef
-    ss_res = float(np.sum((v - fitted) ** 2))
-    ss_tot = float(np.sum((v - np.mean(v)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    if n > 2:
-        sigma2 = ss_res / (n - 2)
-        sxx = float(np.sum((u - np.mean(u)) ** 2))
-        ci = 1.96 * math.sqrt(sigma2 / sxx) if sxx > 0 else math.inf
-    else:
-        ci = math.inf
-    return FitResult(slope, intercept, ci, r2, n)
+    # n >= 8, so the residual variance has n - 2 > 0 degrees of freedom
+    sigma2 = float(np.sum((v - A @ coef) ** 2)) / (n - 2)
+    sxx = float(np.sum((u - np.mean(u)) ** 2))
+    ci = 1.96 * math.sqrt(sigma2 / sxx) if sxx > 0 else math.inf
+    return FitResult(slope, intercept, ci)
 
 
 # --- L^2 membership classification -------------------------------------------
@@ -503,7 +492,6 @@ class MembershipEvidence:
     """Dyadic-window increments of ||D^theta(profile)||^2 and the verdict."""
 
     verdict: str  # "member" | "non-member" | "inconclusive"
-    octaves: np.ndarray = field(default_factory=lambda: np.array([]))
     increments: np.ndarray = field(default_factory=lambda: np.array([]))
     norms: np.ndarray = field(default_factory=lambda: np.array([]))
     increment_slope: float = math.nan  # log2 of consecutive-increment ratio
@@ -625,7 +613,6 @@ def l2_membership_classify(
         # no increment to decide on
         return MembershipEvidence(
             verdict="inconclusive",
-            octaves=ks,
             increments=np.full(n_octaves, math.nan),
             norms=np.full(n_octaves, math.nan),
             rule=f"{bad} of {q.size} squared Stein values not finite" + note,
@@ -669,7 +656,6 @@ def l2_membership_classify(
 
     return MembershipEvidence(
         verdict=verdict,
-        octaves=ks,
         increments=increments,
         norms=norms,
         increment_slope=slope,
@@ -682,26 +668,9 @@ def l2_membership_classify(
 
 @dataclass
 class PhaseProbeResult:
-    kind: str
-    b: float
-    exponent_t: FitResult | None
-    exponent_space: FitResult | None
-    bound_t: float
-    bound_space: float
+    exponent_t: FitResult
+    exponent_space: FitResult
     ok: bool
-    values: dict = field(default_factory=dict)
-
-
-def _phase_stein(phase_fn, b: float, x: float) -> float:
-    res = stein_derivative(
-        phase_fn,
-        b,
-        x,
-        local_scale=1.0,
-        far_field="constant_modulus",
-        epsrel=1e-9,
-    )
-    return res.value
 
 
 def phase_lemma_probe(
@@ -720,63 +689,45 @@ def phase_lemma_probe(
     kind "Pontual1": f(x) = exp(-i t x |x|^{1+a}); the spatial exponent on a
     large-|x| window is checked against (1+a) b and the t exponent against b.
     Each fitted exponent may exceed its bound by at most 0.05.
+
+    The space scan runs at the median positive t, the t scan at the median
+    eta ("P") or the largest x ("Pontual1") of ``space_grid``.  Negative t,
+    or fewer than 8 positive t values or space points, raise ValueError
+    before any quadrature.
     """
+    if kind == "P":
+        bound_t, bound_space, ref = b, 2.0 * b, np.median
+
+        def phase(t, s):  # read at x = 0: the value does not depend on x
+            return (lambda u, c=t * s**2: np.exp(1j * c * u)), 0.0
+    elif kind == "Pontual1":
+        if a is None:
+            raise ValueError("Pontual1 probe needs the dispersion exponent a")
+        bound_t, bound_space, ref = b, (1.0 + a) * b, np.max
+
+        def phase(t, s):
+            return (lambda u: np.exp(-1j * t * u * np.abs(u) ** (1.0 + a))), s
+    else:
+        raise ValueError(f"unknown probe kind {kind!r}")
+
+    def value(t, s):
+        fn, x = phase(t, s)
+        return stein_derivative(fn, b, x, local_scale=1.0, far_field="constant_modulus",
+                                epsrel=1e-9).value
+
     t_grid = np.asarray(t_grid, dtype=float)
     space_grid = np.asarray(space_grid, dtype=float)
     if np.any(t_grid < 0):
         raise ValueError("t values must be nonnegative")
-
-    if kind == "P":
-        bound_t, bound_space = b, 2.0 * b
-        t_ref = float(np.median(t_grid[t_grid > 0]))
-        vals_space = np.array(
-            [
-                _phase_stein(lambda u, c=t_ref * e**2: np.exp(1j * c * u), b, 0.0)
-                for e in space_grid
-            ]
-        )
-        e_ref = float(np.median(space_grid))
-        vals_t = np.array(
-            [
-                _phase_stein(lambda u, c=t * e_ref**2: np.exp(1j * c * u), b, 0.0)
-                if t > 0
-                else 0.0
-                for t in t_grid
-            ]
-        )
-    elif kind == "Pontual1":
-        if a is None:
-            raise ValueError("Pontual1 probe needs the dispersion exponent a")
-        bound_t, bound_space = b, (1.0 + a) * b
-
-        def make_phase(t):
-            return lambda u: np.exp(-1j * t * u * np.abs(u) ** (1.0 + a))
-
-        t_ref = float(np.median(t_grid[t_grid > 0]))
-        vals_space = np.array(
-            [_phase_stein(make_phase(t_ref), b, x) for x in space_grid]
-        )
-        x_ref = float(np.max(space_grid))
-        vals_t = np.array(
-            [_phase_stein(make_phase(t), b, x_ref) if t > 0 else 0.0 for t in t_grid]
-        )
-    else:
-        raise ValueError(f"unknown probe kind {kind!r}")
-    fit_space = fit_exponent(space_grid, vals_space)
-    pos = t_grid > 0
-    fit_t = fit_exponent(t_grid[pos], vals_t[pos])
-
+    t_pos = t_grid[t_grid > 0]
+    if t_pos.size < 8 or space_grid.size < 8:
+        raise ValueError(f"need at least 8 positive t values and 8 space points, "
+                         f"got {t_pos.size} and {space_grid.size}")
+    t_ref, s_ref = float(np.median(t_pos)), float(ref(space_grid))
+    fit_space = fit_exponent(space_grid, [value(t_ref, s) for s in space_grid])
+    fit_t = fit_exponent(t_pos, [value(t, s_ref) for t in t_pos])
     ok = fit_t.slope <= bound_t + 0.05 and fit_space.slope <= bound_space + 0.05
-    return PhaseProbeResult(
-        kind=kind,
-        b=b,
-        exponent_t=fit_t,
-        exponent_space=fit_space,
-        bound_t=bound_t,
-        bound_space=bound_space,
-        ok=ok,
-        values={"space": vals_space, "t": vals_t},
-    )
+    return PhaseProbeResult(fit_t, fit_space, ok)
 
 
 # --- grid-based Stein rows and the Duhamel-weight probe ------------------------
@@ -922,9 +873,6 @@ def rho_weight(t: float, theta: float) -> float:
 class DfProbeResult:
     max_ratio: float
     ratios: np.ndarray
-    theta: float
-    t: float
-    a: float
 
 
 def _df_probe_grid(g, theta: float, t: float, a: float):
@@ -1015,7 +963,7 @@ def lemma_df_probe(theta: float, t: float, a: float, fields: list[RealField2D]) 
         rhs = rho_weight(t, theta) * (l2 + dy + dxn) + _weighted_l2(f, wx * scale)
         ratios.append(float(lhs / rhs))
     ratios = np.asarray(ratios)
-    return DfProbeResult(float(np.max(ratios)), ratios, theta, t, a)
+    return DfProbeResult(float(np.max(ratios)), ratios)
 
 
 def gaussian_ensemble(grid, n_members: int, seed: int = 0) -> list[RealField2D]:

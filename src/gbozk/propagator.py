@@ -276,13 +276,11 @@ class ExpansionReport:
 
     k: int
     t: float
-    a: float
     max_rel_error: float
     median_rel_error: float
     max_rel_error_corrected: float
     tolerance: float = 1e-6
     discrepant_terms: list[str] = field(default_factory=list)
-    flagged_points: list[tuple[float, float, float]] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -330,7 +328,6 @@ def xi_expansion_check(
     rel_derived = _rel_errors(derived_vals, oracle_vals)
 
     discrepant: list[str] = []
-    flagged: list[tuple[float, float, float]] = []
     if max(rel_printed) >= tolerance:
         # isolate: which term ids have printed != derived coefficients
         x0, e0 = points[int(np.argmax(rel_printed))]
@@ -341,20 +338,13 @@ def xi_expansion_check(
         discrepant = [
             name for name in tp if abs(tp[name] - td[name]) > 1e-12 * scale
         ]
-        flagged = [
-            (xy[0], xy[1], err)
-            for xy, err in zip(points, rel_printed)
-            if err >= tolerance
-        ]
 
     return ExpansionReport(
         k=k,
         t=t,
-        a=params.a,
         max_rel_error=float(max(rel_printed)),
         median_rel_error=float(np.median(rel_printed)),
         max_rel_error_corrected=float(max(rel_derived)),
         discrepant_terms=discrepant,
-        flagged_points=flagged,
         tolerance=tolerance,
     )

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,14 @@ class TestTruncatedWeight:
         assert truncated_abs_weight(0.7, 2.0) == 0.7
         assert truncated_abs_weight(7.0, 2.0) == 4.0
         assert truncated_abs_weight(3.0, np.inf) == 3.0
+
+    def test_abs_weight_at_huge_level_is_exact_and_silent(self):
+        # 2N overflows to inf at N = 1e308; no point lies in the blend, so
+        # none may meet the inf * 0 of a blend evaluated everywhere
+        x = np.linspace(-40.0, 40.0, 161)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(truncated_abs_weight(x, 1e308), np.abs(x))
 
 
 class TestWeightedNorm:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import platform
+import warnings
 
 import numpy as np
 import pytest
@@ -362,6 +363,27 @@ class TestPhaseLemmas:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             phase_lemma_probe("Q", 0.5, [1.0], [1.0])
+
+    @pytest.mark.parametrize("kind", ["P", "Pontual1"])
+    @pytest.mark.parametrize(
+        "t_grid, space_grid",
+        [
+            ([0.0, 0.0], np.geomspace(3.0, 30.0, 10)),
+            (np.r_[0.0, np.geomspace(0.2, 2.0, 7)], np.geomspace(3.0, 30.0, 10)),
+            (np.geomspace(0.2, 2.0, 8), np.geomspace(3.0, 30.0, 7)),
+        ],
+        ids=["no-positive-t", "7-positive-t", "7-space-points"],
+    )
+    def test_short_grids_rejected_before_quadrature(self, monkeypatch, kind, t_grid, space_grid):
+        # a fit needs 8 points: short grids fail before any Stein value, with
+        # no numpy warning (an all-zero t grid has an empty median)
+        calls = []
+        monkeypatch.setattr(fraclab, "stein_derivative", lambda *args, **kw: calls.append(args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at least 8"):
+                phase_lemma_probe(kind, 0.5, t_grid, space_grid, a=0.5)
+        assert calls == []
 
 
 def _grid_stein_rows_dense(values: np.ndarray, dx: float, b: float) -> np.ndarray:

@@ -602,11 +602,13 @@ class TestCli:
             # boxes whose scaled samples or dispersion phases leave the float range
             ("lx = 16.0\nly = 16.0", "lx = 1e150\nly = 1e150"),
             ("lx = 16.0\nly = 16.0", "lx = 1e-150\nly = 1e-150"),
+            # the blow-up threshold is a fixed constant, not a key
+            ("T = 0.01", "T = 0.01\nblowup_factor = 10"),
         ],
         ids=["stride-0", "stride-negative", "snapshot-stride-negative", "n-ladder-below-1",
              "n-ladder-repeated", "n-ladder-tag-collision",
              "sigma-x-0", "sigma-y-square-underflow", "amplitude-nan", "path-directory",
-             "path-missing", "box-1e150", "box-1e-150"],
+             "path-missing", "box-1e150", "box-1e-150", "blowup-factor-key"],
     )
     def test_malformed_config_exit_code(self, tmp_path, capsys, old, new):
         cfg_path = write_cfg(tmp_path, text=BASE_CFG.replace(old, new))
