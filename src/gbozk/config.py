@@ -52,10 +52,13 @@ class InitialData:
     def build(self, grid: GridSpec) -> RealField2D:
         X, Y = grid.meshgrid()
         if self.family == "gaussian":
-            env = self.amplitude * np.exp(
-                -((X - self.center_x) ** 2) / self.sigma_x**2
-                - ((Y - self.center_y) ** 2) / self.sigma_y**2
-            )
+            # a square that overflows to inf gives exp(-inf) = 0, the
+            # correctly rounded value of the Gaussian that far from its centre
+            with np.errstate(over="ignore"):
+                env = self.amplitude * np.exp(
+                    -((X - self.center_x) ** 2) / self.sigma_x**2
+                    - ((Y - self.center_y) ** 2) / self.sigma_y**2
+                )
             if self.x_mean_removed:
                 # odd Hermite factor: the x-average vanishes for every y
                 # while the Gaussian decay is retained

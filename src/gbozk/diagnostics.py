@@ -105,9 +105,11 @@ def truncated_abs_weight(x, N: float):
     if np.isinf(N):
         return ax if ax.shape else float(ax)
     out = np.where(ax <= N, ax, 2.0 * N)
-    blend = (ax > N) & (ax < 3.0 * N)  # off the blend, 2N * 0 is NaN once 2N = inf
-    tau = (ax[blend] - N) / (2.0 * N)
-    out[blend] = N + 2.0 * N * _smootherstep_antideriv(tau)
+    blend = (ax > N) & (ax < 3.0 * N)
+    # halving after the division and doubling the antiderivative keep the
+    # bits of (|x| - N) / (2N) and 2N A(tau) without forming 2N
+    tau = (ax[blend] - N) / N * 0.5
+    out[blend] = N + N * (2.0 * _smootherstep_antideriv(tau))
     return out if out.shape else float(out)
 
 

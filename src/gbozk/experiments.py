@@ -70,10 +70,6 @@ NUMERICAL_SETTINGS = {
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return "%.17g" % float(x)
 
 

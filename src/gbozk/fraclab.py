@@ -169,7 +169,7 @@ def cutoff_phi_prime(x):
 
 @dataclass
 class SteinResult:
-    """Value with the analytic remainder estimate of the truncated integral.
+    """Value of the quadrature with its bookkeeping.
 
     ``abserr`` sums quad's error estimates over every panel, ``n_evals``
     counts the integrand evaluations behind the value and ``n_unconverged``
@@ -177,7 +177,6 @@ class SteinResult:
     """
 
     value: float
-    tail_estimate: float
     abserr: float = 0.0
     n_evals: int = 0
     n_unconverged: int = 0
@@ -187,7 +186,7 @@ def stein_derivative(
     f,
     b: float,
     x: float,
-    local_scale: float | None = None,
+    local_scale: float = 1.0,
     singular_points: tuple[float, ...] = (),
     support_radius: float | None = None,
     far_field: str = "decay",
@@ -199,19 +198,19 @@ def stein_derivative(
     locations where f has kinks (the quadrature breaks there).  For
     ``far_field``:
 
-    * "compact": f vanishes for |y| > support_radius; the remainder beyond
-      the support is added exactly.
     * "decay": f decays; the truncation radius doubles until the analytic
       bound (2 sup|f|^2 / b) R^{-2b} falls below epsrel of the integral.
-    * "constant_modulus": f is a unimodular phase; the far region is replaced
-      by its mean 2(|f(x)|^2 + 1) with the stationary-phase remainder
-      reported in the estimate.
+    * "compact" and "constant_modulus" are closed far fields: beyond a
+      radius r the integrand's numerator has the mean 2 (|f(x)|^2 + m), so
+      the remainder is 2 (|f(x)|^2 + m) r^{-2b} / (2b).  For "compact", f
+      vanishes for |y| > support_radius, r = support_radius + |x| and
+      m = 0 (the remainder is exact); for "constant_modulus", f is a
+      unimodular phase, r = |x| + 60 local_scale and m = 1.
     """
     if not 0.0 < b < 1.0:
         raise ValueError(f"Stein order b must lie in (0, 1), got {b}")
     fx = f(x)
-    scale = local_scale if local_scale is not None else 1.0
-    delta = scale / 100.0
+    delta = local_scale / 100.0
 
     # inner window: s = delta * v^q makes the integrand bounded at v = 0.
     # Both integrands run once per quadrature point, so the exponents are
@@ -254,12 +253,11 @@ def stein_derivative(
         breaks.add(abs(p + x))
 
     def quad_piecewise(a_, b_):
-        pts = sorted(pt for pt in breaks if a_ < pt < b_)
+        # a_ > b_ (an inner window wider than r) is one reversed panel, whose
+        # negative value removes the overlap the inner window already holds
+        edges = [a_] + sorted(pt for pt in breaks if a_ < pt < b_) + [b_]
         total = 0.0
-        edges = [a_] + pts + [b_]
         for lo, hi in zip(edges[:-1], edges[1:]):
-            if hi <= lo:
-                continue
             total += integrate(outer_integrand, lo, hi, 400)
         return total
 
@@ -268,21 +266,15 @@ def stein_derivative(
         if far_field == "compact":
             if support_radius is None:
                 raise ValueError("compact far field needs a support radius")
-            r = support_radius + abs(x)
-            # beyond r both f(x+s) and f(x-s) vanish: exact remainder
-            tail = abs(fx) ** 2 * r ** (-2.0 * b) / b
-            tail_est = 0.0
+            r, m = support_radius + abs(x), 0.0
         else:  # constant_modulus
             # the radius must hold several oscillations of the slowest phase
             # of interest before the far field is replaced by its mean
-            r = abs(x) + 60.0 * scale
-            mean_h = 2.0 * (abs(fx) ** 2 + 1.0)
-            tail = mean_h * r ** (-2.0 * b) / (2.0 * b)
-            # oscillatory correction decays one order faster than the mean term
-            tail_est = tail / max(r, 1.0)
+            r, m = abs(x) + 60.0 * local_scale, 1.0
+        tail = 2.0 * (abs(fx) ** 2 + m) * r ** (-2.0 * b) / (2.0 * b)
         total = inner + quad_piecewise(delta, r) + tail
     else:  # decay
-        r = abs(x) + 8.0 * scale
+        r = abs(x) + 8.0 * local_scale
         total = inner + quad_piecewise(delta, r)
         for _ in range(60):
             total += quad_piecewise(r, 2.0 * r)
@@ -290,14 +282,10 @@ def stein_derivative(
             sup2 = max(abs(fx) ** 2, abs(complex(f(r))) ** 2, abs(complex(f(-r))) ** 2)
             bound = 2.0 * sup2 / b * r ** (-2.0 * b)
             if bound <= epsrel * max(total, 1e-300) + 1e-300:
-                tail_est = bound
                 break
-        else:
-            tail_est = 2.0 * abs(fx) ** 2 / b * r ** (-2.0 * b)
 
     return SteinResult(
         value=math.sqrt(max(total, 0.0)),
-        tail_estimate=tail_est,
         abserr=abserr,
         n_evals=n_evals,
         n_unconverged=n_unconverged,
@@ -355,7 +343,8 @@ def make_profile(kind: str, alpha: float | None = None, gamma: float | None = No
             raise ValueError(f"{kind} profile needs alpha")
         a = float(alpha)
         am1 = a - 1.0
-    if kind == "power":
+        odd = kind == "power_sign"
+
         def f(y):
             if type(y) is not float:
                 return _elementwise(f, y)
@@ -364,6 +353,8 @@ def make_profile(kind: str, alpha: float | None = None, gamma: float | None = No
                 pa = ay**a
             except (ZeroDivisionError, OverflowError):
                 pa = _abs_pow(y, a)
+            if odd:
+                pa *= _sign(y)
             return pa * _phi_abs(ay)
 
         def fp(y):
@@ -374,31 +365,12 @@ def make_profile(kind: str, alpha: float | None = None, gamma: float | None = No
                 pm, pa = ay**am1, ay**a
             except (ZeroDivisionError, OverflowError):
                 pm, pa = _abs_pow(y, am1), _abs_pow(y, a)
-            return a * _sign(y) * pm * _phi_abs(ay) + pa * cutoff_phi_prime(y)
+            # d/dy |y|^a is a sgn(y) |y|^(a-1); the odd profile moves the
+            # sign onto the cutoff term (a factor 1.0 is exact)
+            s_pow, s_cut = (1.0, _sign(y)) if odd else (_sign(y), 1.0)
+            return a * s_pow * pm * _phi_abs(ay) + pa * s_cut * cutoff_phi_prime(y)
 
-        return Profile(f, f"|y|^{a}*phi", fp, a)
-    if kind == "power_sign":
-        def f(y):
-            if type(y) is not float:
-                return _elementwise(f, y)
-            ay = abs(y)
-            try:
-                pa = ay**a
-            except (ZeroDivisionError, OverflowError):
-                pa = _abs_pow(y, a)
-            return pa * _sign(y) * _phi_abs(ay)
-
-        def fp(y):
-            if type(y) is not float:
-                return _elementwise(fp, y)
-            ay = abs(y)
-            try:
-                pm, pa = ay**am1, ay**a
-            except (ZeroDivisionError, OverflowError):
-                pm, pa = _abs_pow(y, am1), _abs_pow(y, a)
-            return a * pm * _phi_abs(ay) + pa * _sign(y) * cutoff_phi_prime(y)
-
-        return Profile(f, f"|y|^{a}*sgn*phi", fp, a)
+        return Profile(f, f"|y|^{a}*sgn*phi" if odd else f"|y|^{a}*phi", fp, a)
     if kind == "gamma":
         if gamma is None:
             raise ValueError("gamma profile needs gamma")
@@ -462,15 +434,12 @@ class FitResult:
     ci95: float
 
 
-def fit_exponent(abscissa, values, window: tuple[float, float] | None = None) -> FitResult:
+def fit_exponent(abscissa, values) -> FitResult:
     """Least-squares slope on log-log axes with a 95% CI."""
     x = np.asarray(abscissa, dtype=float)
     y = np.asarray(values, dtype=float)
-    if window is not None:
-        keep = (x >= window[0]) & (x <= window[1])
-        x, y = x[keep], y[keep]
     if len(x) < 8:
-        raise ValueError(f"need at least 8 points in the fit window, got {len(x)}")
+        raise ValueError(f"need at least 8 points to fit, got {len(x)}")
     if np.any(y <= 0) or np.any(x <= 0):
         raise ValueError("log-log fit needs positive data")
     u, v = np.log(x), np.log(y)
@@ -712,8 +681,7 @@ def phase_lemma_probe(
 
     def value(t, s):
         fn, x = phase(t, s)
-        return stein_derivative(fn, b, x, local_scale=1.0, far_field="constant_modulus",
-                                epsrel=1e-9).value
+        return stein_derivative(fn, b, x, far_field="constant_modulus", epsrel=1e-9).value
 
     t_grid = np.asarray(t_grid, dtype=float)
     space_grid = np.asarray(space_grid, dtype=float)

@@ -25,6 +25,7 @@ from gbozk import (
 )
 from gbozk.diagnostics import (
     _blend_values,
+    _smootherstep_antideriv,
     _spectral_sums,
     directional_sobolev_norms,
     interx_probe,
@@ -106,6 +107,24 @@ class TestTruncatedWeight:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.array_equal(truncated_abs_weight(x, 1e308), np.abs(x))
+
+    def test_abs_weight_blend_at_huge_level(self):
+        # 1e308 < |x| < 3e308 lies in the blend, where 2N = inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = truncated_abs_weight(1.5e308, 1e308)
+        # the weight is homogeneous of degree one in (x, N)
+        assert w == pytest.approx(1e308 * truncated_abs_weight(1.5, 1.0), rel=1e-15)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(N=st.floats(1e-3, 1e300), t=st.floats(0.0, 4.0))
+    def test_abs_weight_blend_keeps_two_n_bits(self, N, t):
+        # below overflow the blend has the bits of N + 2N A((|x| - N) / (2N))
+        ax = np.array([N * t])
+        ref = np.where(ax <= N, ax, 2.0 * N)
+        blend = (ax > N) & (ax < 3.0 * N)
+        ref[blend] = N + 2.0 * N * _smootherstep_antideriv((ax[blend] - N) / (2.0 * N))
+        assert np.array_equal(truncated_abs_weight(ax, N), ref)
 
 
 class TestWeightedNorm:

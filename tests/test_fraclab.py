@@ -69,6 +69,16 @@ class TestSteinDerivative:
         res = stein_derivative(lambda y: 3.0, 0.5, 0.2)
         assert res.value == 0.0
 
+    def test_inner_window_wider_than_compact_radius(self):
+        # delta = local_scale / 100 = 10 exceeds r = 2.5: the value must not
+        # count the s in [r, delta] twice (inner window and exact remainder)
+        f = make_profile("power", alpha=1.5).fn
+        kw = dict(singular_points=(0.0, -1.0, 1.0, -2.0, 2.0), support_radius=2.0,
+                  far_field="compact")
+        ref = stein_derivative(f, 0.5, 0.5, local_scale=0.5, **kw).value
+        wide = stein_derivative(f, 0.5, 0.5, local_scale=1000.0, **kw).value
+        assert abs(wide - ref) / ref < 1e-12
+
     @pytest.mark.parametrize("lam", [0.5, 2.0, 4.0])
     def test_scaling_identity(self, lam):
         f = lambda y: np.exp(-(y**2))
@@ -305,7 +315,8 @@ class TestFitExponent:
 
     def test_window_and_validation(self):
         x = np.geomspace(0.1, 100.0, 40)
-        fit = fit_exponent(x, x**1.5, window=(1.0, 50.0))
+        w = x[(x >= 1.0) & (x <= 50.0)]
+        fit = fit_exponent(w, w**1.5)
         assert abs(fit.slope - 1.5) < 1e-10
         with pytest.raises(ValueError):
             fit_exponent(x[:5], x[:5])

@@ -8,7 +8,8 @@ import subprocess
 import sys
 import tempfile
 import types
-from dataclasses import fields
+import warnings
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -313,6 +314,17 @@ class TestConfig:
         u3 = mode.build(cfg.grid)
         assert np.isclose(np.max(u3.samples), 0.5)
 
+    @pytest.mark.parametrize("key", ["center_x", "center_y"])
+    def test_far_centred_gaussian_is_zero_and_silent(self, key):
+        # the squared distance overflows; the odd Hermite factor multiplies 0
+        from gbozk.config import InitialData
+
+        init = InitialData(family="gaussian", x_mean_removed=True, **{key: 1e308})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = init.build(make_grid(16, 16, 16.0, 16.0))
+        assert not np.any(u.samples)
+
     def test_file_family_round_trip(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path))
         u = random_field(cfg.grid, seed=9)
@@ -394,7 +406,7 @@ class TestRunScenario:
                 stride=stride,
                 snapshot_stride=snapshot_stride,
             )
-            assert [row[0] for row in res.rows] == traj.times
+            assert [row[0] for row in res.rows] == traj.column("t").tolist()
             assert len(res.rows) == len(traj.records)
             out = Path(cfg.output_dir)
             assert len(list(out.glob("snapshot_t*.gbzk"))) == len(traj.snapshots)
@@ -420,8 +432,6 @@ class TestUcCompare:
 
     def test_rejects_other_differences(self, tmp_path):
         cfg_a, cfg_b = self._configs(tmp_path)
-        from dataclasses import replace
-
         cfg_b = replace(cfg_b, params=type(cfg_b.params)(0.7))
         with pytest.raises(ConfigError):
             uc_compare(cfg_a, cfg_b, tmp_path / "uc")
@@ -450,6 +460,25 @@ class TestUcCompare:
                 ]
                 if len(cols) == 2:
                     assert np.all(arr[:, cols[1]] >= arr[:, cols[0]] - 1e-12)
+
+    def test_zero_mean_config_first_gives_the_same_outputs(self, tmp_path):
+        cfg_a, cfg_b = self._configs(tmp_path)
+        res = uc_compare(cfg_a, cfg_b, tmp_path / "ab")
+        swapped = uc_compare(cfg_b, cfg_a, tmp_path / "ba")
+        assert swapped.csv_path.read_bytes() == res.csv_path.read_bytes()
+        assert swapped.report_path.read_bytes() == res.report_path.read_bytes()
+
+    def test_two_records_give_nan_moment_residuals(self, tmp_path):
+        # one step records t = 0 and t = dt, too few for a centered difference
+        cfg_a, cfg_b = self._configs(tmp_path)
+        one_step = replace(cfg_a.solver, T=cfg_a.solver.dt)
+        cfg_a, cfg_b = (replace(c, solver=one_step) for c in (cfg_a, cfg_b))
+        res = uc_compare(cfg_a, cfg_b, tmp_path / "uc")
+        assert len(res.rows) == 2
+        assert all(math.isnan(v) for v in res.moment_residuals.values())
+        assert "residual (d/dt int x u = mass/2): nz = nan, zm = nan" in (
+            res.report_path.read_text()
+        )
 
 
 class TestSteinBatch:
@@ -660,6 +689,19 @@ class TestCli:
         ).replace("dt = 1e-3", "dt = 0.05")
         cfg_path = write_cfg(tmp_path, text=text)
         assert cli_main(["simulate", str(cfg_path)]) == 3
+
+    def test_overflowing_state_is_a_clean_blowup(self, tmp_path):
+        # the first step overflows the quadratic term (u^2 ~ 1e200, times
+        # xi and dt in each stage), while the t = 0 diagnostics stay finite
+        text = BASE_CFG.replace("amplitude = 0.3", "amplitude = 1e100").replace(
+            "T = 0.01", "T = 0.1"
+        ).replace("dt = 1e-3", "dt = 1e-2")
+        cfg_path = write_cfg(tmp_path, text=text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["simulate", str(cfg_path)]) == 3
+        lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+        assert len(lines) == 3 and lines[2].startswith("0,")
 
     def test_uc_compare_blowup_writes_partial_csv(self, tmp_path):
         text = BASE_CFG.replace("amplitude = 0.3", "amplitude = 400.0").replace(

@@ -449,15 +449,15 @@ class TestEvolve:
     def test_times_cover_horizon(self, grid_2pi):
         u0 = gaussian_field(grid_2pi, 0.1, 0.8, 0.8)
         traj = evolve(u0, SolverConfig(dt=0.01, T=0.1, params=P), stride=3)
-        assert traj.times[0] == 0.0
-        assert np.isclose(traj.times[-1], 0.1)
-        assert np.all(np.diff(traj.times) > 0)
+        assert traj.column("t").tolist()[0] == 0.0
+        assert np.isclose(traj.column("t").tolist()[-1], 0.1)
+        assert np.all(np.diff(traj.column("t").tolist()) > 0)
 
     def test_horizon_landing_within_half_step(self, grid_2pi):
         # rounding T to whole steps always lands within dt/2 of the horizon
         u0 = gaussian_field(grid_2pi, 0.1)
         traj = evolve(u0, SolverConfig(dt=0.03, T=0.1, params=P), stride=1)
-        assert abs(traj.times[-1] - 0.1) <= 0.015 + 1e-15
+        assert abs(traj.column("t").tolist()[-1] - 0.1) <= 0.015 + 1e-15
 
     def test_linear_time_reversibility(self, grid_box):
         # evolve forward with the nonlinearity off, undo with the exact
@@ -581,7 +581,7 @@ class TestEvolve:
         traj = evolve(
             u0, SolverConfig(dt=0.01, T=0.05, params=DispersionParams(1.0)), stride=5
         )
-        assert np.isclose(traj.times[-1], 0.05)
+        assert np.isclose(traj.column("t").tolist()[-1], 0.05)
 
     def test_duhamel_integral_form(self):
         # the computed solution satisfies
