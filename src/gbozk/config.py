@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .diagnostics import truncated_weight
 from .propagator import DispersionParams
 from .snapshot import read_snapshot
 from .solver import SolverConfig
@@ -48,6 +49,10 @@ class InitialData:
             raise ValueError("amplitude, center_x and center_y must be finite")
         if not all(0 < s * s < np.inf for s in (self.sigma_x, self.sigma_y)):
             raise ValueError("sigma_x and sigma_y must have a finite nonzero square")
+        if self.x_mean_removed and self.family != "gaussian":
+            raise ValueError(
+                f"x_mean_removed applies to family = gaussian only, not {self.family}"
+            )
 
     def build(self, grid: GridSpec) -> RealField2D:
         X, Y = grid.meshgrid()
@@ -96,8 +101,8 @@ class DiagnosticsPlan:
         # 2 s is the y-order of E^s and bounds its x-order (1 + a) s
         if not np.all(np.isfinite((self.r1, self.r2, 2.0 * self.sobolev_s))):
             raise ValueError("diagnostics r1, r2 and 2 sobolev_s must be finite")
-        if not all(N >= 1 for N in self.n_ladder):
-            raise ValueError(f"every n_ladder level must be >= 1, got {self.n_ladder}")
+        for N in self.n_ladder:
+            truncated_weight(0.0, N)  # the level check each ladder column makes
         # each level names its own diagnostics column
         tags = [_ladder_tag(N) for N in self.n_ladder]
         if len(set(tags)) != len(tags):
@@ -110,7 +115,6 @@ class DiagnosticsPlan:
 @dataclass(frozen=True)
 class RunConfig:
     grid: GridSpec
-    params: DispersionParams
     solver: SolverConfig
     initial: InitialData
     diagnostics: DiagnosticsPlan
@@ -121,15 +125,17 @@ class RunConfig:
         if not self.snapshot_stride >= 0:
             raise ValueError(f"snapshot_stride must be >= 0, got {self.snapshot_stride}")
         # the solver squares unit-amplitude samples scaled by dx dy, multiplies
-        # by xi / (dx dy) and squares the ETDRK4 phase dt w; at the largest
-        # |xi| and |eta| these must be finite, and (dx dy)^2 must not underflow
+        # by xi / (dx dy) and cubes z = dt w + c, |c| = 1, in the ETDRK4
+        # contour means; at the largest |xi| and |eta| these must be finite,
+        # and (dx dy)^2 must not underflow.  2 dt w + 1 bounds |z| with room
+        # for the solver's own rounding of dt w
         g = self.grid
         xi, eta = np.float64(np.pi * g.nx / g.lx), np.float64(np.pi * g.ny / g.ly)
         with np.errstate(over="ignore", under="ignore"):
             cell = np.float64(g.dx * g.dy)
-            phase = self.solver.dt * (xi * eta**2 + xi ** (2.0 + self.params.a))
+            phase = self.solver.dt * (xi * eta**2 + xi ** (2.0 + self.solver.params.a))
             grid_ok = 0.0 < cell * cell < np.inf and xi / cell < np.inf
-            if not (grid_ok and phase * phase < np.inf):
+            if not (grid_ok and (2.0 * phase + 1.0) ** 3 < np.inf):
                 # a check across sections: the message names the ones at fault.
                 # dt is at fault only when the grid alone is in range; a lies
                 # in [0, 1], so [dispersion] never is
@@ -139,19 +145,19 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         """Config echo for the manifest: every key of every section."""
-        echo = {}
-        for section, (attr, _) in _SECTIONS.items():
-            obj = getattr(self, attr) if attr else self
-            echo[section] = {
-                _ECHO.get(f.name, f.name): getattr(obj, f.name)
-                for f in _SCHEMA[section].values()
-            }
-        return echo
+        # [dispersion] is the solver's: a has one home, solver.params
+        parts = {**vars(self), "params": self.solver.params, None: self}
+        return {
+            section: {_ECHO.get(f.name, f.name): getattr(parts[attr], f.name)
+                      for f in _SCHEMA[section].values()}
+            for section, (attr, _) in _SECTIONS.items()
+        }
 
 
-# section -> (RunConfig field, dataclass).  [output] holds RunConfig's own
-# keys and comes last; a field named after another section's RunConfig field
-# (SolverConfig.params) is filled from that section, not read as a key.
+# section -> (name its object is built under, dataclass).  [output] holds
+# RunConfig's own keys and comes last; a field named after an earlier
+# section's object (SolverConfig.params, RunConfig.grid) is filled from that
+# section, not read as a key.
 _SECTIONS = {
     "grid": ("grid", GridSpec),
     "dispersion": ("params", DispersionParams),

@@ -128,14 +128,12 @@ def _bracket_exponent(N: float) -> float:
     """Blend exponent p for <x>_N: solves value matching at |x| = 3N.
 
     The blend derivative is <x>'(x) (1 - step)^p; p >= 1 keeps the join C^2
-    and the derivative within [0, <x>'].  Requires N >= 1 (for smaller N the
-    plateau 2N sits below <N> and no monotone blend exists).  The mismatch
-    decreases in p and changes sign on [1, 60]; bisection narrows that
-    bracket to adjacent floats.
+    and the derivative within [0, <x>'].  Requires N >= 1, which
+    ``truncated_weight`` checks (for smaller N the plateau 2N sits below <N>
+    and no monotone blend exists).  The mismatch decreases in p and changes
+    sign on [1, 60]; bisection narrows that bracket to adjacent floats.
     """
     f = lambda p: float(_blend_values(np.array([3.0 * N]), N, p)[0]) - 2.0 * N
-    if f(1.0) < 0:
-        raise ValueError(f"no monotone C^2 blend for N = {N}; need N >= 1")
     lo, hi = 1.0, 60.0
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
@@ -144,21 +142,25 @@ def _bracket_exponent(N: float) -> float:
     return hi
 
 
+# largest finite truncation level of truncated_weight: its blend squares
+# points up to 3N, and (3e153)^2 is a float
+_N_MAX = 1e153
+
+
 def truncated_weight(x, N: float):
     """Smooth truncated weight <x>_N.
 
     Equals <x> = sqrt(1+x^2) on [-N, N] and the constant 2N for |x| >= 3N;
     on the blend the derivative is <x>'(x) (1 - step)^p <= <x>' <= 1, which
     keeps the weight monotone, below both <x> and 2N, and C^2 at the joins.
+    N must be inf (no truncation) or lie in [1, 1e153].
     """
-    if not N > 0:
-        raise ValueError("N must be positive")
+    if not (1.0 <= N <= _N_MAX or N == np.inf):
+        raise ValueError(f"truncation level must be inf or satisfy 1 <= N <= {_N_MAX:g}, got {N}")
     ax = np.abs(np.asarray(x, dtype=float))
     bracket = np.sqrt(1.0 + ax**2)
     if np.isinf(N):
         return bracket if bracket.shape else float(bracket)
-    if N < 1.0:
-        raise ValueError(f"truncation level must satisfy N >= 1, got {N}")
     out = np.where(ax <= N, bracket, 2.0 * N)
     in_blend = (ax > N) & (ax < 3.0 * N)
     if np.any(in_blend):

@@ -6,11 +6,12 @@ with 17 significant digits.  Every text output carries the manifest hash
 re-running a manifest reproduces outputs byte for byte.
 
 ``run_scenario`` and both branches of ``uc_compare`` share one scaffold:
-the initial data are built first, so unreadable initial data leave no output
-behind; ``_open_run`` then creates the output directory and hashes the
-manifest, and ``_run`` evolves the data with one observer, appends the shared
-zero-mode and x-moment columns, and hands back the partial trajectory on
-blow-up so the rows reached are written before the error is re-raised.
+the initial data are built and their t = 0 row computed first
+(``_recorder``), so unreadable initial data or a first row beyond float
+range leave no output behind; ``_open_run`` then creates the output
+directory and hashes the manifest, and ``_run`` evolves the data with that
+recorder and hands back the partial trajectory on blow-up so the rows
+reached are written before the error is re-raised.
 """
 
 from __future__ import annotations
@@ -97,15 +98,15 @@ def _open_run(out_dir: str | Path, payload: dict) -> tuple[Path, str]:
     return out, manifest_hash(payload)
 
 
-def _run(cfg: RunConfig, initial, observe, snapshot_stride: int = 0):
-    """Evolve ``initial`` under ``cfg``, recording ``observe`` plus shared columns.
+def _recorder(initial, observe):
+    """``observe`` plus the shared columns, its t = 0 row computed now.
 
     Every record ends with ``zero_mode_maxdev``, ``xmom_re`` and
-    ``xmom_im``.  Returns ``(trajectory, columns, blow-up or None)``; on
-    blow-up the trajectory holds the records reached before it.
+    ``xmom_im``.  The row of ``initial`` runs with float overflow and invalid
+    values raising, so data or weights beyond float range are a ConfigError
+    before any output exists; the returned recorder hands that row back for
+    ``initial`` itself.
     """
-    zm0 = zero_mode_slice(initial)
-
     def row(t, u):
         rec = observe(t, u)
         rec["zero_mode_maxdev"] = float(np.max(np.abs(zero_mode_slice(u) - zm0)))
@@ -113,6 +114,23 @@ def _run(cfg: RunConfig, initial, observe, snapshot_stride: int = 0):
         rec["xmom_re"], rec["xmom_im"] = xm.real, xm.imag
         return rec
 
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            zm0 = zero_mode_slice(initial)
+            first = row(0.0, initial)
+    except FloatingPointError as exc:
+        raise ConfigError(
+            f"[initial] [diagnostics] the t = 0 diagnostics leave the float range: {exc}"
+        ) from None
+    return lambda t, u: first if u is initial else row(t, u)
+
+
+def _run(cfg: RunConfig, initial, row, snapshot_stride: int = 0):
+    """Evolve ``initial`` under ``cfg``, recording ``row`` (a ``_recorder``).
+
+    Returns ``(trajectory, columns, blow-up or None)``; on blow-up the
+    trajectory holds the records reached before it.
+    """
     try:
         traj = evolve(
             initial,
@@ -137,10 +155,10 @@ class ScenarioResult:
 
 def _scenario_observer(cfg: RunConfig):
     plan = cfg.diagnostics
-    sspec = SobolevSpec.from_scalar(plan.sobolev_s, cfg.params.a)
+    sspec = SobolevSpec.from_scalar(plan.sobolev_s, cfg.solver.params.a)
 
     def observe(t, u):
-        row = {"mass": mass(u), "hamiltonian": hamiltonian(u, cfg.params)}
+        row = {"mass": mass(u), "hamiltonian": hamiltonian(u, cfg.solver.params)}
         row["sob_x"], row["sob_y"] = directional_sobolev_norms(u, sspec)
         for N in plan.n_ladder:
             row[f"wnorm_x_N{_ladder_tag(N)}"] = truncated_x_norm(u, plan.r1, N)
@@ -158,8 +176,9 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     """
     payload = _payload(config=cfg.to_dict())
     initial = cfg.initial.build(cfg.grid)
+    row = _recorder(initial, _scenario_observer(cfg))
     out, mhash = _open_run(cfg.output_dir, payload)
-    traj, columns, blowup = _run(cfg, initial, _scenario_observer(cfg), cfg.snapshot_stride)
+    traj, columns, blowup = _run(cfg, initial, row, cfg.snapshot_stride)
     rows = [[rec[key] for key in columns] for rec in traj.records]
 
     csv_path = out / "diagnostics.csv"
@@ -171,7 +190,7 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     for t_snap, u_snap in traj.snapshots:
         write_snapshot(
             out / f"snapshot_t{t_snap:g}.gbzk",
-            SnapshotFile(u_snap, a=cfg.params.a, t=t_snap),
+            SnapshotFile(u_snap, a=cfg.solver.params.a, t=t_snap),
         )
 
     manifest = dict(payload)
@@ -227,15 +246,12 @@ def uc_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: str | Path) -> UcCom
     if cfg_a.initial.x_mean_removed:
         cfg_a, cfg_b = cfg_b, cfg_a  # branch A: nonzero mean, branch B: zero mean
 
-    a = cfg_a.params.a
+    a = cfg_a.solver.params.a
     ladder_r = [2.0, 2.5 + a, 3.5 + a]
     ladder_n = cfg_a.diagnostics.n_ladder
     ladder_keys = [
         (f"w_r{_rtag(r1)}_N{_ladder_tag(N)}", r1, N) for r1 in ladder_r for N in ladder_n
     ]
-
-    runs = [(tag, c, c.initial.build(c.grid)) for tag, c in (("nz", cfg_a), ("zm", cfg_b))]
-    out, mhash = _open_run(out_dir, _payload(config_pair=[cfg_a.to_dict(), cfg_b.to_dict()]))
 
     def observe(t, u):
         row = {"mass": mass(u)}
@@ -243,9 +259,13 @@ def uc_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: str | Path) -> UcCom
             row[key] = truncated_x_norm(u, r1, N)
         return row
 
+    runs = [(tag, c, c.initial.build(c.grid)) for tag, c in (("nz", cfg_a), ("zm", cfg_b))]
+    runs = [(tag, c, u0, _recorder(u0, observe)) for tag, c, u0 in runs]
+    out, mhash = _open_run(out_dir, _payload(config_pair=[cfg_a.to_dict(), cfg_b.to_dict()]))
+
     branches, blowups = {}, []
-    for tag, cfg, initial in runs:
-        branches[tag], columns, blowup = _run(cfg, initial, observe)
+    for tag, cfg, initial, recorder in runs:
+        branches[tag], columns, blowup = _run(cfg, initial, recorder)
         if blowup is not None:
             blowups.append(blowup)
 
@@ -362,7 +382,7 @@ def _run_one_query(q: SteinBatchQuery) -> dict:
     if _order_regime(profile, q.theta)[1] == q.theta > 0.0:
         eta_large = np.geomspace(10.0, 200.0, 12)
         vals_large = dstein_profile(SteinQuery(q.theta, profile, tuple(eta_large)))
-        out["slope_large_eta"] = fit_exponent(eta_large, vals_large).slope
+        out["slope_large_eta"] = fit_exponent(eta_large, vals_large)
         out["fit_window"] = "10..200"
         out["values"] = list(zip(eta_large.tolist(), vals_large.tolist()))
     return out

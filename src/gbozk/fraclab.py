@@ -96,7 +96,6 @@ __all__ = [
     "check_order",
     "MembershipEvidence",
     "fit_exponent",
-    "FitResult",
     "phase_lemma_probe",
     "PhaseProbeResult",
     "grid_stein_rows",
@@ -427,31 +426,18 @@ def dstein_profile(query: SteinQuery) -> np.ndarray:
 
 # --- exponent fitting --------------------------------------------------------
 
-@dataclass
-class FitResult:
-    slope: float
-    intercept: float
-    ci95: float
-
-
-def fit_exponent(abscissa, values) -> FitResult:
-    """Least-squares slope on log-log axes with a 95% CI."""
+def fit_exponent(abscissa, values) -> float:
+    """Least-squares slope on log-log axes."""
     x = np.asarray(abscissa, dtype=float)
     y = np.asarray(values, dtype=float)
     if len(x) < 8:
         raise ValueError(f"need at least 8 points to fit, got {len(x)}")
     if np.any(y <= 0) or np.any(x <= 0):
         raise ValueError("log-log fit needs positive data")
-    u, v = np.log(x), np.log(y)
-    n = len(u)
-    A = np.vstack([u, np.ones(n)]).T
-    coef, *_ = np.linalg.lstsq(A, v, rcond=None)
-    slope, intercept = float(coef[0]), float(coef[1])
-    # n >= 8, so the residual variance has n - 2 > 0 degrees of freedom
-    sigma2 = float(np.sum((v - A @ coef) ** 2)) / (n - 2)
-    sxx = float(np.sum((u - np.mean(u)) ** 2))
-    ci = 1.96 * math.sqrt(sigma2 / sxx) if sxx > 0 else math.inf
-    return FitResult(slope, intercept, ci)
+    u = np.log(x)
+    A = np.vstack([u, np.ones(len(u))]).T
+    coef, *_ = np.linalg.lstsq(A, np.log(y), rcond=None)
+    return float(coef[0])
 
 
 # --- L^2 membership classification -------------------------------------------
@@ -462,9 +448,7 @@ class MembershipEvidence:
 
     verdict: str  # "member" | "non-member" | "inconclusive"
     increments: np.ndarray = field(default_factory=lambda: np.array([]))
-    norms: np.ndarray = field(default_factory=lambda: np.array([]))
     increment_slope: float = math.nan  # log2 of consecutive-increment ratio
-    tail_extrapolation: float = math.nan
     rule: str = ""
 
 
@@ -552,8 +536,7 @@ def l2_membership_classify(
     log2-slope s of the increments:
 
     * s > +0.02: power divergence, non-member;
-    * s < -0.02: geometric decay, member (the extrapolated tail
-      Delta * r/(1-r) is reported);
+    * s < -0.02: geometric decay, member;
     * |s| <= 0.02: if the late increments stay above 0.1 of the early ones
       the series diverges like a log (non-member); otherwise the evidence is
       inconclusive.
@@ -583,7 +566,6 @@ def l2_membership_classify(
         return MembershipEvidence(
             verdict="inconclusive",
             increments=np.full(n_octaves, math.nan),
-            norms=np.full(n_octaves, math.nan),
             rule=f"{bad} of {q.size} squared Stein values not finite" + note,
         )
     increments = np.empty(n_octaves)
@@ -591,7 +573,6 @@ def l2_membership_classify(
         octave = slice(_PER_OCTAVE * (n_octaves - k - 1), _PER_OCTAVE * (n_octaves - k) + 1)
         increments[k] = 2.0 * _integrate_power_segments(etas[octave], q[octave])  # both signs
 
-    norms = np.sqrt(np.cumsum(increments))
     fit_win = increments[max(4, n_octaves // 2):]
     kfit = ks[max(4, n_octaves // 2):]
     positive = fit_win > 0
@@ -606,30 +587,19 @@ def l2_membership_classify(
     late = float(np.mean(increments[-3:]))
 
     if fit_win.size < 4:
-        verdict, tail = "inconclusive", math.nan
+        verdict = "inconclusive"
         rule = f"fit window holds {fit_win.size} of the 4 increments a slope needs (n_octaves < 8)"
     elif slope > _SLOPE_BAND:
         verdict, rule = "non-member", "increments grow (power divergence)"
-        tail = math.inf
     elif slope < -_SLOPE_BAND:
-        r = 2.0**slope
-        tail = float(increments[-1] * r / (1.0 - r))
         verdict, rule = "member", "increments decay geometrically"
+    elif early > 0 and late > _PERSISTENCE_FLOOR * early:
+        verdict, rule = "non-member", "increments persist (log divergence)"
     else:
-        if early > 0 and late > _PERSISTENCE_FLOOR * early:
-            verdict, rule = "non-member", "increments persist (log divergence)"
-            tail = math.inf
-        else:
-            verdict, rule = "inconclusive", "slope within the indeterminate band"
-            tail = math.nan
+        verdict, rule = "inconclusive", "slope within the indeterminate band"
 
     return MembershipEvidence(
-        verdict=verdict,
-        increments=increments,
-        norms=norms,
-        increment_slope=slope,
-        tail_extrapolation=tail,
-        rule=rule + note,
+        verdict=verdict, increments=increments, increment_slope=slope, rule=rule + note
     )
 
 
@@ -637,8 +607,8 @@ def l2_membership_classify(
 
 @dataclass
 class PhaseProbeResult:
-    exponent_t: FitResult
-    exponent_space: FitResult
+    exponent_t: float
+    exponent_space: float
     ok: bool
 
 
@@ -694,7 +664,7 @@ def phase_lemma_probe(
     t_ref, s_ref = float(np.median(t_pos)), float(ref(space_grid))
     fit_space = fit_exponent(space_grid, [value(t_ref, s) for s in space_grid])
     fit_t = fit_exponent(t_pos, [value(t, s_ref) for t in t_pos])
-    ok = fit_t.slope <= bound_t + 0.05 and fit_space.slope <= bound_space + 0.05
+    ok = fit_t <= bound_t + 0.05 and fit_space <= bound_space + 0.05
     return PhaseProbeResult(fit_t, fit_space, ok)
 
 

@@ -24,6 +24,7 @@ from gbozk import (
     zero_mode_slice,
 )
 from gbozk.diagnostics import (
+    _bracket_exponent,
     _blend_values,
     _smootherstep_antideriv,
     _spectral_sums,
@@ -74,6 +75,31 @@ class TestTruncatedWeight:
     def test_requires_level_at_least_one(self):
         with pytest.raises(ValueError):
             truncated_weight(1.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "x, N", [(1.5e308, 1e308), (0.0, 1e308), (2e153, 1.0000000000000002e153)]
+    )
+    def test_level_beyond_float_range_is_a_value_error(self, x, N):
+        # the blend squares points up to 3N, which leaves the float range
+        # past N = 1e153, whether or not x lies in the blend
+        with pytest.raises(ValueError, match=r"1 <= N <= 1e\+153"):
+            truncated_weight(x, N)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        N=st.floats(1.0, 1e153),
+        scale=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=8),
+    )
+    def test_levels_in_range_keep_the_piecewise_bits(self, N, scale):
+        # up to 1e153 the weight is its piecewise definition, bit for bit:
+        # <x> inside, the blend's quadrature on (N, 3N), 2N beyond, and no
+        # float warning on the way (warnings are errors in this suite)
+        ax = np.array(scale) * N
+        want = np.where(ax <= N, np.sqrt(1.0 + ax**2), 2.0 * N)
+        blend = (ax > N) & (ax < 3.0 * N)
+        if np.any(blend):
+            want[blend] = _blend_values(ax[blend], N, _bracket_exponent(N))
+        assert np.array_equal(truncated_weight(ax, N), want)
 
     def test_blend_exponent_matches_brentq_oracle(self):
         # p is solved in a fresh process, which must not load scipy.optimize

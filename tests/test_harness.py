@@ -236,7 +236,7 @@ class TestConfig:
     def test_parse_round_trip(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path))
         assert cfg.grid.nx == 32
-        assert cfg.params.a == 0.5
+        assert cfg.solver.params.a == 0.5
         assert cfg.solver.dt == 1e-3
         assert cfg.diagnostics.n_ladder == (2.0, 4.0)
 
@@ -432,7 +432,8 @@ class TestUcCompare:
 
     def test_rejects_other_differences(self, tmp_path):
         cfg_a, cfg_b = self._configs(tmp_path)
-        cfg_b = replace(cfg_b, params=type(cfg_b.params)(0.7))
+        solver = replace(cfg_b.solver, params=type(cfg_b.solver.params)(0.7))
+        cfg_b = replace(cfg_b, solver=solver)
         with pytest.raises(ConfigError):
             uc_compare(cfg_a, cfg_b, tmp_path / "uc")
 
@@ -633,11 +634,26 @@ class TestCli:
             ("lx = 16.0\nly = 16.0", "lx = 1e-150\nly = 1e-150"),
             # the blow-up threshold is a fixed constant, not a key
             ("T = 0.01", "T = 0.01\nblowup_factor = 10"),
+            # the ETDRK4 contour means cube dt w, which overflows here
+            ("lx = 16.0", "lx = 1.5568e-58"),
+            # t = 0 diagnostics beyond float range: the transforms and the
+            # mass, the energy's cube, the ladder and transverse weights
+            ("amplitude = 0.3", "amplitude = 1e308"),
+            ("amplitude = 0.3", "amplitude = 1e150"),
+            ("n_ladder = 2,4", "n_ladder = 2,4\nr1 = 1e308"),
+            ("n_ladder = 2,4", "n_ladder = 2,4\nr2 = 1e308"),
+            ("n_ladder = 2,4", "n_ladder = 2,1e200"),
+            # the flag only shapes the Gaussian family
+            ("family = gaussian", "family = single_mode\nx_mean_removed = true"),
+            ("family = gaussian", "family = file\npath = missing.gbzk\nx_mean_removed = true"),
         ],
         ids=["stride-0", "stride-negative", "snapshot-stride-negative", "n-ladder-below-1",
              "n-ladder-repeated", "n-ladder-tag-collision",
              "sigma-x-0", "sigma-y-square-underflow", "amplitude-nan", "path-directory",
-             "path-missing", "box-1e150", "box-1e-150", "blowup-factor-key"],
+             "path-missing", "box-1e150", "box-1e-150", "blowup-factor-key",
+             "etdrk4-cube-overflow", "amplitude-1e308", "amplitude-1e150", "r1-1e308",
+             "r2-1e308", "n-ladder-beyond-blend-range", "x-mean-removed-single-mode",
+             "x-mean-removed-file"],
     )
     def test_malformed_config_exit_code(self, tmp_path, capsys, old, new):
         cfg_path = write_cfg(tmp_path, text=BASE_CFG.replace(old, new))
@@ -777,6 +793,33 @@ class TestCli:
         b = write_cfg(tmp_path, "b.cfg", text_zm, out=tmp_path / "b")
         assert cli_main(["uc-compare", str(a), str(b), "--out", str(tmp_path / "uc")]) == 0
         assert (tmp_path / "uc" / "uc_compare.csv").exists()
+
+    def test_uc_compare_first_row_out_of_float_range(self, tmp_path, capsys):
+        # each branch's t = 0 row (its mass overflows here) runs before the
+        # output directory exists
+        text = BASE_CFG.replace("amplitude = 0.3", "amplitude = 1e308")
+        text_zm = text.replace("sigma_y = 1.0", "sigma_y = 1.0\nx_mean_removed = true")
+        a = write_cfg(tmp_path, "a.cfg", text, out=tmp_path / "a")
+        b = write_cfg(tmp_path, "b.cfg", text_zm, out=tmp_path / "b")
+        assert cli_main(["uc-compare", str(a), str(b), "--out", str(tmp_path / "uc")]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith("config error: [initial] [diagnostics] the t = 0 diagnostics")
+        assert not (tmp_path / "uc").exists()
+
+    @pytest.mark.parametrize(
+        "family", ["family = single_mode", "family = file\npath = missing.gbzk"]
+    )
+    def test_uc_compare_needs_the_gaussian_family(self, tmp_path, capsys, family):
+        # x_mean_removed shapes only the Gaussian; on another family the two
+        # branches would be the same run
+        text = BASE_CFG.replace("family = gaussian", family)
+        text_zm = text.replace("sigma_y = 1.0", "sigma_y = 1.0\nx_mean_removed = true")
+        a = write_cfg(tmp_path, "a.cfg", text, out=tmp_path / "a")
+        b = write_cfg(tmp_path, "b.cfg", text_zm, out=tmp_path / "b")
+        assert cli_main(["uc-compare", str(a), str(b), "--out", str(tmp_path / "uc")]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"config error: {b}: [initial] x_mean_removed applies to")
+        assert not (tmp_path / "uc").exists()
 
 
 class TestImportCost:

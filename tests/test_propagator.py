@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from gbozk import (
     DispersionParams,
+    PhiJet,
     apply_linear_propagator,
     dispersion_symbol,
     gaussian_jet,
@@ -118,6 +119,24 @@ class TestExpansionEval:
         val = xi_expansion_eval(3, jet, 0.2, DispersionParams(0.5))
         ref = fd_oracle(3, 0.7, 0.3, 0.2, 0.5)
         assert abs(val - ref) / abs(ref) < 1e-6
+
+    @pytest.mark.parametrize(
+        "values, match",
+        [((1.0, 0.0, 0.0, 0.0), "exactly five entries"),
+         ((1.0, 0.0, 0.0, 0.0, np.nan), "must be finite")],
+    )
+    def test_jet_rejects_malformed_entries(self, values, match):
+        with pytest.raises(ValueError, match=match):
+            PhiJet(0.5, 0.5, values)
+
+    @pytest.mark.parametrize(
+        "k, variant, match",
+        [(0, "printed", "order k must be 1..4"), (5, "printed", "order k must be 1..4"),
+         (2, "guessed", "unknown variant")],
+    )
+    def test_terms_reject_bad_order_and_variant(self, k, variant, match):
+        with pytest.raises(ValueError, match=match):
+            xi_expansion_terms(k, gaussian_jet(0.5, 0.5), 0.1, DispersionParams(0.5), variant)
 
     def test_rejects_xi_zero_for_high_orders(self):
         jet = gaussian_jet(0.0, 0.5)

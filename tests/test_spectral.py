@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gbozk import RealField2D, make_grid, to_physical, to_spectral
+from gbozk import RealField2D, SpectralField2D, make_grid, to_physical, to_spectral
 from gbozk.diagnostics import _spectral_sums, mass
 from gbozk.spectral import dealias_mask, half_spectrum
 
@@ -33,6 +33,12 @@ class TestMakeGrid:
             make_grid(4, 8, 1.0, 1.0)
         with pytest.raises(ValueError):
             make_grid(8, 8, -1.0, 1.0)
+
+    @pytest.mark.parametrize("side", [1e-200, 1e200])
+    def test_rejects_cell_or_box_area_out_of_range(self, side):
+        # each side is finite, but dx dy underflows to 0 or lx ly overflows
+        with pytest.raises(ValueError, match="cell area dx dy and box area lx ly"):
+            make_grid(8, 8, side, side)
 
     def test_centered_coordinates(self):
         g = make_grid(8, 8, 2.0, 4.0)
@@ -71,6 +77,8 @@ class TestTransforms:
     def test_size_mismatch_rejected(self, grid_2pi):
         with pytest.raises(ValueError):
             RealField2D(grid_2pi, np.ones((8, 8)))
+        with pytest.raises(ValueError, match="does not match grid"):
+            SpectralField2D(grid_2pi, np.ones((8, 8)))
 
 
 def _dealiased(coeffs: np.ndarray, grid) -> np.ndarray:
