@@ -3,11 +3,12 @@
 Subcommands: simulate, uc-compare, stein-profile, expansion-check, norms.
 Exit codes: 0 success, 1 an expansion check failed, 2 configuration error,
 3 numerical blow-up.  Malformed input (configs, batch files, snapshots,
-`norms` weight and Sobolev specs, `expansion-check` flags other than `--a`
-in [0, 1], `--k` integers in 1..4, finite `--t` and a finite `--tolerance`
-> 0) ends in a one-line "config error" and exit 2, before any output
-directory exists; a blow-up in `simulate` or `uc-compare` still writes the
-rows reached before exiting 3.  No environment variable is read.
+`norms` weight and Sobolev specs, also those whose norm leaves the float
+range, `expansion-check` flags other than `--a` in [0, 1], `--k` integers in
+1..4, finite `--t` and a finite `--tolerance` > 0) ends in a one-line
+"config error" and exit 2, before any output directory exists (for `norms`,
+before any row is printed); a blow-up in `simulate` or `uc-compare` still
+writes the rows reached before exiting 3.  No environment variable is read.
 """
 
 from __future__ import annotations
@@ -115,6 +116,10 @@ def _parse_spec(cls, text: str, n_min: int, n_max: int):
 
 
 def _cmd_norms(args) -> int:
+    from functools import partial
+
+    import numpy as np
+
     from .diagnostics import (
         SobolevSpec,
         WeightSpec,
@@ -128,17 +133,26 @@ def _cmd_norms(args) -> int:
     sobolev = None if args.sobolev is None else _parse_spec(SobolevSpec, args.sobolev, 2, 2)
     snap = read_snapshot(args.snapshot)
     u = snap.field
-    print("quantity,value")
-    print(f"t,{snap.t:.17g}")
-    print(f"mass,{mass(u):.17g}")
-    for spec in weights:
-        w = weighted_norm(u, spec)
-        print(f"wnorm_r1={spec.r1:g}_r2={spec.r2:g}_N={spec.N:g},{w:.17g}")
+    quantities = [("mass", partial(mass, u))]
+    quantities += [(f"wnorm_r1={spec.r1:g}_r2={spec.r2:g}_N={spec.N:g}",
+                    partial(weighted_norm, u, spec)) for spec in weights]
     if sobolev is not None:
-        print(
-            f"sobolev_s1={sobolev.s1:g}_s2={sobolev.s2:g},"
-            f"{sobolev_norm(u, sobolev):.17g}"
-        )
+        quantities.append((f"sobolev_s1={sobolev.s1:g}_s2={sobolev.s2:g}",
+                           partial(sobolev_norm, u, sobolev)))
+    # every value is computed, with float overflow raising, before any is
+    # printed; an exponent whose double overflows (w ** inf) raises no flag,
+    # so a value that is not finite is refused too
+    rows = [f"t,{snap.t:.17g}"]
+    for name, norm in quantities:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                value = norm()
+            if not math.isfinite(value):
+                raise FloatingPointError(f"value {value}")
+        except FloatingPointError as exc:
+            raise ConfigError(f"norms: {name} leaves the float range ({exc})") from None
+        rows.append(f"{name},{value:.17g}")
+    print("quantity,value", *rows, sep="\n")
     return EXIT_OK
 
 

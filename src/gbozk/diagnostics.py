@@ -145,6 +145,9 @@ def _bracket_exponent(N: float) -> float:
 # largest finite truncation level of truncated_weight: its blend squares
 # points up to 3N, and (3e153)^2 is a float
 _N_MAX = 1e153
+# beyond this |x|, 1 + x^2 rounds to x^2 and <x> is |x| to the last bit,
+# while x^2 leaves the float range past about 1.34e154
+_BRACKET_IS_ABS = 1e150
 
 
 def truncated_weight(x, N: float):
@@ -158,7 +161,8 @@ def truncated_weight(x, N: float):
     if not (1.0 <= N <= _N_MAX or N == np.inf):
         raise ValueError(f"truncation level must be inf or satisfy 1 <= N <= {_N_MAX:g}, got {N}")
     ax = np.abs(np.asarray(x, dtype=float))
-    bracket = np.sqrt(1.0 + ax**2)
+    bracket = np.where(ax > _BRACKET_IS_ABS, ax,
+                       np.sqrt(1.0 + np.minimum(ax, _BRACKET_IS_ABS) ** 2))
     if np.isinf(N):
         return bracket if bracket.shape else float(bracket)
     out = np.where(ax <= N, bracket, 2.0 * N)

@@ -67,12 +67,15 @@ def quad(fn, a, b, epsabs, epsrel, limit):
     about 0.6 s and 355 scipy modules (``scipy.optimize``, ``scipy.special``,
     ``scipy.sparse``, ...), half of a three-query Stein batch, and none of it
     is used here.  ``ier`` is QUADPACK's flag, 0 for a converged panel (1 at
-    the subdivision limit, 2-5 for roundoff or bad integrand behaviour).  The
-    requested tolerances here are deliberately tighter than needed so a
-    partially converged panel is still far more accurate than the decisions
-    built on it; the engine's absolute accuracy is pinned by independent
-    oracles in the test suite, not by quad's own error report, which is
-    passed on for monitoring only.
+    the subdivision limit, 2-5 for roundoff or bad integrand behaviour).  A
+    flagged panel's error estimate can understate its error by orders of
+    magnitude: at an order b near 1 the Stein inner window (s = delta v^q,
+    q = 5 at b = 0.9) reaches offsets where x +- s rounds to x and
+    f(x) - f(x +- s) cancels, and stops at a roundoff floor about 1e-3 of its
+    value, where quad reports about 2e-6 at 200 subdivisions (6e-4 at 20).
+    The engine's absolute accuracy is pinned by independent oracles in the
+    test suite, not by quad's own error report, which is passed on for
+    monitoring only.
     """
     value, abserr, info, ier = _quadpack()._qagse(fn, a, b, (), 1, epsabs, epsrel, limit)
     if ier == 6:  # QUADPACK rejected the input and computed nothing
@@ -190,6 +193,7 @@ def stein_derivative(
     support_radius: float | None = None,
     far_field: str = "decay",
     epsrel: float = 1e-10,
+    inner_limit: int = 200,
 ) -> SteinResult:
     """Pointwise D^b f(x) by split singular quadrature.
 
@@ -205,6 +209,9 @@ def stein_derivative(
       vanishes for |y| > support_radius, r = support_radius + |x| and
       m = 0 (the remainder is exact); for "constant_modulus", f is a
       unimodular phase, r = |x| + 60 local_scale and m = 1.
+
+    ``inner_limit`` is the inner window's QUADPACK subdivision limit; the
+    outer panels keep 400.
     """
     if not 0.0 < b < 1.0:
         raise ValueError(f"Stein order b must lie in (0, 1), got {b}")
@@ -238,7 +245,7 @@ def stein_derivative(
         n_unconverged += ier != 0
         return val
 
-    inner = integrate(inner_integrand, 0.0, 1.0, 200)
+    inner = integrate(inner_integrand, 0.0, 1.0, inner_limit)
 
     def outer_integrand(s):
         return (abs(fx - f(x + s)) ** 2 + abs(fx - f(x - s)) ** 2) * s**e
@@ -406,7 +413,9 @@ class SteinQuery:
             raise ValueError("evaluation points must exclude 0 for singular profiles")
 
 
-def _profile_stein(profile: Profile, b: float, x: float, epsrel: float = 1e-10) -> SteinResult:
+def _profile_stein(
+    profile: Profile, b: float, x: float, epsrel: float = 1e-10, inner_limit: int = 200
+) -> SteinResult:
     return stein_derivative(
         profile.fn,  # skip the __call__ indirection on the per-point path
         b,
@@ -416,6 +425,7 @@ def _profile_stein(profile: Profile, b: float, x: float, epsrel: float = 1e-10) 
         support_radius=2.0,
         far_field="compact",
         epsrel=epsrel,
+        inner_limit=inner_limit,
     )
 
 
@@ -458,8 +468,9 @@ def _squared_profile_values(profile: Profile, theta: float, etas: np.ndarray) ->
         return np.array([abs(complex(profile(e))) ** 2 for e in etas])
     vals = np.empty(len(etas))
     for i, e in enumerate(etas):
-        # slope decisions only need ~4 digits; keep the quadrature light
-        vals[i] = _profile_stein(profile, theta, float(e), epsrel=1e-7).value ** 2
+        vals[i] = _profile_stein(
+            profile, theta, float(e), epsrel=_CLASSIFY_EPSREL, inner_limit=_CLASSIFY_INNER_LIMIT
+        ).value ** 2
     return vals
 
 
@@ -521,6 +532,14 @@ def _order_regime(profile: Profile, theta: float) -> tuple[Profile, float, str]:
 _PER_OCTAVE = 2
 _SLOPE_BAND = 0.02
 _PERSISTENCE_FLOOR = 0.1
+# and its quadrature budget: slope decisions need about 4 digits.  Where the
+# inner window does not converge (orders near 1), its error is a roundoff
+# floor (x +- s rounds to x, f(x) - f(x +- s) cancels) of about 1e-3 of the
+# inner integral whatever the subdivision limit, so 20 subdivisions reach
+# what 200 do; a converged panel stops well below either limit and keeps
+# its bits
+_CLASSIFY_EPSREL = 1e-7
+_CLASSIFY_INNER_LIMIT = 20
 
 
 def l2_membership_classify(

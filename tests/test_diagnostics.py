@@ -101,6 +101,30 @@ class TestTruncatedWeight:
             want[blend] = _blend_values(ax[blend], N, _bracket_exponent(N))
         assert np.array_equal(truncated_weight(ax, N), want)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        x=st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=8),
+        N=st.one_of(st.just(np.inf), st.floats(1.0, 1e153)),
+    )
+    def test_bracket_up_to_1e150_keeps_its_bits(self, x, N):
+        # up to |x| = 1e150 the bracket is sqrt(1 + x^2) as written
+        ax = np.abs(np.array(x))
+        want = np.sqrt(1.0 + ax**2)
+        if N < np.inf:
+            blend = (ax > N) & (ax < 3.0 * N)
+            want = np.where(ax <= N, want, 2.0 * N)
+            if np.any(blend):
+                want[blend] = _blend_values(ax[blend], N, _bracket_exponent(N))
+        assert np.array_equal(truncated_weight(np.array(x), N), want)
+
+    @pytest.mark.parametrize("N, want", [(np.inf, 1e200), (2.0, 4.0)])
+    def test_bracket_beyond_the_square_range_is_exact_and_silent(self, N, want):
+        # x^2 leaves the float range past |x| = 1.34e154; <x> is |x| there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert truncated_weight(1e200, N) == want
+            assert truncated_weight(-1e200, N) == want
+
     def test_blend_exponent_matches_brentq_oracle(self):
         # p is solved in a fresh process, which must not load scipy.optimize
         levels = [1.0, 2.0, 3.7, 4.0, 8.0, 16.0, 1e4]

@@ -294,9 +294,9 @@ class TestOctaveSampling:
         etas = []
         profile_stein = fraclab._profile_stein
 
-        def counting(profile, b, x, epsrel=1e-10):
+        def counting(profile, b, x, epsrel=1e-10, inner_limit=200):
             etas.append(x)
-            return profile_stein(profile, b, x, epsrel=epsrel)
+            return profile_stein(profile, b, x, epsrel=epsrel, inner_limit=inner_limit)
 
         monkeypatch.setattr(fraclab, "_profile_stein", counting)
         ev = l2_membership_classify(make_profile("power", alpha=1.0), 0.6, n_octaves=n_octaves)
@@ -1122,3 +1122,29 @@ class TestQuadratureReport:
         res = stein_derivative(lambda y: np.exp(1j * y), 0.5, 0.0, far_field="constant_modulus")
         assert math.isfinite(res.abserr) and res.abserr >= 0.0
         assert res.n_evals > 0
+
+
+class TestClassifierBudget:
+    """The classifier's inner windows stop at the subdivision budget their accuracy can use."""
+
+    def test_evaluations_stay_within_budget(self, monkeypatch):
+        # at this order the inner windows of this profile stop at a roundoff
+        # floor that no subdivision limit lowers; they must stay flagged
+        calls = []
+        quad = fraclab.quad
+
+        def recording_quad(fn, a, b, **kwargs):
+            calls.append(((a, b), quad(fn, a, b, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(fraclab, "quad", recording_quad)
+        l2_membership_classify(make_profile("power", alpha=1.5), 0.9)
+        assert sum(out[2] for _, out in calls) <= 60_000
+        assert sum(panel == (0.0, 1.0) and out[3] == 1 for panel, out in calls) == 37
+
+    @pytest.mark.parametrize("eta", [2.0**-16, 2.0**-10, 2.0**-6, 2.0**-2, 1.0])
+    def test_values_match_the_default_path(self, eta):
+        prof = make_profile("power", alpha=1.5)
+        got = _profile_stein(prof, 0.9, eta, epsrel=fraclab._CLASSIFY_EPSREL,
+                             inner_limit=fraclab._CLASSIFY_INNER_LIMIT).value
+        assert got == pytest.approx(_profile_stein(prof, 0.9, eta).value, rel=2e-5, abs=0.0)

@@ -35,7 +35,7 @@ from gbozk.snapshot import (
 )
 from gbozk.spectral import RealField2D
 
-from conftest import random_field
+from conftest import gaussian_field, random_field
 
 BASE_CFG = """\
 [grid]
@@ -745,6 +745,20 @@ class TestCli:
         write_snapshot(path, SnapshotFile(random_field(make_grid(16, 16, 8.0, 8.0)), a=0.5, t=0.0))
         assert cli_main(["norms", str(path), *extra]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra", [["1e308"], ["--sobolev", "1e308:1"]], ids=["weight", "sobolev"]
+    )
+    def test_norms_overflowing_spec_exit_code(self, tmp_path, capsys, extra):
+        # 2 * 1e308 is an infinite exponent, which overflows without a flag;
+        # (1 + xi^2) ** 1e308 overflows with one
+        path = tmp_path / "f.gbzk"
+        write_snapshot(path, SnapshotFile(gaussian_field(make_grid(16, 16, 8.0, 8.0)), a=0.5, t=0.0))
+        assert cli_main(["norms", str(path), *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("config error: norms:") and "leaves the float range" in line
 
     # header: magic 0:4, version 4:8, nx 8:12, ny 12:16, lx 16:24, ...; samples from 48
     @pytest.mark.parametrize(
