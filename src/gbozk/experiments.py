@@ -229,9 +229,9 @@ def uc_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: str | Path) -> UcCom
     """Contrast a zero-x-mean branch against a nonzero-mean branch.
 
     The two configs must be identical except for the x_mean_removed flag.
-    Tracks the truncated-norm ladders ||<x>_N^{r1} u|| for r1 in
-    {2, 5/2+a, 7/2+a} over the configured N ladder, the zero-mode deviation
-    and the first x-moment; the report states box-truncated trends only.
+    ``uc_compare.csv`` tracks the box-truncated ladders ||<x>_N^{r1} u|| for
+    r1 in {2, 5/2+a, 7/2+a} over the configured N ladder; the report states
+    the zero-mode deviation and the residual of the first x-moment identity.
     If either branch blows up, ``uc_compare.csv`` holds the rows both
     branches reached and the first blow-up is re-raised.
     """
@@ -281,7 +281,7 @@ def uc_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: str | Path) -> UcCom
         raise blowups[0]
 
     # moment-identity residual: d/dt xmom = mass/2, centered differences
-    residuals, zmdev, trends = {}, {}, {}
+    residuals, zmdev = {}, {}
     times = np.array([r[0] for r in rows])
     for tag in ("nz", "zm"):
         traj = branches[tag]
@@ -293,15 +293,11 @@ def uc_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: str | Path) -> UcCom
         else:
             residuals[tag] = float("nan")
         zmdev[tag] = float(np.max(traj.column("zero_mode_maxdev")))
-        for key, _, _ in ladder_keys:
-            series = traj.column(key)
-            grow = (series[-1] - series[0]) / series[0] if series[0] > 0 else 0.0
-            trends[f"{key}_{tag}"] = float(grow)
 
     report_lines = [
         f"# manifest={mhash}",
-        "unique-continuation comparison (box-truncated norms; no claim about",
-        "norms on the full plane is implied by these trends)",
+        "unique-continuation comparison (box-truncated norms in uc_compare.csv;",
+        "no claim about norms on the full plane is implied by them)",
         "",
         f"dispersion a = {_fmt(a)}; ladder r1 = "
         + ", ".join(_fmt(r) for r in ladder_r)
@@ -312,11 +308,7 @@ def uc_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: str | Path) -> UcCom
         f"zero-mode max deviation: nz = {_fmt(zmdev['nz'])}, zm = {_fmt(zmdev['zm'])}",
         f"x-moment identity residual (d/dt int x u = mass/2): "
         f"nz = {_fmt(residuals['nz'])}, zm = {_fmt(residuals['zm'])}",
-        "",
-        "relative growth of truncated weighted norms over [0, T]:",
     ]
-    for key, grow in trends.items():
-        report_lines.append(f"  {key}: {_fmt(grow)}")
     report_path = out / "uc_report.txt"
     report_path.write_text("\n".join(report_lines) + "\n")
 

@@ -226,8 +226,6 @@ def stein_derivative(
     e_v = q - 1.0
 
     def inner_integrand(v):
-        if v <= 0.0:
-            return 0.0
         s = delta * v**q
         hs = abs(fx - f(x + s)) ** 2 + abs(fx - f(x - s)) ** 2
         if hs == 0.0:  # e.g. x +- s round to x, where s ** (-1 - 2b) may overflow
@@ -528,7 +526,7 @@ def _order_regime(profile: Profile, theta: float) -> tuple[Profile, float, str]:
     return profile, theta, ""
 
 
-# l2_membership_classify's sampling and decision constants (see its docstring)
+# l2_membership_classify's sampling and _increment_verdict's decision constants
 _PER_OCTAVE = 2
 _SLOPE_BAND = 0.02
 _PERSISTENCE_FLOOR = 0.1
@@ -551,19 +549,10 @@ def l2_membership_classify(
     [2^{-k-1}, 2^{-k}] (doubled for the mirror side), each sampled at its
     ends and midpoint on a log scale (2 points per octave).  Neighbouring
     octaves share an end point, so n octaves take 2n + 1 evaluations of the
-    squared profile, each point once.  Decision rules on the fitted
-    log2-slope s of the increments:
-
-    * s > +0.02: power divergence, non-member;
-    * s < -0.02: geometric decay, member;
-    * |s| <= 0.02: if the late increments stay above 0.1 of the early ones
-      the series diverges like a log (non-member); otherwise the evidence is
-      inconclusive.
-
-    A squared value that is not finite makes the evidence inconclusive, with
-    no increments computed.  The slope is fitted on the octaves from
-    max(4, n_octaves // 2) on and needs 4 of them, so fewer than 8 octaves
-    leave the evidence inconclusive too; n_octaves < 1 raises ValueError.
+    squared profile, each point once.  ``_increment_verdict`` decides on the
+    increments from octave max(4, n_octaves // 2) on, so fewer than 8
+    octaves leave the evidence inconclusive, as does a squared value that is
+    not finite (no increments computed); n_octaves < 1 raises ValueError.
 
     For theta >= 1 the classification is applied to the analytic derivative
     of the profile at order theta - 1 (D^0 = identity), which preserves the
@@ -573,7 +562,6 @@ def l2_membership_classify(
     if n_octaves < 1:
         raise ValueError(f"n_octaves must be at least 1, got {n_octaves}")
     profile, theta, note = _order_regime(profile, theta)
-    ks = np.arange(n_octaves)
     # log-spaced points from 2^{-n} to 1; octave k, [2^{-k-1}, 2^{-k}], is the
     # slice starting at 2 (n - k - 1)
     etas = 2.0 ** (-n_octaves + np.arange(_PER_OCTAVE * n_octaves + 1) / _PER_OCTAVE)
@@ -588,17 +576,36 @@ def l2_membership_classify(
             rule=f"{bad} of {q.size} squared Stein values not finite" + note,
         )
     increments = np.empty(n_octaves)
-    for k in ks:
+    for k in range(n_octaves):
         octave = slice(_PER_OCTAVE * (n_octaves - k - 1), _PER_OCTAVE * (n_octaves - k) + 1)
         increments[k] = 2.0 * _integrate_power_segments(etas[octave], q[octave])  # both signs
 
-    fit_win = increments[max(4, n_octaves // 2):]
-    kfit = ks[max(4, n_octaves // 2):]
+    verdict, rule, slope = _increment_verdict(increments, max(4, n_octaves // 2))
+    if n_octaves < 8:
+        rule += " (n_octaves < 8)"
+    return MembershipEvidence(
+        verdict=verdict, increments=increments, increment_slope=slope, rule=rule + note
+    )
+
+
+def _increment_verdict(increments: np.ndarray, first: int) -> tuple[str, str, float]:
+    """(verdict, rule, slope) of L^2 membership from dyadic increments.
+
+    The log2-slope s of the positive increments from index ``first`` on needs
+    4 of them (s = -inf if the window holds 4 but fewer are positive):
+
+    * s > +0.02: power divergence, non-member;
+    * s < -0.02: geometric decay, member;
+    * |s| <= 0.02: if the late increments stay above 0.1 of the early ones
+      the series diverges like a log (non-member); otherwise the evidence is
+      inconclusive.
+    """
+    fit_win = increments[first:]
+    kfit = np.arange(first, increments.size)
     positive = fit_win > 0
     slope = math.nan
     if positive.sum() >= 4:
-        coef = np.polyfit(kfit[positive], np.log2(fit_win[positive]), 1)
-        slope = float(coef[0])
+        slope = float(np.polyfit(kfit[positive], np.log2(fit_win[positive]), 1)[0])
     elif fit_win.size >= 4:
         slope = -math.inf  # increments already indistinguishable from zero
 
@@ -606,20 +613,14 @@ def l2_membership_classify(
     late = float(np.mean(increments[-3:]))
 
     if fit_win.size < 4:
-        verdict = "inconclusive"
-        rule = f"fit window holds {fit_win.size} of the 4 increments a slope needs (n_octaves < 8)"
-    elif slope > _SLOPE_BAND:
-        verdict, rule = "non-member", "increments grow (power divergence)"
-    elif slope < -_SLOPE_BAND:
-        verdict, rule = "member", "increments decay geometrically"
-    elif early > 0 and late > _PERSISTENCE_FLOOR * early:
-        verdict, rule = "non-member", "increments persist (log divergence)"
-    else:
-        verdict, rule = "inconclusive", "slope within the indeterminate band"
-
-    return MembershipEvidence(
-        verdict=verdict, increments=increments, increment_slope=slope, rule=rule + note
-    )
+        return "inconclusive", f"fit window holds {fit_win.size} of the 4 increments a slope needs", slope
+    if slope > _SLOPE_BAND:
+        return "non-member", "increments grow (power divergence)", slope
+    if slope < -_SLOPE_BAND:
+        return "member", "increments decay geometrically", slope
+    if early > 0 and late > _PERSISTENCE_FLOOR * early:
+        return "non-member", "increments persist (log divergence)", slope
+    return "inconclusive", "slope within the indeterminate band", slope
 
 
 # --- pointwise phase lemmas ---------------------------------------------------

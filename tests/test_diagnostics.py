@@ -150,6 +150,11 @@ class TestTruncatedWeight:
         assert truncated_abs_weight(7.0, 2.0) == 4.0
         assert truncated_abs_weight(3.0, np.inf) == 3.0
 
+    @pytest.mark.parametrize("N", [0.0, -1.0, np.nan])
+    def test_abs_weight_rejects_a_level_that_is_not_positive(self, N):
+        with pytest.raises(ValueError, match="N must be positive"):
+            truncated_abs_weight(1.0, N)
+
     def test_abs_weight_at_huge_level_is_exact_and_silent(self):
         # 2N overflows to inf at N = 1e308; no point lies in the blend, so
         # none may meet the inf * 0 of a blend evaluated everywhere

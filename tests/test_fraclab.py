@@ -286,6 +286,86 @@ class TestMembership:
             l2_membership_classify(make_profile("power", alpha=0.2), 0.9, n_octaves=n_octaves)
 
 
+def _parent_increment_verdict(increments, first):
+    """The classifier's decision block as it stood before it moved into
+    fraclab._increment_verdict, with the band and floor as literals; the
+    classifier appends the "(n_octaves < 8)" of its short-window rule."""
+    ks = np.arange(increments.size)
+    fit_win = increments[first:]
+    kfit = ks[first:]
+    positive = fit_win > 0
+    slope = math.nan
+    if positive.sum() >= 4:
+        coef = np.polyfit(kfit[positive], np.log2(fit_win[positive]), 1)
+        slope = float(coef[0])
+    elif fit_win.size >= 4:
+        slope = -math.inf
+
+    early = float(np.max(increments[:3]))
+    late = float(np.mean(increments[-3:]))
+
+    if fit_win.size < 4:
+        verdict = "inconclusive"
+        rule = f"fit window holds {fit_win.size} of the 4 increments a slope needs"
+    elif slope > 0.02:
+        verdict, rule = "non-member", "increments grow (power divergence)"
+    elif slope < -0.02:
+        verdict, rule = "member", "increments decay geometrically"
+    elif early > 0 and late > 0.1 * early:
+        verdict, rule = "non-member", "increments persist (log divergence)"
+    else:
+        verdict, rule = "inconclusive", "slope within the indeterminate band"
+    return verdict, rule, slope
+
+
+def _verdict_outcome(decide, increments, first):
+    """(verdict, rule, slope bits), or the exception type; a warning counts
+    as an exception, as the suite's RuntimeWarning filter makes it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            verdict, rule, slope = decide(increments.copy(), first)
+        except Exception as exc:  # the type is the outcome
+            return type(exc)
+    return verdict, rule, np.float64(slope).tobytes()
+
+
+_SPECIAL_INCREMENTS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.0, -1.0, 1e300, 1.7e308,
+                       math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def _increment_arrays(draw):
+    n = draw(st.integers(1, 24))
+    if draw(st.integers(0, 3)) == 0:
+        entry = st.one_of(st.sampled_from(_SPECIAL_INCREMENTS), st.floats())
+        return np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    # near-geometric increments c 2^(s k) around the slope band, the early
+    # octaves lifted so that late / early falls on both sides of the
+    # persistence floor 0.1, and a few entries swapped for special values
+    c = draw(st.floats(1e-300, 1e300))
+    s = draw(st.one_of(st.floats(-0.03, 0.03), st.sampled_from([-1.0, -0.05, 0.05, 1.0])))
+    lift = draw(st.one_of(st.just(1.0), st.floats(8.0, 12.5)))
+    noise = draw(st.lists(st.floats(0.98, 1.02), min_size=n, max_size=n))
+    inc = [c * 2.0 ** (s * k) * e * (lift if k < 3 else 1.0) for k, e in enumerate(noise)]
+    if draw(st.booleans()):
+        for k in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
+            inc[k] = draw(st.sampled_from(_SPECIAL_INCREMENTS))
+    return np.array(inc)
+
+
+class TestIncrementVerdict:
+    """fraclab._increment_verdict is the classifier's former decision block."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(increments=_increment_arrays())
+    def test_matches_the_parent_decision_block(self, increments):
+        for first in range(increments.size + 2):
+            want = _verdict_outcome(_parent_increment_verdict, increments, first)
+            got = _verdict_outcome(fraclab._increment_verdict, increments, first)
+            assert got == want, (increments.tolist(), first)
+
+
 class TestOctaveSampling:
     """Neighbouring octaves share their end points: each eta is evaluated once."""
 
@@ -682,6 +762,10 @@ class TestLemmaDfProbe:
         r = lemma_df_probe(0.5, 1.0, 0.5, [z])
         assert r.max_ratio == 0.0
 
+    def test_rho_weight_rejects_negative_time(self):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            fraclab.rho_weight(-1.0, 0.5)
+
     def test_stationary_case_finite(self):
         g = make_grid(64, 64, 24.0, 24.0)
         fields = gaussian_ensemble(g, 4, seed=1)
@@ -997,7 +1081,8 @@ class TestProfileFloatBranch:
         "kind, p",
         [("power", a) for a in (1.5, 1.0, 0.5, 2.0, 0.3, -0.3)]
         + [("power_sign", a) for a in (0.5, 1.5, 1.0, -0.3)]
-        + [("gamma", g) for g in (0.3, 0.8, 1.2, -0.2)],
+        # gamma = -1.5: |y|^-2 overflows Python's float power at 2^-1074
+        + [("gamma", g) for g in (0.3, 0.8, 1.2, -0.2, -1.5)],
     )
     def test_float_branch_bits(self, kind, p):
         prof = _family_profile(kind, p)

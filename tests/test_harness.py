@@ -646,6 +646,7 @@ class TestCli:
             # the flag only shapes the Gaussian family
             ("family = gaussian", "family = single_mode\nx_mean_removed = true"),
             ("family = gaussian", "family = file\npath = missing.gbzk\nx_mean_removed = true"),
+            ("family = gaussian", "family = sine"),
         ],
         ids=["stride-0", "stride-negative", "snapshot-stride-negative", "n-ladder-below-1",
              "n-ladder-repeated", "n-ladder-tag-collision",
@@ -653,7 +654,7 @@ class TestCli:
              "path-missing", "box-1e150", "box-1e-150", "blowup-factor-key",
              "etdrk4-cube-overflow", "amplitude-1e308", "amplitude-1e150", "r1-1e308",
              "r2-1e308", "n-ladder-beyond-blend-range", "x-mean-removed-single-mode",
-             "x-mean-removed-file"],
+             "x-mean-removed-file", "family-unknown"],
     )
     def test_malformed_config_exit_code(self, tmp_path, capsys, old, new):
         cfg_path = write_cfg(tmp_path, text=BASE_CFG.replace(old, new))
@@ -785,6 +786,18 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out
+        # k = 4 at t = 1 meets the printed table's H3/H4 transcription error,
+        # which the check isolates and corrects
+        assert cli_main(["expansion-check", "--k", "4", "--t", "1"]) == 0
+        line, worst = capsys.readouterr().out.splitlines()
+        head, tail = line.split(": max rel err ")
+        assert head == "[PASS] k=4 t=1"
+        err = re.fullmatch(
+            r"\S+, median \S+; printed-coefficient discrepancy isolated to terms H3,H4; "
+            r"corrected max err (\S+)", tail
+        )
+        assert err and float(err[1]) < 1e-6
+        assert worst == f"worst corrected error: {err[1]}"
 
     @pytest.mark.parametrize(
         "flags",
