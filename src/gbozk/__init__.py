@@ -39,7 +39,6 @@ from .diagnostics import (
     x_moment,
 )
 from .fraclab import (
-    SteinQuery,
     cutoff_phi,
     stein_derivative,
     make_profile,

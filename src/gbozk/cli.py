@@ -39,9 +39,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_uc_compare(args) -> int:
     from .experiments import uc_compare
 
-    cfg_a = load_config(args.config_a)
-    cfg_b = load_config(args.config_b)
-    result = uc_compare(cfg_a, cfg_b, args.out or cfg_a.output_dir)
+    cfg = load_config(args.config)
+    result = uc_compare(cfg, args.out or cfg.output_dir)
     print(f"wrote {result.csv_path}")
     print(f"wrote {result.report_path}")
     for tag in ("nz", "zm"):
@@ -167,9 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.set_defaults(fn=_cmd_simulate)
 
-    p = sub.add_parser("uc-compare", help="zero-mean vs nonzero-mean comparison")
-    p.add_argument("config_a")
-    p.add_argument("config_b")
+    p = sub.add_parser("uc-compare", help="zero-mean vs nonzero-mean branch of one config")
+    p.add_argument("config")
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(fn=_cmd_uc_compare)
 

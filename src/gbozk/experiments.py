@@ -42,7 +42,6 @@ from .fraclab import (
     fit_exponent,
     l2_membership_classify,
     make_profile,
-    SteinQuery,
 )
 from .propagator import DispersionParams, xi_expansion_check
 from .snapshot import SnapshotFile, write_snapshot
@@ -86,9 +85,10 @@ def _write_csv(path: Path, header: list[str], rows: list[list], mhash: str) -> N
     path.write_text("\n".join(lines) + "\n")
 
 
-def _payload(**entries) -> dict:
+def _payload(dealias: bool = True, **entries) -> dict:
     """Manifest payload: the run's own entries plus code version and settings."""
-    return {**entries, "code_version": __version__, "settings": NUMERICAL_SETTINGS}
+    settings = NUMERICAL_SETTINGS if dealias else {**NUMERICAL_SETTINGS, "dealias_rule": "none"}
+    return {**entries, "code_version": __version__, "settings": settings}
 
 
 def _open_run(out_dir: str | Path, payload: dict) -> tuple[Path, str]:
@@ -174,7 +174,7 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     On blow-up the rows and snapshots reached so far are still written and
     the manifest records the error before it is re-raised.
     """
-    payload = _payload(config=cfg.to_dict())
+    payload = _payload(cfg.solver.dealias, config=cfg.to_dict())
     initial = cfg.initial.build(cfg.grid)
     row = _recorder(initial, _scenario_observer(cfg))
     out, mhash = _open_run(cfg.output_dir, payload)
@@ -225,30 +225,26 @@ class UcCompareResult:
     zero_mode_maxdev: dict[str, float]
 
 
-def uc_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: str | Path) -> UcCompareResult:
-    """Contrast a zero-x-mean branch against a nonzero-mean branch.
+def uc_compare(cfg: RunConfig, out_dir: str | Path) -> UcCompareResult:
+    """Contrast the config's Gaussian (branch nz) with its zero-x-mean form (zm).
 
-    The two configs must be identical except for the x_mean_removed flag.
+    Branch zm sets ``x_mean_removed`` on ``cfg.initial``, a Gaussian without it.
     ``uc_compare.csv`` tracks the box-truncated ladders ||<x>_N^{r1} u|| for
     r1 in {2, 5/2+a, 7/2+a} over the configured N ladder; the report states
     the zero-mode deviation and the residual of the first x-moment identity.
     If either branch blows up, ``uc_compare.csv`` holds the rows both
     branches reached and the first blow-up is re-raised.
     """
-    def physics(cfg):  # everything but the flag and the [output] section
-        initial = replace(cfg.initial, x_mean_removed=False)
-        return replace(cfg, initial=initial, output_dir="", snapshot_stride=0)
+    if cfg.initial.family != "gaussian" or cfg.initial.x_mean_removed:
+        raise ConfigError(
+            "[initial] uc-compare needs family = gaussian with x_mean_removed = false "
+            f"(branch zm sets it), got family = {cfg.initial.family}, "
+            f"x_mean_removed = {str(cfg.initial.x_mean_removed).lower()}"
+        )
 
-    if physics(cfg_a) != physics(cfg_b):
-        raise ConfigError("uc_compare configs must differ only in x_mean_removed")
-    if cfg_a.initial.x_mean_removed == cfg_b.initial.x_mean_removed:
-        raise ConfigError("uc_compare needs exactly one branch with x_mean_removed")
-    if cfg_a.initial.x_mean_removed:
-        cfg_a, cfg_b = cfg_b, cfg_a  # branch A: nonzero mean, branch B: zero mean
-
-    a = cfg_a.solver.params.a
+    a = cfg.solver.params.a
     ladder_r = [2.0, 2.5 + a, 3.5 + a]
-    ladder_n = cfg_a.diagnostics.n_ladder
+    ladder_n = cfg.diagnostics.n_ladder
     ladder_keys = [
         (f"w_r{_rtag(r1)}_N{_ladder_tag(N)}", r1, N) for r1 in ladder_r for N in ladder_n
     ]
@@ -259,12 +255,13 @@ def uc_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: str | Path) -> UcCom
             row[key] = truncated_x_norm(u, r1, N)
         return row
 
-    runs = [(tag, c, c.initial.build(c.grid)) for tag, c in (("nz", cfg_a), ("zm", cfg_b))]
-    runs = [(tag, c, u0, _recorder(u0, observe)) for tag, c, u0 in runs]
-    out, mhash = _open_run(out_dir, _payload(config_pair=[cfg_a.to_dict(), cfg_b.to_dict()]))
+    inits = {"nz": cfg.initial, "zm": replace(cfg.initial, x_mean_removed=True)}
+    runs = [(tag, init.build(cfg.grid)) for tag, init in inits.items()]
+    runs = [(tag, u0, _recorder(u0, observe)) for tag, u0 in runs]
+    out, mhash = _open_run(out_dir, _payload(cfg.solver.dealias, uc_compare=cfg.to_dict()))
 
     branches, blowups = {}, []
-    for tag, cfg, initial, recorder in runs:
+    for tag, initial, recorder in runs:
         branches[tag], columns, blowup = _run(cfg, initial, recorder)
         if blowup is not None:
             blowups.append(blowup)
@@ -373,7 +370,7 @@ def _run_one_query(q: SteinBatchQuery) -> dict:
     # order unreduced; elsewhere quadrature would only report artefacts
     if _order_regime(profile, q.theta)[1] == q.theta > 0.0:
         eta_large = np.geomspace(10.0, 200.0, 12)
-        vals_large = dstein_profile(SteinQuery(q.theta, profile, tuple(eta_large)))
+        vals_large = dstein_profile(profile, q.theta, eta_large)
         out["slope_large_eta"] = fit_exponent(eta_large, vals_large)
         out["fit_window"] = "10..200"
         out["values"] = list(zip(eta_large.tolist(), vals_large.tolist()))

@@ -89,7 +89,6 @@ from .spectral import RealField2D, half_spectrum, half_xi
 __all__ = [
     "cutoff_phi",
     "cutoff_phi_prime",
-    "SteinQuery",
     "SteinResult",
     "stein_derivative",
     "make_profile",
@@ -331,9 +330,9 @@ def make_profile(kind: str, alpha: float | None = None, gamma: float | None = No
 
     kind: "power" -> |y|^alpha phi(y); "power_sign" -> |y|^alpha sgn(y) phi(y);
     "gamma" -> |y|^{gamma - 1/2} phi(y).  The family's parameter must be
-    finite; ``check_order`` bounds its size for a given order.  Each function
-    is written once, for a Python float; ``_elementwise`` maps other inputs
-    onto it.
+    finite and the other one unset; ``check_order`` bounds its size for a
+    given order.  Each function is written once, for a Python float;
+    ``_elementwise`` maps other inputs onto it.
     """
     for name, value in (("alpha", alpha), ("gamma", gamma)):
         if value is not None and not math.isfinite(value):
@@ -343,8 +342,8 @@ def make_profile(kind: str, alpha: float | None = None, gamma: float | None = No
     # extra call; where Python raises (0 ** p with p < 0, overflow) the
     # except clause takes the powers from _abs_pow, which gives numpy's inf.
     if kind in ("power", "power_sign"):
-        if alpha is None:
-            raise ValueError(f"{kind} profile needs alpha")
+        if alpha is None or gamma is not None:
+            raise ValueError(f"{kind} profile needs alpha and no gamma")
         a = float(alpha)
         am1 = a - 1.0
         odd = kind == "power_sign"
@@ -376,8 +375,8 @@ def make_profile(kind: str, alpha: float | None = None, gamma: float | None = No
 
         return Profile(f, f"|y|^{a}*sgn*phi" if odd else f"|y|^{a}*phi", fp, a)
     if kind == "gamma":
-        if gamma is None:
-            raise ValueError("gamma profile needs gamma")
+        if gamma is None or alpha is not None:
+            raise ValueError("gamma profile needs gamma and no alpha")
         g1 = float(gamma) - 0.5
 
         def f(y):
@@ -396,21 +395,6 @@ def make_profile(kind: str, alpha: float | None = None, gamma: float | None = No
     raise ValueError(f"unknown profile kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class SteinQuery:
-    """A profile evaluation request: order b in (0,1), points away from 0."""
-
-    b: float
-    profile: Profile
-    points: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.b < 1.0:
-            raise ValueError("query order b must lie in (0, 1)")
-        if any(p == 0.0 for p in self.points):
-            raise ValueError("evaluation points must exclude 0 for singular profiles")
-
-
 def _profile_stein(
     profile: Profile, b: float, x: float, epsrel: float = 1e-10, inner_limit: int = 200
 ) -> SteinResult:
@@ -427,9 +411,13 @@ def _profile_stein(
     )
 
 
-def dstein_profile(query: SteinQuery) -> np.ndarray:
-    """Pointwise D^b(profile) over the requested evaluation points."""
-    return np.array([_profile_stein(query.profile, query.b, float(x)).value for x in query.points])
+def dstein_profile(profile: Profile, b: float, points) -> np.ndarray:
+    """Pointwise D^b(profile) at ``points``: b in (0, 1), no point at 0."""
+    if not 0.0 < b < 1.0:
+        raise ValueError("query order b must lie in (0, 1)")
+    if any(p == 0.0 for p in points):
+        raise ValueError("evaluation points must exclude 0 for singular profiles")
+    return np.array([_profile_stein(profile, b, float(x)).value for x in points])
 
 
 # --- exponent fitting --------------------------------------------------------

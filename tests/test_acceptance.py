@@ -24,7 +24,6 @@ from gbozk.config import DiagnosticsPlan, InitialData, RunConfig
 from gbozk.diagnostics import hamiltonian, interx_probe, mass, zero_mode_slice
 from gbozk.experiments import uc_compare
 from gbozk.fraclab import (
-    SteinQuery,
     dstein_profile,
     fit_exponent,
     gaussian_ensemble,
@@ -191,7 +190,7 @@ class TestCriterion7AsymptoticExponents:
     def test_large_eta_slope(self):
         prof = make_profile("power", alpha=1.5)
         eta = np.geomspace(10.0, 200.0, 12)
-        vals = dstein_profile(SteinQuery(0.8, prof, tuple(eta)))
+        vals = dstein_profile(prof, 0.8, tuple(eta))
         slope = fit_exponent(eta, vals)
         ok = abs(slope - (-1.3)) < 0.05
         report(7, ok, f"large-eta slope {slope:.3f} (target -1.30 +- 0.05)")
@@ -201,7 +200,7 @@ class TestCriterion7AsymptoticExponents:
         # alpha < theta: D^theta blows up like |eta|^{alpha-theta}
         prof = make_profile("power", alpha=0.5)
         eta = np.geomspace(1e-4, 1e-2, 10)
-        vals = dstein_profile(SteinQuery(0.8, prof, tuple(eta)))
+        vals = dstein_profile(prof, 0.8, tuple(eta))
         slope = fit_exponent(eta, vals)
         ok = abs(slope - (-0.3)) < 0.05
         report(7, ok, f"small-eta slope {slope:.3f} (target alpha-theta = -0.30 +- 0.05)")
@@ -210,7 +209,7 @@ class TestCriterion7AsymptoticExponents:
     def test_log_case_r_squared(self):
         prof = make_profile("power", alpha=0.5)
         eta = np.geomspace(1e-4, 1e-2, 10)
-        vals = dstein_profile(SteinQuery(0.5, prof, tuple(eta)))
+        vals = dstein_profile(prof, 0.5, tuple(eta))
         A = np.vstack([-np.log(eta), np.ones(len(eta))]).T
         coef, *_ = np.linalg.lstsq(A, vals**2, rcond=None)
         resid = vals**2 - A @ coef
@@ -249,23 +248,15 @@ class TestCriterion9MomentIdentity:
         # identity d/dt int x u = mass/2 is clean on both branches
         grid = make_grid(192, 192, 48.0, 48.0)
         solver = SolverConfig(dt=5e-4, T=0.1, params=DispersionParams(1.0))
-        common = dict(
+        cfg = RunConfig(
             grid=grid,
             solver=solver,
+            initial=InitialData("gaussian", 0.4, 2.0, 2.0),
             diagnostics=DiagnosticsPlan(stride=20, n_ladder=(2.0, 4.0)),
+            output_dir=str(tmp_path / "nz"),
             snapshot_stride=0,
         )
-        cfg_nz = RunConfig(
-            initial=InitialData("gaussian", 0.4, 2.0, 2.0),
-            output_dir=str(tmp_path / "nz"),
-            **common,
-        )
-        cfg_zm = RunConfig(
-            initial=InitialData("gaussian", 0.4, 2.0, 2.0, x_mean_removed=True),
-            output_dir=str(tmp_path / "zm"),
-            **common,
-        )
-        res = uc_compare(cfg_nz, cfg_zm, tmp_path / "uc")
+        res = uc_compare(cfg, tmp_path / "uc")
         r_nz = res.moment_residuals["nz"]
         r_zm = res.moment_residuals["zm"]
         ok = r_nz < 1e-6 and r_zm < 1e-6

@@ -329,6 +329,14 @@ class TestZeroModeAndMoments:
         u = RealField2D(g, np.exp(-((X - 1.0) ** 2) - Y**2))
         assert abs(x_moment(u) - np.pi) < 1e-8
 
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 1.3, 2.0])
+    def test_shifted_gaussian_moment_at_eta(self, eta):
+        # int x exp(-i eta y) u = A cx sx sy pi exp(-i eta cy) exp(-eta^2 sy^2 / 4)
+        amp, cx, cy, sx, sy = 0.7, 1.5, -2.0, 1.2, 1.8
+        u = gaussian_field(make_grid(128, 128, 40.0, 40.0), amp, sx, sy, cx, cy)
+        expected = amp * cx * sx * sy * np.pi * np.exp(-1j * eta * cy - eta**2 * sy**2 / 4.0)
+        assert abs(x_moment(u, eta) - expected) <= 1e-12 * abs(expected)
+
     def test_localization_warning(self):
         g = make_grid(32, 32, 4.0, 4.0)
         u = gaussian_field(g, 1.0, 2.0, 2.0)  # spills over the box edge

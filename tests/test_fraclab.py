@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from gbozk import fraclab, make_grid
 from gbozk.fraclab import (
     Profile,
-    SteinQuery,
     cutoff_phi,
     cutoff_phi_prime,
     dstein_profile,
@@ -140,27 +139,36 @@ class TestProfiles:
     def test_query_validation(self):
         prof = make_profile("power", alpha=1.0)
         with pytest.raises(ValueError):
-            SteinQuery(1.2, prof, (1.0,))
+            dstein_profile(prof, 1.2, (1.0,))
         with pytest.raises(ValueError):
-            SteinQuery(0.5, prof, (0.0, 1.0))
+            dstein_profile(prof, 0.5, (0.0, 1.0))
+
+    @pytest.mark.parametrize("b, points", [(1.2, (1.0,)), (0.5, (1.0, 0.0))])
+    def test_query_is_checked_before_any_quadrature(self, monkeypatch, b, points):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran before the query checks")
+
+        monkeypatch.setattr(fraclab, "_profile_stein", no_quadrature)
+        with pytest.raises(ValueError):
+            dstein_profile(make_profile("power", alpha=1.0), b, points)
 
     def test_even_symmetry(self):
         prof = make_profile("power", alpha=0.8)
-        q_pos = dstein_profile(SteinQuery(0.5, prof, (0.3, 1.1)))
-        q_neg = dstein_profile(SteinQuery(0.5, prof, (-0.3, -1.1)))
+        q_pos = dstein_profile(prof, 0.5, (0.3, 1.1))
+        q_neg = dstein_profile(prof, 0.5, (-0.3, -1.1))
         assert np.allclose(q_pos, q_neg, rtol=1e-6)
 
     def test_large_eta_decay_exponent(self):
         prof = make_profile("power", alpha=1.5)
         eta = np.geomspace(10.0, 200.0, 12)
-        vals = dstein_profile(SteinQuery(0.8, prof, tuple(eta)))
+        vals = dstein_profile(prof, 0.8, tuple(eta))
         fit = fit_exponent(eta, vals)
         assert abs(fit - (-1.3)) < 0.05
 
     def test_log_case_r_squared(self):
         prof = make_profile("power", alpha=0.5)
         eta = np.geomspace(1e-4, 1e-2, 10)
-        vals = dstein_profile(SteinQuery(0.5, prof, tuple(eta)))
+        vals = dstein_profile(prof, 0.5, tuple(eta))
         A = np.vstack([-np.log(eta), np.ones(len(eta))]).T
         coef, *_ = np.linalg.lstsq(A, vals**2, rcond=None)
         fitted = A @ coef
@@ -173,7 +181,7 @@ class TestProfiles:
         # alpha < theta branch: D^theta grows like |eta|^{alpha - theta}
         prof = make_profile("power", alpha=0.5)
         eta = np.geomspace(1e-4, 1e-2, 10)
-        vals = dstein_profile(SteinQuery(0.8, prof, tuple(eta)))
+        vals = dstein_profile(prof, 0.8, tuple(eta))
         fit = fit_exponent(eta, vals)
         assert abs(fit - (-0.3)) < 0.05
 
@@ -191,7 +199,7 @@ class TestProfiles:
             points=[1.0],
             limit=400,
         )[0]
-        val = dstein_profile(SteinQuery(theta, prof, (1e-6,)))[0]
+        val = dstein_profile(prof, theta, (1e-6,))[0]
         assert abs(val - math.sqrt(c1sq)) / math.sqrt(c1sq) < 1e-3
 
 

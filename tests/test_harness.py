@@ -1,8 +1,10 @@
 import contextlib
 import io
+import json
 import math
 import os
 import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -18,11 +20,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import gbozk
 from gbozk import evolve, make_grid
-from gbozk.cli import main as cli_main
+from gbozk.cli import build_parser, main as cli_main
 from gbozk.config import _SCHEMA, ConfigError, load_config
 from gbozk.experiments import (
+    NUMERICAL_SETTINGS,
     SteinBatchQuery,
     load_stein_batch,
+    manifest_hash,
     run_scenario,
     stein_report,
     uc_compare,
@@ -377,6 +381,13 @@ class TestRunScenario:
         line = res.csv_path.read_text().splitlines()[0]
         assert line == f"# manifest={manifest['manifest_sha256']}"
 
+    @pytest.mark.parametrize("flag, rule", [("true", "two-thirds"), ("false", "none")])
+    def test_manifest_records_the_dealias_rule(self, tmp_path, flag, rule):
+        text = BASE_CFG.replace("T = 0.01", f"T = 0.01\ndealias = {flag}")
+        res = run_scenario(load_config(write_cfg(tmp_path, text=text)))
+        manifest = json.loads(res.manifest_path.read_text())
+        assert manifest["settings"] == {**NUMERICAL_SETTINGS, "dealias_rule": rule}
+
     def test_snapshot_written_with_final_time(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path))
         run_scenario(cfg)
@@ -416,35 +427,17 @@ class TestRunScenario:
 
 
 class TestUcCompare:
-    def _configs(self, tmp_path):
-        text_nz = BASE_CFG
-        text_zm = BASE_CFG.replace(
-            "sigma_y = 1.0", "sigma_y = 1.0\nx_mean_removed = true"
-        )
-        cfg_a = load_config(write_cfg(tmp_path, "a.cfg", text_nz, out=tmp_path / "a"))
-        cfg_b = load_config(write_cfg(tmp_path, "b.cfg", text_zm, out=tmp_path / "b"))
-        return cfg_a, cfg_b
-
-    def test_rejects_equal_flags(self, tmp_path):
-        cfg_a, _ = self._configs(tmp_path)
-        with pytest.raises(ConfigError):
-            uc_compare(cfg_a, cfg_a, tmp_path / "uc")
-
-    def test_rejects_other_differences(self, tmp_path):
-        cfg_a, cfg_b = self._configs(tmp_path)
-        solver = replace(cfg_b.solver, params=type(cfg_b.solver.params)(0.7))
-        cfg_b = replace(cfg_b, solver=solver)
-        with pytest.raises(ConfigError):
-            uc_compare(cfg_a, cfg_b, tmp_path / "uc")
+    def _config(self, tmp_path, text=BASE_CFG):
+        return load_config(write_cfg(tmp_path, "run.cfg", text, out=tmp_path / "run"))
 
     def test_byte_identical_reruns(self, tmp_path):
-        cfg_a, cfg_b = self._configs(tmp_path)
-        first = uc_compare(cfg_a, cfg_b, tmp_path / "uc").csv_path.read_bytes()
-        assert uc_compare(cfg_a, cfg_b, tmp_path / "uc").csv_path.read_bytes() == first
+        cfg = self._config(tmp_path)
+        first = uc_compare(cfg, tmp_path / "uc").csv_path.read_bytes()
+        assert uc_compare(cfg, tmp_path / "uc").csv_path.read_bytes() == first
 
     def test_outputs_and_invariances(self, tmp_path):
-        cfg_a, cfg_b = self._configs(tmp_path)
-        res = uc_compare(cfg_a, cfg_b, tmp_path / "uc")
+        cfg = self._config(tmp_path)
+        res = uc_compare(cfg, tmp_path / "uc")
         # zero-mode column is exactly invariant on both branches
         assert res.zero_mode_maxdev["nz"] < 1e-12
         assert res.zero_mode_maxdev["zm"] < 1e-12
@@ -462,19 +455,34 @@ class TestUcCompare:
                 if len(cols) == 2:
                     assert np.all(arr[:, cols[1]] >= arr[:, cols[0]] - 1e-12)
 
-    def test_zero_mean_config_first_gives_the_same_outputs(self, tmp_path):
-        cfg_a, cfg_b = self._configs(tmp_path)
-        res = uc_compare(cfg_a, cfg_b, tmp_path / "ab")
-        swapped = uc_compare(cfg_b, cfg_a, tmp_path / "ba")
-        assert swapped.csv_path.read_bytes() == res.csv_path.read_bytes()
-        assert swapped.report_path.read_bytes() == res.report_path.read_bytes()
+    def test_branches_are_the_config_and_its_zero_mean_form(self, tmp_path):
+        # the t = 0 masses are those of the configured Gaussian (nz) and of
+        # the same Gaussian with x_mean_removed set (zm), bit for bit
+        cfg = self._config(tmp_path)
+        res = uc_compare(cfg, tmp_path / "uc")
+        header = res.csv_path.read_text().splitlines()[1].split(",")
+        zm = replace(cfg.initial, x_mean_removed=True)
+        assert res.rows[0][header.index("mass_nz")] == gbozk.mass(cfg.initial.build(cfg.grid))
+        assert res.rows[0][header.index("mass_zm")] == gbozk.mass(zm.build(cfg.grid))
+
+    @pytest.mark.parametrize("dealias, rule", [(True, "two-thirds"), (False, "none")])
+    def test_manifest_hash(self, tmp_path, dealias, rule):
+        # the payload names the command, so a uc-compare hash is never a
+        # simulate hash of the same config, and records the dealiasing rule
+        cfg = self._config(tmp_path)
+        cfg = replace(cfg, solver=replace(cfg.solver, dealias=dealias))
+        common = {"code_version": gbozk.__version__,
+                  "settings": {**NUMERICAL_SETTINGS, "dealias_rule": rule}}
+        uc_hash = manifest_hash({"uc_compare": cfg.to_dict(), **common})
+        assert uc_hash != manifest_hash({"config": cfg.to_dict(), **common})
+        first = uc_compare(cfg, tmp_path / "uc").csv_path.read_text().splitlines()[0]
+        assert first == f"# manifest={uc_hash}"
 
     def test_two_records_give_nan_moment_residuals(self, tmp_path):
         # one step records t = 0 and t = dt, too few for a centered difference
-        cfg_a, cfg_b = self._configs(tmp_path)
-        one_step = replace(cfg_a.solver, T=cfg_a.solver.dt)
-        cfg_a, cfg_b = (replace(c, solver=one_step) for c in (cfg_a, cfg_b))
-        res = uc_compare(cfg_a, cfg_b, tmp_path / "uc")
+        cfg = self._config(tmp_path)
+        cfg = replace(cfg, solver=replace(cfg.solver, T=cfg.solver.dt))
+        res = uc_compare(cfg, tmp_path / "uc")
         assert len(res.rows) == 2
         assert all(math.isnan(v) for v in res.moment_residuals.values())
         assert "residual (d/dt int x u = mass/2): nz = nan, zm = nan" in (
@@ -590,10 +598,14 @@ class TestCli:
             "kind = power_sign\nalpha = 1e308\ntheta = 1.5",
             "kind = power\nalpha = 600\ntheta = 0.5",
             "kind = power\nalpha = -40\ntheta = 0.3",
+            # a parameter the family does not read
+            "kind = power\nalpha = 1.5\ngamma = 0.3\ntheta = 0.9",
+            "kind = gamma\ngamma = 0.3\nalpha = 1.5\ntheta = 0.3",
         ],
         ids=["theta-garbage", "no-theta", "no-kind", "power-no-alpha", "theta-negative",
              "theta-2.5", "theta-nan", "gamma-no-gamma", "gamma-no-derivative",
-             "power-sign-huge-alpha", "power-alpha-600", "power-alpha-minus-40"],
+             "power-sign-huge-alpha", "power-alpha-600", "power-alpha-minus-40",
+             "power-with-gamma", "gamma-with-alpha"],
     )
     def test_malformed_batch_exit_code(self, tmp_path, capsys, body):
         batch = tmp_path / "batch.cfg"
@@ -724,11 +736,9 @@ class TestCli:
         text = BASE_CFG.replace("amplitude = 0.3", "amplitude = 400.0").replace(
             "T = 0.01", "T = 2.0"
         ).replace("dt = 1e-3", "dt = 0.05")
-        text_zm = text.replace("sigma_y = 1.0", "sigma_y = 1.0\nx_mean_removed = true")
-        a = write_cfg(tmp_path, "a.cfg", text, out=tmp_path / "a")
-        b = write_cfg(tmp_path, "b.cfg", text_zm, out=tmp_path / "b")
+        cfg_path = write_cfg(tmp_path, text=text)
         uc = tmp_path / "uc"
-        assert cli_main(["uc-compare", str(a), str(b), "--out", str(uc)]) == 3
+        assert cli_main(["uc-compare", str(cfg_path), "--out", str(uc)]) == 3
         lines = (uc / "uc_compare.csv").read_text().splitlines()
         assert lines[0].startswith("# manifest=")
         assert lines[1].startswith("t,mass_nz,mass_zm,")
@@ -813,39 +823,40 @@ class TestCli:
         assert line.startswith("config error:")
 
     def test_uc_compare_cli(self, tmp_path, capsys):
-        text_zm = BASE_CFG.replace(
-            "sigma_y = 1.0", "sigma_y = 1.0\nx_mean_removed = true"
-        )
-        a = write_cfg(tmp_path, "a.cfg", out=tmp_path / "a")
-        b = write_cfg(tmp_path, "b.cfg", text_zm, out=tmp_path / "b")
-        assert cli_main(["uc-compare", str(a), str(b), "--out", str(tmp_path / "uc")]) == 0
+        cfg_path = write_cfg(tmp_path)
+        assert cli_main(["uc-compare", str(cfg_path), "--out", str(tmp_path / "uc")]) == 0
         assert (tmp_path / "uc" / "uc_compare.csv").exists()
+
+    def test_uc_compare_writes_to_the_output_directory_by_default(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path)
+        assert cli_main(["uc-compare", str(cfg_path)]) == 0
+        assert sorted(f.name for f in (tmp_path / "out").iterdir()) == [
+            "uc_compare.csv", "uc_report.txt"
+        ]
 
     def test_uc_compare_first_row_out_of_float_range(self, tmp_path, capsys):
         # each branch's t = 0 row (its mass overflows here) runs before the
         # output directory exists
         text = BASE_CFG.replace("amplitude = 0.3", "amplitude = 1e308")
-        text_zm = text.replace("sigma_y = 1.0", "sigma_y = 1.0\nx_mean_removed = true")
-        a = write_cfg(tmp_path, "a.cfg", text, out=tmp_path / "a")
-        b = write_cfg(tmp_path, "b.cfg", text_zm, out=tmp_path / "b")
-        assert cli_main(["uc-compare", str(a), str(b), "--out", str(tmp_path / "uc")]) == 2
+        cfg_path = write_cfg(tmp_path, text=text)
+        assert cli_main(["uc-compare", str(cfg_path), "--out", str(tmp_path / "uc")]) == 2
         (err,) = capsys.readouterr().err.splitlines()
         assert err.startswith("config error: [initial] [diagnostics] the t = 0 diagnostics")
         assert not (tmp_path / "uc").exists()
 
     @pytest.mark.parametrize(
-        "family", ["family = single_mode", "family = file\npath = missing.gbzk"]
+        "family",
+        ["family = single_mode", "family = file\npath = missing.gbzk",
+         "family = gaussian\nx_mean_removed = true"],
     )
     def test_uc_compare_needs_the_gaussian_family(self, tmp_path, capsys, family):
-        # x_mean_removed shapes only the Gaussian; on another family the two
+        # x_mean_removed shapes only the Gaussian, and uc-compare sets it for
+        # branch zm: on another family, or with the flag already set, the two
         # branches would be the same run
-        text = BASE_CFG.replace("family = gaussian", family)
-        text_zm = text.replace("sigma_y = 1.0", "sigma_y = 1.0\nx_mean_removed = true")
-        a = write_cfg(tmp_path, "a.cfg", text, out=tmp_path / "a")
-        b = write_cfg(tmp_path, "b.cfg", text_zm, out=tmp_path / "b")
-        assert cli_main(["uc-compare", str(a), str(b), "--out", str(tmp_path / "uc")]) == 2
+        cfg_path = write_cfg(tmp_path, text=BASE_CFG.replace("family = gaussian", family))
+        assert cli_main(["uc-compare", str(cfg_path), "--out", str(tmp_path / "uc")]) == 2
         (err,) = capsys.readouterr().err.splitlines()
-        assert err.startswith(f"config error: {b}: [initial] x_mean_removed applies to")
+        assert err.startswith("config error: [initial] uc-compare needs family = gaussian")
         assert not (tmp_path / "uc").exists()
 
 
@@ -929,3 +940,15 @@ class TestPublicApi:
         listing = section.split("exports exactly these names:", 1)[1].split("\n\n", 2)[1]
         exported = {n for n in gbozk.__all__ if not isinstance(getattr(gbozk, n), types.ModuleType)}
         assert exported == set(re.findall(r"`(\w+)`", listing))
+
+    def test_readme_cli_lines_parse(self):
+        # every command line of README's CLI block is one the parser accepts,
+        # and the block shows every subcommand
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("gbozk ")]
+        parser = build_parser()
+        commands = [parser.parse_args(shlex.split(line)[1:]).command for line in lines]
+        assert sorted(commands) == [
+            "expansion-check", "norms", "simulate", "stein-profile", "uc-compare"
+        ]
