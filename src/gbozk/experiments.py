@@ -36,14 +36,12 @@ from .diagnostics import (
     zero_mode_slice,
 )
 from .fraclab import (
-    _order_regime,
     check_order,
     dstein_profile,
     fit_exponent,
     l2_membership_classify,
     make_profile,
 )
-from .propagator import DispersionParams, xi_expansion_check
 from .snapshot import SnapshotFile, write_snapshot
 from .solver import _CONTOUR_POINTS, BlowUpError, evolve
 
@@ -54,7 +52,6 @@ __all__ = [
     "uc_compare",
     "load_stein_batch",
     "stein_report",
-    "run_expansion_check",
 ]
 
 # settings that pin the numerical methods behind every run
@@ -350,31 +347,26 @@ def load_stein_batch(path: str | Path) -> list[SteinBatchQuery]:
     ]
 
 
-def _run_one_query(q: SteinBatchQuery) -> dict:
+_VERDICT_HEADER = ["name", "kind", "param", "theta", "verdict", "increment_slope",
+                   "slope_large_eta", "fit_window", "rule"]
+
+
+def _run_one_query(q: SteinBatchQuery) -> tuple[list, list[list]]:
+    """The query's ``stein_verdicts.csv`` row and its ``stein_values.csv`` rows."""
     profile = make_profile(q.kind, alpha=q.alpha, gamma=q.gamma)
     evidence = l2_membership_classify(profile, q.theta)
-    out = {
-        "name": q.name,
-        "kind": q.kind,
-        "param": q.alpha if q.kind != "gamma" else q.gamma,
-        "theta": q.theta,
-        "verdict": evidence.verdict,
-        "increment_slope": evidence.increment_slope,
-        "rule": evidence.rule,
-        "slope_large_eta": float("nan"),
-        "fit_window": "",
-        "values": [],
-    }
+    slope, window, values = float("nan"), "", []
     # pointwise profile values and the large-|eta| decay fit need the Stein
     # integral itself, which exists where the order regime leaves a positive
     # order unreduced; elsewhere quadrature would only report artefacts
-    if _order_regime(profile, q.theta)[1] == q.theta > 0.0:
+    if evidence.order == q.theta > 0.0:
         eta_large = np.geomspace(10.0, 200.0, 12)
         vals_large = dstein_profile(profile, q.theta, eta_large)
-        out["slope_large_eta"] = fit_exponent(eta_large, vals_large)
-        out["fit_window"] = "10..200"
-        out["values"] = list(zip(eta_large.tolist(), vals_large.tolist()))
-    return out
+        slope, window = fit_exponent(eta_large, vals_large), "10..200"
+        values = [[q.name, eta, val] for eta, val in zip(eta_large.tolist(), vals_large.tolist())]
+    param = q.alpha if q.kind != "gamma" else q.gamma
+    return [q.name, q.kind, param, q.theta, evidence.verdict, evidence.increment_slope,
+            slope, window, evidence.rule], values
 
 
 def stein_report(
@@ -382,40 +374,16 @@ def stein_report(
 ) -> tuple[Path, Path]:
     """Run a query batch; write verdicts and pointwise values as CSV."""
     out, mhash = _open_run(out_dir, _payload(queries=[vars(q) for q in queries]))
+    verdict_rows, value_rows = [], []
+    for q in queries:
+        row, values = _run_one_query(q)
+        verdict_rows.append(row)
+        value_rows += values
 
-    results = [_run_one_query(q) for q in queries]
-
-    verdict_header = [
-        "name",
-        "kind",
-        "param",
-        "theta",
-        "verdict",
-        "increment_slope",
-        "slope_large_eta",
-        "fit_window",
-        "rule",
-    ]
-    verdict_rows = [["" if r[k] is None else r[k] for k in verdict_header] for r in results]
     verdicts_path = out / "stein_verdicts.csv"
-    _write_csv(verdicts_path, verdict_header, verdict_rows, mhash)
+    _write_csv(verdicts_path, _VERDICT_HEADER, verdict_rows, mhash)
 
-    value_rows = [[r["name"], eta, val] for r in results for eta, val in r["values"]]
     values_path = out / "stein_values.csv"
     _write_csv(values_path, ["name", "eta", "value"], value_rows, mhash)
     return verdicts_path, values_path
 
-
-# --- expansion check driver -----------------------------------------------------
-
-def run_expansion_check(a: float, ks: list[int], ts: list[float], tolerance: float = 1e-6):
-    """Run xi_expansion_check for each (k, t) on the 10 x 10 grid
-    xi in [0.1, 1.45], eta in [0, 1.35]."""
-    params = DispersionParams(a)
-    xi_set = np.linspace(0.1, 1.45, 10)
-    eta_set = np.linspace(0.0, 1.35, 10)
-    return [
-        xi_expansion_check(k, t, params, xi_set, eta_set, tolerance=tolerance)
-        for k in ks
-        for t in ts
-    ]

@@ -443,6 +443,7 @@ class MembershipEvidence:
     """Dyadic-window increments of ||D^theta(profile)||^2 and the verdict."""
 
     verdict: str  # "member" | "non-member" | "inconclusive"
+    order: float  # the order decided at: theta, theta - 1 or 0 (_order_regime)
     increments: np.ndarray = field(default_factory=lambda: np.array([]))
     increment_slope: float = math.nan  # log2 of consecutive-increment ratio
     rule: str = ""
@@ -560,6 +561,7 @@ def l2_membership_classify(
         # no increment to decide on
         return MembershipEvidence(
             verdict="inconclusive",
+            order=theta,
             increments=np.full(n_octaves, math.nan),
             rule=f"{bad} of {q.size} squared Stein values not finite" + note,
         )
@@ -571,9 +573,8 @@ def l2_membership_classify(
     verdict, rule, slope = _increment_verdict(increments, max(4, n_octaves // 2))
     if n_octaves < 8:
         rule += " (n_octaves < 8)"
-    return MembershipEvidence(
-        verdict=verdict, increments=increments, increment_slope=slope, rule=rule + note
-    )
+    return MembershipEvidence(verdict=verdict, order=theta, increments=increments,
+                              increment_slope=slope, rule=rule + note)
 
 
 def _increment_verdict(increments: np.ndarray, first: int) -> tuple[str, str, float]:

@@ -296,12 +296,17 @@ def _rel_errors(values, oracle_values):
     ]
 
 
+# the (xi, eta) grid of ``gbozk expansion-check`` and acceptance criterion 5
+_XI_CHECK_GRID = np.linspace(0.1, 1.45, 10)
+_ETA_CHECK_GRID = np.linspace(0.0, 1.35, 10)
+
+
 def xi_expansion_check(
     k: int,
     t: float,
     params: DispersionParams,
-    xi_set: np.ndarray,
-    eta_set: np.ndarray,
+    xi_set: np.ndarray = _XI_CHECK_GRID,
+    eta_set: np.ndarray = _ETA_CHECK_GRID,
     tolerance: float = 1e-6,
 ) -> ExpansionReport:
     """Compare the printed term table against the FD oracle on a (xi, eta) grid of Gaussian jets.
@@ -315,25 +320,25 @@ def xi_expansion_check(
     if np.any(np.abs(xi_set) < 0.1):
         raise ValueError("xi grid for the expansion check must satisfy |xi| >= 0.1")
 
-    printed_vals, derived_vals, oracle_vals, points = [], [], [], []
+    # each point's two term tables, evaluated once
+    tables, oracle_vals = [], []
     for x in xi_set:
         for e in eta_set:
             jet = gaussian_jet(x, e)
-            printed_vals.append(xi_expansion_eval(k, jet, t, params, "printed"))
-            derived_vals.append(xi_expansion_eval(k, jet, t, params, "derived"))
+            tables.append(
+                [xi_expansion_terms(k, jet, t, params, v) for v in ("printed", "derived")]
+            )
             oracle_vals.append(fd_oracle(k, x, e, t, params.a))
-            points.append((x, e))
 
-    rel_printed = _rel_errors(printed_vals, oracle_vals)
-    rel_derived = _rel_errors(derived_vals, oracle_vals)
+    rel_printed, rel_derived = (
+        _rel_errors([complex(sum(v for _, v in pair[i])) for pair in tables], oracle_vals)
+        for i in (0, 1)
+    )
 
     discrepant: list[str] = []
     if max(rel_printed) >= tolerance:
         # isolate: which term ids have printed != derived coefficients
-        x0, e0 = points[int(np.argmax(rel_printed))]
-        jet0 = gaussian_jet(x0, e0)
-        tp = dict(xi_expansion_terms(k, jet0, t, params, "printed"))
-        td = dict(xi_expansion_terms(k, jet0, t, params, "derived"))
+        tp, td = map(dict, tables[int(np.argmax(rel_printed))])
         scale = max(max(abs(v) for v in tp.values()), 1e-300)
         discrepant = [
             name for name in tp if abs(tp[name] - td[name]) > 1e-12 * scale
