@@ -7,13 +7,15 @@ Exit codes: 0 success, 1 an expansion check failed, 2 configuration error,
 range, `expansion-check` flags other than `--a` in [0, 1], `--k` integers in
 1..4, finite `--t` and a finite `--tolerance` > 0) ends in a one-line
 "config error" and exit 2, before any output directory exists (for `norms`,
-before any row is printed); a blow-up in `simulate` or `uc-compare` still
+before any row is printed); a run config's error names its file, also when
+it is raised after loading.  A blow-up in `simulate` or `uc-compare` still
 writes the rows reached before exiting 3.  No environment variable is read.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -26,10 +28,21 @@ EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """Name ``path`` in front of a ConfigError raised after its config loaded."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _cmd_simulate(args) -> int:
     from .experiments import run_scenario
 
-    result = run_scenario(load_config(args.config))
+    cfg = load_config(args.config)
+    with _naming(args.config):
+        result = run_scenario(cfg)
     print(f"wrote {result.csv_path} ({len(result.rows)} rows)")
     print(f"wrote {result.manifest_path}")
     print(f"sup E^s norm over trajectory: {result.sup_es_norm:.17g}")
@@ -40,7 +53,8 @@ def _cmd_uc_compare(args) -> int:
     from .experiments import uc_compare
 
     cfg = load_config(args.config)
-    result = uc_compare(cfg, args.out or cfg.output_dir)
+    with _naming(args.config):
+        result = uc_compare(cfg, args.out or cfg.output_dir)
     print(f"wrote {result.csv_path}")
     print(f"wrote {result.report_path}")
     for tag in ("nz", "zm"):

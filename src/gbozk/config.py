@@ -4,7 +4,8 @@ One reader serves both.  A section's keys are the fields of its dataclass, so
 each key's name, type and default are stated once; ``_SCHEMA``, the parser
 and ``RunConfig.to_dict`` derive from the ``_SECTIONS`` table.  Unknown
 sections or keys are hard errors (a silently ignored typo corrupts an
-experiment), and every failure is a ``ConfigError`` naming the section/key.
+experiment), as is an ``[initial]`` key its family does not read, and every
+failure is a ``ConfigError`` naming the section/key.
 """
 
 from __future__ import annotations
@@ -29,6 +30,14 @@ class ConfigError(ValueError):
     pass
 
 
+# the [initial] keys each family reads; any other key must keep its default
+_FAMILY_KEYS = {
+    "gaussian": {"amplitude", "sigma_x", "sigma_y", "center_x", "center_y", "x_mean_removed"},
+    "single_mode": {"amplitude", "kx", "ky"},
+    "file": {"path"},
+}
+
+
 @dataclass(frozen=True)
 class InitialData:
     family: str  # gaussian | single_mode | file
@@ -43,16 +52,19 @@ class InitialData:
     path: str = ""
 
     def __post_init__(self) -> None:
-        if self.family not in ("gaussian", "single_mode", "file"):
+        if self.family not in _FAMILY_KEYS:
             raise ValueError(f"unknown initial-data family {self.family!r}")
+        # a key the family does not read would be echoed into the manifest
+        # and its hash while changing nothing
+        read = _FAMILY_KEYS[self.family] | {"family"}
+        foreign = [f.name for f in fields(self)
+                   if f.name not in read and getattr(self, f.name) != f.default]
+        if foreign:
+            raise ValueError(f"family = {self.family} does not read {', '.join(foreign)}")
         if not np.all(np.isfinite((self.amplitude, self.center_x, self.center_y))):
             raise ValueError("amplitude, center_x and center_y must be finite")
         if not all(0 < s * s < np.inf for s in (self.sigma_x, self.sigma_y)):
             raise ValueError("sigma_x and sigma_y must have a finite nonzero square")
-        if self.x_mean_removed and self.family != "gaussian":
-            raise ValueError(
-                f"x_mean_removed applies to family = gaussian only, not {self.family}"
-            )
 
     def build(self, grid: GridSpec) -> RealField2D:
         X, Y = grid.meshgrid()

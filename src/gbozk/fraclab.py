@@ -197,8 +197,8 @@ def stein_derivative(
     """Pointwise D^b f(x) by split singular quadrature.
 
     ``f`` may be real or complex valued.  ``singular_points`` lists the
-    locations where f has kinks (the quadrature breaks there).  For
-    ``far_field``:
+    locations where f has kinks (the quadrature breaks there).
+    ``far_field`` is one of three (any other value is a ValueError):
 
     * "decay": f decays; the truncation radius doubles until the analytic
       bound (2 sup|f|^2 / b) R^{-2b} falls below epsrel of the integral.
@@ -214,6 +214,8 @@ def stein_derivative(
     """
     if not 0.0 < b < 1.0:
         raise ValueError(f"Stein order b must lie in (0, 1), got {b}")
+    if far_field not in ("decay", "compact", "constant_modulus"):
+        raise ValueError(f"unknown far_field {far_field!r}")
     fx = f(x)
     delta = local_scale / 100.0
 

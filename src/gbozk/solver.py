@@ -318,9 +318,10 @@ def evolve(
     stores the field every that many steps; otherwise only the final field
     is kept.  Blow-up (a non-finite state, or max |u| above
     ``_BLOWUP_FACTOR`` = 1e6 times its initial value) is checked after
-    every step, whatever the stride.  On blow-up the last good snapshot is
-    stored and a ``BlowUpError`` is raised with the partial trajectory
-    attached as its ``trajectory``.  ``stride`` < 1 or ``snapshot_stride``
+    every step, whatever the stride.  On blow-up the last record's field is
+    stored as a snapshot, unless a snapshot at or after its time exists, and
+    a ``BlowUpError`` is raised with the partial trajectory attached as its
+    ``trajectory``.  ``stride`` < 1 or ``snapshot_stride``
     < 0 raises ``ValueError`` before any step.
     """
     if stride < 1 or snapshot_stride < 0:
@@ -350,7 +351,8 @@ def evolve(
     def blow_up(t: float, peak: float) -> BlowUpError:
         err = BlowUpError(t, peak, _blowup_mode(v, g))
         err.trajectory = traj
-        traj.snapshots.append((traj.records[-1]["t"], last_good))
+        if not traj.snapshots or traj.snapshots[-1][0] < traj.records[-1]["t"]:
+            traj.snapshots.append((traj.records[-1]["t"], last_good))
         return err
 
     record(0.0, initial)

@@ -498,6 +498,13 @@ class TestPhaseLemmas:
         with pytest.raises(ValueError, match="compact far field needs a support radius"):
             stein_derivative(cutoff_phi, 0.5, 0.3, far_field="compact")
 
+    def test_unknown_far_field_is_rejected_before_quadrature(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fraclab, "quad", lambda *args, **kw: calls.append(args))
+        with pytest.raises(ValueError, match="unknown far_field 'compakt'"):
+            stein_derivative(cutoff_phi, 0.5, 0.3, far_field="compakt")
+        assert calls == []
+
     @pytest.mark.parametrize("kind", ["P", "Pontual1"])
     @pytest.mark.parametrize(
         "t_grid, space_grid",

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -21,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 import gbozk
 from gbozk import evolve, make_grid
 from gbozk.cli import build_parser, main as cli_main
-from gbozk.config import _SCHEMA, ConfigError, load_config
+from gbozk.config import _SCHEMA, ConfigError, load_config, read_ini
 from gbozk.experiments import (
     NUMERICAL_SETTINGS,
     SteinBatchQuery,
@@ -40,6 +41,7 @@ from gbozk.snapshot import (
 from gbozk.spectral import RealField2D
 
 from conftest import gaussian_field, random_field
+from test_fraclab import _PINNED_PLATFORM, _numeric_platform
 
 BASE_CFG = """\
 [grid]
@@ -67,6 +69,25 @@ n_ladder = 2,4
 
 [output]
 directory = {out}
+"""
+
+
+# the three-family batch of the stein3 benchmark workload
+STEIN3_BATCH = """\
+[frac_order_family]
+kind = power
+alpha = 1.5
+theta = 0.9
+
+[sign_family]
+kind = power_sign
+alpha = 0.5
+theta = 1.2
+
+[gamma_family]
+kind = gamma
+gamma = 0.3
+theta = 0.3
 """
 
 
@@ -301,6 +322,24 @@ class TestConfig:
         except ConfigError:
             pass
 
+    @pytest.mark.parametrize(
+        "initial, foreign",
+        [
+            ("family = gaussian\nkx = 5\npath = nowhere.gbzk", "kx, path"),
+            ("family = single_mode\ncenter_y = 1.0", "center_y"),
+            ("family = file\npath = init.gbzk\namplitude = 0.3", "amplitude"),
+        ],
+        ids=["gaussian", "single_mode", "file"],
+    )
+    def test_initial_key_its_family_does_not_read(self, tmp_path, initial, foreign):
+        # such a key changes no run but would enter the manifest and its hash
+        text = BASE_CFG.replace("family = gaussian\namplitude = 0.3", initial)
+        path = write_cfg(tmp_path, text=text)
+        family = initial.split("\n")[0]
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == f"{path}: [initial] {family} does not read {foreign}"
+
     def test_initial_families(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path))
         u = cfg.initial.build(cfg.grid)
@@ -521,6 +560,18 @@ class TestSteinBatch:
         assert v1.read_bytes() == v2.read_bytes()
         assert "member" in v1.read_text()
 
+    @pytest.mark.skipif(
+        _numeric_platform() != _PINNED_PLATFORM, reason="bytes pinned on one numeric platform"
+    )
+    def test_stein3_csv_bytes(self, tmp_path):
+        batch = tmp_path / "batch.cfg"
+        batch.write_text(STEIN3_BATCH)
+        paths = stein_report(load_stein_batch(batch), tmp_path / "out")
+        assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths] == [
+            "f17c80d1249b02ff92d80ea1ed4f555d33d815f5de892842cfdf717d9fc36dcb",
+            "6d7beed0eff3d08b47a4fd781fc5df7d12d2e00f427a64f2d0f7e500c88beddd",
+        ]
+
     def test_three_family_batch_verdicts(self, tmp_path):
         batch = tmp_path / "batch.cfg"
         batch.write_text(
@@ -639,8 +690,8 @@ class TestCli:
             ("sigma_x = 1.0", "sigma_x = 0"),
             ("sigma_y = 1.0", "sigma_y = 1e-200"),
             ("amplitude = 0.3", "amplitude = nan"),
-            ("family = gaussian", "family = file\npath = ."),
-            ("family = gaussian", "family = file\npath = missing.gbzk"),
+            ("family = gaussian\namplitude = 0.3", "family = file\npath = ."),
+            ("family = gaussian\namplitude = 0.3", "family = file\npath = missing.gbzk"),
             # boxes whose scaled samples or dispersion phases leave the float range
             ("lx = 16.0\nly = 16.0", "lx = 1e150\nly = 1e150"),
             ("lx = 16.0\nly = 16.0", "lx = 1e-150\nly = 1e-150"),
@@ -657,7 +708,8 @@ class TestCli:
             ("n_ladder = 2,4", "n_ladder = 2,1e200"),
             # the flag only shapes the Gaussian family
             ("family = gaussian", "family = single_mode\nx_mean_removed = true"),
-            ("family = gaussian", "family = file\npath = missing.gbzk\nx_mean_removed = true"),
+            ("family = gaussian\namplitude = 0.3",
+             "family = file\npath = missing.gbzk\nx_mean_removed = true"),
             ("family = gaussian", "family = sine"),
         ],
         ids=["stride-0", "stride-negative", "snapshot-stride-negative", "n-ladder-below-1",
@@ -692,6 +744,26 @@ class TestCli:
         (err,) = capsys.readouterr().err.splitlines()
         assert err.startswith(f"config error: {cfg_path}: {' '.join(sections)} ")
         assert re.findall(r"\[\w+\]", err) == sections
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("amplitude = 0.3", "amplitude = 1e308",
+             "[initial] [diagnostics] the t = 0 diagnostics leave the float range"),
+            ("family = gaussian\namplitude = 0.3", "family = file\npath = missing.gbzk",
+             "[initial] path 'missing.gbzk': No such file or directory"),
+        ],
+        ids=["amplitude-1e308", "path-missing"],
+    )
+    def test_simulate_error_after_load_names_the_config(self, tmp_path, capsys, old, new,
+                                                         message):
+        # raised while the data and their t = 0 row are built, after load_config
+        cfg_path = write_cfg(tmp_path, text=BASE_CFG.replace(old, new))
+        assert cli_main(["simulate", str(cfg_path)]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"config error: {cfg_path}: {message}")
+        assert err.count(str(cfg_path)) == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("alpha", ["-1", "-10"])
     def test_profile_not_square_integrable_writes_no_values(self, tmp_path, alpha):
@@ -809,6 +881,16 @@ class TestCli:
         assert err and float(err[1]) < 1e-6
         assert worst == f"worst corrected error: {err[1]}"
 
+    def test_expansion_check_defaults(self, capsys):
+        assert cli_main(["expansion-check"]) == 0
+        *lines, worst = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            f"[PASS] k={k} t={t}" for k in (1, 2, 3, 4) for t in ("0", "0.2", "1")
+        ]
+        isolated = [line.split(":")[0] for line in lines if "terms H3,H4;" in line]
+        assert isolated == ["[PASS] k=4 t=0.2", "[PASS] k=4 t=1"]
+        assert worst.startswith("worst corrected error: ")
+
     @pytest.mark.parametrize(
         "flags",
         [["--k", "1,x"], ["--k", "5"], ["--k", "0"], ["--k", "1.5"], ["--t", "x"],
@@ -841,7 +923,9 @@ class TestCli:
         cfg_path = write_cfg(tmp_path, text=text)
         assert cli_main(["uc-compare", str(cfg_path), "--out", str(tmp_path / "uc")]) == 2
         (err,) = capsys.readouterr().err.splitlines()
-        assert err.startswith("config error: [initial] [diagnostics] the t = 0 diagnostics")
+        assert err.startswith(
+            f"config error: {cfg_path}: [initial] [diagnostics] the t = 0 diagnostics"
+        )
         assert not (tmp_path / "uc").exists()
 
     @pytest.mark.parametrize(
@@ -853,10 +937,15 @@ class TestCli:
         # x_mean_removed shapes only the Gaussian, and uc-compare sets it for
         # branch zm: on another family, or with the flag already set, the two
         # branches would be the same run
-        cfg_path = write_cfg(tmp_path, text=BASE_CFG.replace("family = gaussian", family))
+        text = BASE_CFG.replace("family = gaussian", family)
+        if family.startswith("family = file"):
+            text = text.replace("amplitude = 0.3\n", "")  # a key the file family does not read
+        cfg_path = write_cfg(tmp_path, text=text)
         assert cli_main(["uc-compare", str(cfg_path), "--out", str(tmp_path / "uc")]) == 2
         (err,) = capsys.readouterr().err.splitlines()
-        assert err.startswith("config error: [initial] uc-compare needs family = gaussian")
+        assert err.startswith(
+            f"config error: {cfg_path}: [initial] uc-compare needs family = gaussian"
+        )
         assert not (tmp_path / "uc").exists()
 
 
@@ -940,6 +1029,21 @@ class TestPublicApi:
         listing = section.split("exports exactly these names:", 1)[1].split("\n\n", 2)[1]
         exported = {n for n in gbozk.__all__ if not isinstance(getattr(gbozk, n), types.ModuleType)}
         assert exported == set(re.findall(r"`(\w+)`", listing))
+
+    def test_readme_ini_blocks_load(self, tmp_path):
+        # README's run-config block shows every key; its batch block is a batch
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        run_block, batch_block = [
+            part.split("```", 1)[0] for part in readme.split("```ini\n")[1:]
+        ]
+        path = tmp_path / "run.cfg"
+        path.write_text(run_block)
+        load_config(path)
+        parser = read_ini(path)
+        keys = {(section, key) for section in parser.sections() for key in parser[section]}
+        assert keys == {(section, key) for section, ks in _SCHEMA.items() for key in ks}
+        path.write_text(batch_block)
+        assert len(load_stein_batch(path)) == 3
 
     def test_readme_cli_lines_parse(self):
         # every command line of README's CLI block is one the parser accepts,

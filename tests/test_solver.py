@@ -496,6 +496,29 @@ class TestEvolve:
         assert hasattr(err.value, "trajectory")
         assert err.value.trajectory.snapshots  # last good state saved
 
+    @pytest.mark.parametrize(
+        "snapshot_stride, steps", [(5, [0, 5]), (3, [0, 3, 6])], ids=["equal", "finer"]
+    )
+    def test_blowup_snapshots_stay_distinct_and_in_order(self, monkeypatch, snapshot_stride,
+                                                         steps):
+        # from step 7 on each step scales the state by 1e4, so it blows up
+        # after the record at step 5: that record's field is already a
+        # snapshot (stride 5), or one from step 6 follows it (stride 3)
+        advance, calls = Stepper.advance, []
+
+        def scaled(self, v):
+            calls.append(None)
+            return advance(self, v) * (1e4 if len(calls) >= 7 else 1.0)
+
+        monkeypatch.setattr(Stepper, "advance", scaled)
+        u0 = gaussian_field(make_grid(32, 32, 8.0, 8.0), 0.5, 1.0, 1.0)
+        cfg = SolverConfig(dt=1e-3, T=0.02, params=P)
+        with pytest.raises(BlowUpError) as err:
+            evolve(u0, cfg, stride=5, snapshot_stride=snapshot_stride)
+        times = [t for t, _ in err.value.trajectory.snapshots]
+        assert times == [n * cfg.dt for n in steps]
+        assert all(t0 < t1 for t0, t1 in zip(times, times[1:]))
+
     @pytest.mark.parametrize("integrator", ["etdrk4", "strang"])
     def test_matches_full_spectrum_oracle(self, integrator):
         # off-centre data on a rectangular grid: the samples-to-half-spectrum
