@@ -44,7 +44,6 @@ from .fraclab import (
     make_profile,
     dstein_profile,
     l2_membership_classify,
-    phase_lemma_probe,
     lemma_df_probe,
     fit_exponent,
 )

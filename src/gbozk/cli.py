@@ -5,11 +5,12 @@ Exit codes: 0 success, 1 an expansion check failed, 2 configuration error,
 3 numerical blow-up.  Malformed input (configs, batch files, snapshots,
 `norms` weight and Sobolev specs, also those whose norm leaves the float
 range, `expansion-check` flags other than `--a` in [0, 1], `--k` integers in
-1..4, finite `--t` and a finite `--tolerance` > 0) ends in a one-line
-"config error" and exit 2, before any output directory exists (for `norms`,
-before any row is printed); a run config's error names its file, also when
-it is raised after loading.  A blow-up in `simulate` or `uc-compare` still
-writes the rows reached before exiting 3.  No environment variable is read.
+1..4, finite `--t` and a finite `--tolerance` > 0) or an output directory
+that cannot be created ends in a one-line "config error" and exit 2, before
+any output exists (for `norms`, before any row is printed); a run config's
+error names its file, also after loading.  A blow-up in `simulate` or
+`uc-compare` still writes the rows reached before exit 3.  No environment
+variable is read.
 """
 
 from __future__ import annotations

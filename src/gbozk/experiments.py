@@ -91,7 +91,10 @@ def _payload(dealias: bool = True, **entries) -> dict:
 def _open_run(out_dir: str | Path, payload: dict) -> tuple[Path, str]:
     """Create the output directory; return it with the manifest hash."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from None
     return out, manifest_hash(payload)
 
 

@@ -20,7 +20,6 @@ from gbozk.fraclab import (
     l2_membership_classify,
     lemma_df_probe,
     make_profile,
-    phase_lemma_probe,
     stein_derivative,
 )
 from gbozk.fraclab import _profile_stein
@@ -39,6 +38,12 @@ def brute_force_stein(f, b, x, s_max=1e8, per_decade=2000):
     total += 2.0 * abs(fp) ** 2 * s[0] ** (2.0 - 2.0 * b) / (2.0 - 2.0 * b)
     total += 2.0 * abs(fx) ** 2 * s_max ** (-2.0 * b) / (2.0 * b)
     return math.sqrt(total)
+
+
+def _stein_cb(b):
+    """C(b) = 4 int_0^inf (1 - cos s) s^{-1-2b} ds = 2 pi / (Gamma(2b+1) sin(pi b)):
+    D^b(exp(icx))^2 = C(b) |c|^{2b} and ||D^b_stein f||^2 = C(b) ||D^b_spectral f||^2."""
+    return 2.0 * math.pi / (math.gamma(2.0 * b + 1.0) * math.sin(math.pi * b))
 
 
 class TestCutoff:
@@ -97,18 +102,10 @@ class TestSteinDerivative:
             assert abs(engine - oracle) / oracle < 1e-4
 
     def test_norm_equivalence_constant(self):
-        # || D^b_stein f ||^2 = C(b) || D^b_spectral f ||^2 with
-        # C(b) = 4 int_0^inf (1 - cos s) s^{-1-2b} ds, for every f; checked
-        # on Gaussians of several widths
-        from scipy.integrate import quad
-
+        # || D^b_stein f ||^2 = C(b) || D^b_spectral f ||^2 for every f;
+        # checked on Gaussians of several widths
         for b in (0.25, 0.5, 0.75):
-            cb = 4.0 * quad(
-                lambda s: (1.0 - np.cos(s)) * s ** (-1.0 - 2.0 * b),
-                0.0,
-                np.inf,
-                limit=800,
-            )[0]
+            cb = _stein_cb(b)
             for sigma in (1.0, 2.0):
                 f = lambda y: np.exp(-((y / sigma) ** 2))
                 X = 12.0 * sigma
@@ -431,68 +428,65 @@ class TestFitExponent:
             fit_exponent(x, -np.ones_like(x))
 
 
+def _phase_stein(fn, b, x):
+    return stein_derivative(fn, b, x, far_field="constant_modulus", epsrel=1e-9).value
+
+
+def _phase_exponents(value, t_grid, space_grid, s_ref):
+    """Exponents of ``value(t, s)`` fitted along ``t_grid`` at ``s_ref`` and
+    along ``space_grid`` at the median t."""
+    t_ref = float(np.median(t_grid))
+    return (
+        fit_exponent(t_grid, [value(t, s_ref) for t in t_grid]),
+        fit_exponent(space_grid, [value(t_ref, s) for s in space_grid]),
+    )
+
+
 class TestPhaseLemmas:
     def test_kind_p_exponents(self):
-        r = phase_lemma_probe(
-            "P", 0.5, np.geomspace(0.2, 3.0, 9), np.geomspace(0.5, 5.0, 10)
+        # f(x) = exp(i t eta^2 x): D^b f does not depend on x (read at x = 0)
+        # and scales exactly as (t eta^2)^b, so its exponents are b in t (at
+        # the median eta) and 2b in eta
+        b, t_grid, eta_grid = 0.5, np.geomspace(0.2, 3.0, 9), np.geomspace(0.5, 5.0, 10)
+
+        def value(t, eta):
+            c = t * eta**2
+            return _phase_stein(lambda u: np.exp(1j * c * u), b, 0.0)
+
+        exponent_t, exponent_space = _phase_exponents(
+            value, t_grid, eta_grid, float(np.median(eta_grid))
         )
-        assert r.exponent_space <= 2 * 0.5 + 0.05
-        assert r.exponent_t <= 0.5 + 0.05
-        assert r.ok
+        assert exponent_space <= 2 * b + 0.05
+        assert exponent_t <= b + 0.05
         # the scaling is exact, so the fits are sharp as well
-        assert abs(r.exponent_t - 0.5) < 0.01
-        assert abs(r.exponent_space - 1.0) < 0.02
+        assert abs(exponent_t - 0.5) < 0.01
+        assert abs(exponent_space - 1.0) < 0.02
 
     def test_kind_pontual1_exponents(self):
-        r = phase_lemma_probe(
-            "Pontual1",
-            0.5,
-            np.geomspace(0.2, 2.0, 9),
-            np.geomspace(3.0, 30.0, 10),
-            a=0.5,
-        )
-        assert r.exponent_space <= (1.0 + 0.5) * 0.5 + 0.05
-        assert r.exponent_t <= 0.5 + 0.05
-        assert r.ok
+        # f(x) = exp(-i t x |x|^{1+a}) on a large-|x| window: the exponent
+        # in x is at most (1+a) b, in t (at the largest x) at most b
+        a, b, t_grid, x_grid = 0.5, 0.5, np.geomspace(0.2, 2.0, 9), np.geomspace(3.0, 30.0, 10)
+
+        def value(t, x):
+            return _phase_stein(lambda u: np.exp(-1j * t * u * np.abs(u) ** (1.0 + a)), b, x)
+
+        exponent_t, exponent_space = _phase_exponents(value, t_grid, x_grid, float(x_grid[-1]))
+        assert exponent_space <= (1.0 + a) * b + 0.05
+        assert exponent_t <= b + 0.05
 
     def test_constant_phase_at_t0(self):
         res = stein_derivative(lambda u: np.exp(0j * u), 0.5, 0.4)
         assert res.value == 0.0
 
-    @pytest.mark.parametrize("b", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("b", [0.25, 0.3, 0.5, 0.7, 0.75])
     def test_pure_phase_exact_constant(self, b):
-        # D^b(exp(icx)) = C_b |c|^b exactly, with
-        # C_b^2 = 8 int_0^inf sin^2(v/2) v^{-1-2b} dv
-        from scipy.integrate import quad
-
-        cb_sq = 8.0 * quad(
-            lambda v: np.sin(v / 2.0) ** 2 * v ** (-1.0 - 2.0 * b),
-            0.0,
-            np.inf,
-            limit=800,
-        )[0]
+        # D^b(exp(icx)) = sqrt(C(b)) |c|^b exactly
         for c in (3.0, 11.0):
             val = stein_derivative(
                 lambda u: np.exp(1j * c * u), b, 0.0, far_field="constant_modulus"
             ).value
-            exact = np.sqrt(cb_sq) * c**b
+            exact = math.sqrt(_stein_cb(b)) * c**b
             assert abs(val - exact) / exact < 1e-4
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            phase_lemma_probe("Q", 0.5, [1.0], [1.0])
-
-    def test_pontual1_needs_the_dispersion_exponent(self):
-        with pytest.raises(ValueError, match="needs the dispersion exponent a"):
-            phase_lemma_probe(
-                "Pontual1", 0.5, np.geomspace(0.2, 2.0, 9), np.geomspace(3.0, 30.0, 10)
-            )
-
-    def test_rejects_negative_times(self):
-        with pytest.raises(ValueError, match="t values must be nonnegative"):
-            phase_lemma_probe(
-                "P", 0.5, np.r_[-1.0, np.geomspace(0.2, 3.0, 9)], np.geomspace(0.5, 5.0, 10)
-            )
 
     def test_compact_far_field_needs_a_support_radius(self):
         with pytest.raises(ValueError, match="compact far field needs a support radius"):
@@ -503,27 +497,6 @@ class TestPhaseLemmas:
         monkeypatch.setattr(fraclab, "quad", lambda *args, **kw: calls.append(args))
         with pytest.raises(ValueError, match="unknown far_field 'compakt'"):
             stein_derivative(cutoff_phi, 0.5, 0.3, far_field="compakt")
-        assert calls == []
-
-    @pytest.mark.parametrize("kind", ["P", "Pontual1"])
-    @pytest.mark.parametrize(
-        "t_grid, space_grid",
-        [
-            ([0.0, 0.0], np.geomspace(3.0, 30.0, 10)),
-            (np.r_[0.0, np.geomspace(0.2, 2.0, 7)], np.geomspace(3.0, 30.0, 10)),
-            (np.geomspace(0.2, 2.0, 8), np.geomspace(3.0, 30.0, 7)),
-        ],
-        ids=["no-positive-t", "7-positive-t", "7-space-points"],
-    )
-    def test_short_grids_rejected_before_quadrature(self, monkeypatch, kind, t_grid, space_grid):
-        # a fit needs 8 points: short grids fail before any Stein value, with
-        # no numpy warning (an all-zero t grid has an empty median)
-        calls = []
-        monkeypatch.setattr(fraclab, "stein_derivative", lambda *args, **kw: calls.append(args))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="at least 8"):
-                phase_lemma_probe(kind, 0.5, t_grid, space_grid, a=0.5)
         assert calls == []
 
 

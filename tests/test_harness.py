@@ -781,6 +781,24 @@ class TestCli:
         assert row[header.index("fit_window")] == ""
         assert (out / "stein_values.csv").read_text().splitlines()[1:] == ["name,eta,value"]
 
+    @pytest.mark.parametrize("command", ["simulate", "uc-compare", "stein-profile"])
+    def test_output_path_under_a_regular_file(self, tmp_path, capsys, command):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = afile / "sub"
+        if command == "stein-profile":
+            config = tmp_path / "batch.cfg"
+            config.write_text("[q]\nkind = gamma\ngamma = 0.3\ntheta = 0.3\n")
+        else:
+            config = write_cfg(tmp_path, out=out)
+        argv = [command, str(config)] + (["--out", str(out)] if command != "simulate" else [])
+        before = sorted(tmp_path.iterdir())
+        assert cli_main(argv) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith("config error:")
+        assert f"cannot create output directory {out}: " in err
+        assert sorted(tmp_path.iterdir()) == before and afile.read_text() == ""
+
     def test_missing_file_exit_code(self):
         assert cli_main(["simulate", "/nonexistent/run.cfg"]) == 2
 
