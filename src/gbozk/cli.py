@@ -5,9 +5,11 @@ Exit codes: 0 success, 1 an expansion check failed, 2 configuration error,
 3 numerical blow-up.  Malformed input (configs, batch files, snapshots,
 `norms` weight and Sobolev specs, also those whose norm leaves the float
 range, `expansion-check` flags other than `--a` in [0, 1], `--k` integers in
-1..4, finite `--t` and a finite `--tolerance` > 0) or an output directory
-that cannot be created ends in a one-line "config error" and exit 2, before
-any output exists (for `norms`, before any row is printed); a run config's
+1..4, finite `--t` whose order-k term tables stay in the float range (|t| up
+to about 1e307, 1e153, 1e101 and 1e76 for k = 1..4) and a finite
+`--tolerance` > 0) or an output directory that cannot be created ends in a
+one-line "config error" and exit 2, before any output exists (for `norms`
+and `expansion-check`, before any row is printed); a run config's
 error names its file, also after loading.  A blow-up in `simulate` or
 `uc-compare` still writes the rows reached before exit 3.  No environment
 variable is read.
@@ -99,7 +101,10 @@ def _cmd_expansion_check(args) -> int:
 
     a, ks, ts, tolerance = _expansion_args(args)
     params = DispersionParams(a)
-    reports = [xi_expansion_check(k, t, params, tolerance=tolerance) for k in ks for t in ts]
+    try:
+        reports = [xi_expansion_check(k, t, params, tolerance=tolerance) for k in ks for t in ts]
+    except OverflowError as exc:
+        raise ConfigError(f"expansion-check: {exc}") from None
     worst = 0.0
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"

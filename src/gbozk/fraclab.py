@@ -39,11 +39,15 @@ _QUADPACK = "scipy.integrate._quadpack"
 
 
 def _quadpack():
-    """scipy's compiled QUADPACK extension, loaded without its package.
+    """scipy's compiled QUADPACK extension, loaded without ``scipy.integrate``.
 
     An entry already in ``sys.modules`` is used as it is; otherwise the
     extension is loaded from scipy's ``integrate`` directory and registered
     under its own name, so a later ``import scipy.integrate`` reuses it.
+    The extension does not load alone: ``import scipy`` here brings in the
+    package root, and the first integrand callback imports
+    ``scipy._lib._ccallback`` (which needs that root anyway), so a Stein run
+    holds 11 scipy modules, the extension among them.
     """
     mod = sys.modules.get(_QUADPACK)
     if mod is None:

@@ -313,26 +313,34 @@ def xi_expansion_check(
 
     If the printed expansion misses the tolerance, the mismatch is localized
     term by term against the chain-rule table and reported by term id; the
-    corrected error is evaluated with the derived coefficients.
+    corrected error is evaluated with the derived coefficients.  A t whose
+    term sums leave the float range (on the default grid, |t| above about
+    1e307, 1e153, 1e101 and 1e76 for k = 1..4) raises ``OverflowError``
+    before the oracle runs.
     """
     xi_set = np.atleast_1d(np.asarray(xi_set, dtype=float))
     eta_set = np.atleast_1d(np.asarray(eta_set, dtype=float))
     if np.any(np.abs(xi_set) < 0.1):
         raise ValueError("xi grid for the expansion check must satisfy |xi| >= 0.1")
 
-    # each point's two term tables, evaluated once
-    tables, oracle_vals = [], []
-    for x in xi_set:
-        for e in eta_set:
-            jet = gaussian_jet(x, e)
-            tables.append(
-                [xi_expansion_terms(k, jet, t, params, v) for v in ("printed", "derived")]
-            )
-            oracle_vals.append(fd_oracle(k, x, e, t, params.a))
+    # each point's two term tables and their sums, evaluated once; on the
+    # way out of the float range Python's float power raises, and the
+    # products give inf or nan in silence
+    points = [(x, e) for x in xi_set for e in eta_set]
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            tables = [[xi_expansion_terms(k, gaussian_jet(x, e), t, params, v)
+                       for v in ("printed", "derived")] for x, e in points]
+            sums = [[complex(sum(v for _, v in table)) for table in pair] for pair in tables]
+        finite = bool(np.all(np.isfinite(sums)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise OverflowError(f"the order-{k} term tables at t = {t:g} leave the float range")
+    oracle_vals = [fd_oracle(k, x, e, t, params.a) for x, e in points]
 
     rel_printed, rel_derived = (
-        _rel_errors([complex(sum(v for _, v in pair[i])) for pair in tables], oracle_vals)
-        for i in (0, 1)
+        _rel_errors([pair[i] for pair in sums], oracle_vals) for i in (0, 1)
     )
 
     discrepant: list[str] = []

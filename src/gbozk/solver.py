@@ -19,22 +19,18 @@ The state is the ``rfft2`` half spectrum, shape (ny, nx//2 + 1), of the
 unshifted samples scaled by dx dy: columns 0..nx/2 of ``to_spectral``'s
 coefficients, with xi in fft order (column nx/2 holds the negative Nyquist
 xi).  The centring shifts cancel under the pointwise square, so the
-quadratic term is one precomputed multiplier times rfft2(irfft2(v)**2).  It
+quadratic term is one precomputed multiplier times rfft2(irfft2(v)**2),
+formed by ``_quadratic`` for the steps and ``nonlinear_term`` alike.  It
 is truncated by the 2/3 rule (Orszag, 1971) by default, which makes the
 discrete L^2 mass an invariant of the semidiscrete flow up to
 time-integration error.  ``nonlinear_term`` always truncates.
 
-``Stepper`` holds the precomputed coefficients for one grid and config on
-the eta >= 0 rows 0..ny/2 (the symbol, so each table, is even in eta);
-``Stepper.advance`` steps the half spectrum and ``Stepper.step`` is the
-full-spectrum boundary around it.  A ``Stepper`` owns reusable work
-buffers for the intermediate stages: ``advance`` returns a fresh array and
-leaves its input unchanged, but one ``Stepper`` must not be shared between
-threads.  ``evolve`` reuses a single ``Stepper`` over [0, T] on raw
-half-spectrum arrays and records ``{"t": t, **observe(t, u)}`` at the
-sampled times, where one ``observe`` callable computes every diagnostic of
-a record; it raises ``BlowUpError`` once max |u| passes the fixed
-``_BLOWUP_FACTOR`` times its initial value.
+``Stepper`` holds the precomputed coefficients and work buffers for one
+grid and config (see its docstring).  ``evolve`` reuses a single
+``Stepper`` over [0, T] on raw half-spectrum arrays and records
+``{"t": t, **observe(t, u)}`` at the sampled times, where one ``observe``
+callable computes every diagnostic of a record; it raises ``BlowUpError``
+once max |u| passes the fixed ``_BLOWUP_FACTOR`` times its initial value.
 """
 
 from __future__ import annotations
@@ -101,10 +97,8 @@ class Trajectory:
 def _nl_multiplier(grid: GridSpec, dealias: bool) -> np.ndarray:
     """Half-spectrum multiplier M of the quadratic term, shape (ny, nx//2+1).
 
-    For w = irfft2(v), the unshifted samples scaled by dx dy, M * rfft2(w**2)
-    is the half spectrum of -1/2 d/dx (u^2).  M folds in -i xi / 2, the
-    zeroed x-Nyquist column (odd symbol), the 2/3 mask and the 1 / (dx dy)
-    left over from squaring the scaled samples.
+    M folds in -i xi / 2, the zeroed x-Nyquist column (odd symbol), the 2/3
+    mask and the 1 / (dx dy) left over from squaring the scaled samples.
     """
     nh = grid.nx // 2 + 1
     m = np.zeros((grid.ny, nh), dtype=complex)
@@ -130,8 +124,7 @@ def nonlinear_term(u: RealField2D) -> SpectralField2D:
     """Spectral representation of -1/2 d/dx (u^2), 2/3-rule truncated; the
     xi = 0 column is 0."""
     g = u.grid
-    w = np.fft.ifftshift(u.samples) * (g.dx * g.dy)
-    half = _nl_multiplier(g, True) * np.fft.rfft2(w**2)
+    half = _quadratic(np.fft.ifftshift(u.samples) * (g.dx * g.dy), _nl_multiplier(g, True))
     return SpectralField2D(g, _full_spectrum(half, g.nx))
 
 
@@ -143,6 +136,14 @@ def _mul_even(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     rest = [x[k - 2 : 0 : -1] if len(x) == k else x[k:] for x in (a, b)]
     np.multiply(*rest, out=out[k:])
     return out
+
+
+def _quadratic(w: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """m * rfft2(w**2): the half spectrum of -1/2 d/dx (u^2) for m from
+    ``_nl_multiplier`` and w the dx dy-scaled samples, squared in place."""
+    np.square(w, out=w)
+    out = np.fft.rfft2(w, out=out)
+    return _mul_even(out, m, out)
 
 
 # points on each unit circle of the ETDRK4 contour means
@@ -211,17 +212,15 @@ class Stepper:
         if not self.cfg.nonlinear:
             out.fill(0.0)
             return out
-        w = np.fft.irfft2(v, s=(self.grid.ny, self.grid.nx))
-        np.square(w, out=w)
-        np.fft.rfft2(w, out=out)
-        return _mul_even(out, self._m, out)
+        return _quadratic(np.fft.irfft2(v, s=(self.grid.ny, self.grid.nx)), self._m, out)
 
     def step(self, coeffs: np.ndarray) -> np.ndarray:
         """Advance full-spectrum (ny, nx) coefficients by dt.
 
         The boundary for ``to_spectral(u).coeffs``: columns nx/2+1.. of the
         input are ignored and rebuilt from the advanced half spectrum by
-        Hermitian symmetry.
+        Hermitian symmetry.  Besides its own two tests, only perfbench's
+        micro timings call it: every other caller steps through ``advance``.
         """
         return _full_spectrum(self.advance(coeffs[:, : self._nh]), self.grid.nx)
 
@@ -356,10 +355,11 @@ def evolve(
         return err
 
     record(0.0, initial)
-    if snapshot_stride:
-        traj.snapshots.append((0.0, initial.copy()))
-
+    # one copy of initial, which the caller keeps; later fields are held as is
     last_good = initial.copy()
+    if snapshot_stride:
+        traj.snapshots.append((0.0, last_good))
+
     for n in range(1, n_steps + 1):
         t = n * cfg.dt
         # an overflowing state is reported below as a BlowUpError, not as
@@ -384,9 +384,9 @@ def evolve(
                 u = physical()
             if is_record:
                 record(t, u)
-                last_good = u.copy()
+                last_good = u
             if is_snapshot:
-                traj.snapshots.append((t, u.copy()))
+                traj.snapshots.append((t, u))
     if not traj.snapshots:
         traj.snapshots.append((traj.records[-1]["t"], last_good))
     return traj

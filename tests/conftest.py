@@ -24,3 +24,13 @@ def gaussian_field(grid, amplitude=1.0, sx=1.0, sy=1.0, cx=0.0, cy=0.0):
 def random_field(grid, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
     return RealField2D(grid, scale * rng.standard_normal((grid.ny, grid.nx)))
+
+
+def hermitian_fill(h, nx):
+    """(ny, nx) coefficients of a real field from its half spectrum h:
+    columns 0..nx/2 are h, column nx - k is conj(h) at (-l, k)."""
+    ny, nh = h.shape
+    out = np.empty((ny, nx), dtype=complex)
+    out[:, :nh] = h
+    out[:, nh:] = np.conj(h[-np.arange(ny) % ny, nh - 2 : 0 : -1])
+    return out

@@ -33,8 +33,9 @@ from gbozk.fraclab import (
     stein_derivative,
 )
 from gbozk.solver import Stepper
+from gbozk.spectral import half_spectrum
 
-from conftest import gaussian_field
+from conftest import gaussian_field, hermitian_fill
 from test_fraclab import brute_force_stein
 
 warnings.filterwarnings("ignore", message="x_moment")
@@ -118,10 +119,10 @@ class TestCriterion4IntegratorOrder:
         def final(dt):
             cfg = SolverConfig(dt=dt, T=T, params=p)
             st = Stepper(g, cfg)
-            c = to_spectral(u0).coeffs
+            v = half_spectrum(u0)
             for _ in range(int(round(T / dt))):
-                c = st.step(c)
-            return c
+                v = st.advance(v)
+            return hermitian_fill(v, g.nx)
 
         ref = final(6.25e-5)
         dts = [4e-3, 2e-3, 1e-3, 5e-4]

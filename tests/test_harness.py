@@ -666,6 +666,20 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("config error:")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "kind, key, value", [("power", "alpha", "inf"), ("gamma", "gamma", "nan")]
+    )
+    def test_batch_profile_parameter_that_is_not_finite(self, tmp_path, capsys, kind, key,
+                                                        value):
+        # make_profile's own check, reached when the batch is read
+        batch = tmp_path / "batch.cfg"
+        batch.write_text(f"[q]\nkind = {kind}\n{key} = {value}\ntheta = 0.5\n")
+        assert cli_main(["stein-profile", str(batch), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {batch}: [q] profile {key} must be finite, got {value}"
+        ]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("name", ["a,b", 'a"b', ",", 'q"'])
     def test_batch_section_name_that_breaks_the_csv(self, tmp_path, capsys, name):
         # the section name is an unquoted field of both CSVs: a comma in it
@@ -921,6 +935,19 @@ class TestCli:
         assert cli_main(["expansion-check", *flags]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("config error:")
+
+    @pytest.mark.parametrize("k, t", [("4", "1e100"), ("2", "1e160"), ("1", "1e308")])
+    def test_expansion_check_time_beyond_the_float_range(self, capsys, k, t):
+        # t**4 and t**2 raise OverflowError in the term tables, the k = 1
+        # products reach inf in silence: each is one config error line,
+        # before any row is printed, not a traceback with exit 1
+        assert cli_main(["expansion-check", "--k", k, "--t", t]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"config error: expansion-check: the order-{k} term tables at t = {float(t):g} "
+            "leave the float range"
+        ]
 
     def test_uc_compare_cli(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path)
