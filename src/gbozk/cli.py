@@ -2,15 +2,19 @@
 
 Subcommands: simulate, uc-compare, stein-profile, expansion-check, norms.
 Exit codes: 0 success, 1 an expansion check failed, 2 configuration error,
-3 numerical blow-up.  Malformed input (configs, batch files, snapshots,
-`norms` weight and Sobolev specs, also those whose norm leaves the float
-range, `expansion-check` flags other than `--a` in [0, 1], `--k` integers in
-1..4, finite `--t` whose order-k term tables stay in the float range (|t| up
-to about 1e307, 1e153, 1e101 and 1e76 for k = 1..4) and a finite
-`--tolerance` > 0) or an output directory that cannot be created ends in a
-one-line "config error" and exit 2, before any output exists (for `norms`
-and `expansion-check`, before any row is printed); a run config's
-error names its file, also after loading.  A blow-up in `simulate` or
+3 numerical blow-up.  `expansion-check` compares the tables with
+`mpmath.diff`; their float64 phase rounding grows in proportion to t
+(5.1e-13 at t = 1e3, 3.5e-8 at 1e8, 3.2e-6 at 1e10), so a `[FAIL]` at the
+default tolerance 1e-6 from about t = 3e9 up is that rounding, not a wrong
+coefficient.  Malformed input (configs, batch files, snapshots and snapshot
+paths that cannot be read, `norms` weight and Sobolev specs, also those whose
+norm leaves the float range, `expansion-check` flags other than `--a` in
+[0, 1], `--k` integers in 1..4, finite `--t` whose order-k term tables stay
+in the float range (|t| up to about 1e307, 1e153, 1e101 and 1e76 for
+k = 1..4) and a finite `--tolerance` > 0) or an output directory that cannot
+be created ends in a one-line "config error" and exit 2, before any output
+exists (for `norms` and `expansion-check`, before any row is printed); a run
+config's error names its file, also after loading.  A blow-up in `simulate` or
 `uc-compare` still writes the rows reached before exit 3.  No environment
 variable is read.
 """
@@ -151,7 +155,10 @@ def _cmd_norms(args) -> int:
 
     weights = [_parse_spec(WeightSpec, w, 1, 3) for w in args.weights]
     sobolev = None if args.sobolev is None else _parse_spec(SobolevSpec, args.sobolev, 2, 2)
-    snap = read_snapshot(args.snapshot)
+    try:
+        snap = read_snapshot(args.snapshot)
+    except OSError as exc:  # a missing file, a directory, no read permission
+        raise ConfigError(f"{args.snapshot}: {exc.strerror or exc}") from None
     u = snap.field
     quantities = [("mass", partial(mass, u))]
     quantities += [(f"wnorm_r1={spec.r1:g}_r2={spec.r2:g}_N={spec.N:g}",

@@ -895,6 +895,16 @@ class TestCli:
         assert cli_main(["norms", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["missing.gbzk", "adir"])
+    def test_norms_unreadable_snapshot_exit_code(self, tmp_path, capsys, name):
+        (tmp_path / "adir").mkdir()
+        path = tmp_path / name
+        assert cli_main(["norms", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        reason = "Is a directory" if name == "adir" else "No such file or directory"
+        assert err.splitlines() == [f"config error: {path}: {reason}"]
+
     def test_expansion_check_cli(self, capsys):
         code = cli_main(["expansion-check", "--a", "0.5", "--k", "1", "--t", "0,0.2"])
         assert code == 0
@@ -922,6 +932,18 @@ class TestCli:
         isolated = [line.split(":")[0] for line in lines if "terms H3,H4;" in line]
         assert isolated == ["[PASS] k=4 t=0.2", "[PASS] k=4 t=1"]
         assert worst.startswith("worst corrected error: ")
+
+    def test_expansion_check_reaches_t_1000(self, capsys):
+        # the oracle stays exact where the phase t w(xi, eta) reaches about
+        # 3e3; what is left is the float64 tables' phase rounding
+        assert cli_main(["expansion-check", "--t", "100,1000"]) == 0
+        *lines, worst = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            f"[PASS] k={k} t={t}" for k in (1, 2, 3, 4) for t in ("100", "1000")
+        ]
+        isolated = [line.split(":")[0] for line in lines if "terms H3,H4;" in line]
+        assert isolated == ["[PASS] k=4 t=100", "[PASS] k=4 t=1000"]
+        assert float(worst.removeprefix("worst corrected error: ")) <= 1e-12
 
     @pytest.mark.parametrize(
         "flags",
