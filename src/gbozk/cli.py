@@ -2,17 +2,20 @@
 
 Subcommands: simulate, uc-compare, stein-profile, expansion-check, norms.
 Exit codes: 0 success, 1 an expansion check failed, 2 configuration error,
-3 numerical blow-up.  `expansion-check` compares the tables with
-`mpmath.diff`; their float64 phase rounding grows in proportion to t
-(5.1e-13 at t = 1e3, 3.5e-8 at 1e8, 3.2e-6 at 1e10), so a `[FAIL]` at the
-default tolerance 1e-6 from about t = 3e9 up is that rounding, not a wrong
-coefficient.  Malformed input (configs, batch files, snapshots and snapshot
-paths that cannot be read, `norms` weight and Sobolev specs, also those whose
-norm leaves the float range, `expansion-check` flags other than `--a` in
-[0, 1], `--k` integers in 1..4, finite `--t` whose order-k term tables stay
-in the float range (|t| up to about 1e307, 1e153, 1e101 and 1e76 for
-k = 1..4) and a finite `--tolerance` > 0) or an output directory that cannot
-be created ends in a one-line "config error" and exit 2, before any output
+3 numerical blow-up.  `expansion-check` compares the chain-rule tables and
+the source's printed k = 4 table (wrong in H3 and H4) with `mpmath.diff`; a
+row names H3,H4 only when the printed table fails where the chain-rule table
+passes, and each `[FAIL]` row shows the chain-rule table's error that
+decided it.  That error is the tables' float64 phase rounding, growing in
+proportion to t (5.1e-13 at t = 1e3, 3.5e-8 at 1e8, 3.2e-6 at 1e10), so a
+`[FAIL]` at the default tolerance 1e-6 from about t = 3e9 up names no term.
+Malformed input (configs, batch files, snapshots and snapshot paths that
+cannot be read, `norms` weight and Sobolev specs, also those whose norm
+leaves the float range, `expansion-check` flags other than `--a` in [0, 1],
+`--k` integers in 1..4, finite `--t` whose order-k term tables stay in the
+float range (|t| up to about 1e307, 1e153, 1e101 and 1e76 for k = 1..4) and
+a finite `--tolerance` > 0) or an output directory that cannot be created
+ends in a one-line "config error" and exit 2, before any output
 exists (for `norms` and `expansion-check`, before any row is printed); a run
 config's error names its file, also after loading.  A blow-up in `simulate` or
 `uc-compare` still writes the rows reached before exit 3.  No environment
@@ -117,11 +120,10 @@ def _cmd_expansion_check(args) -> int:
             f"median {rep.median_rel_error:.3e}"
         )
         if rep.discrepant_terms:
-            line += (
-                f"; printed-coefficient discrepancy isolated to terms "
-                f"{','.join(rep.discrepant_terms)}; corrected max err "
-                f"{rep.max_rel_error_corrected:.3e}"
-            )
+            terms = ",".join(rep.discrepant_terms)
+            line += f"; printed-coefficient discrepancy isolated to terms {terms}"
+        if rep.discrepant_terms or not rep.passed:
+            line += f"; corrected max err {rep.max_rel_error_corrected:.3e}"
         print(f"[{status}] {line}")
         worst = max(worst, rep.max_rel_error_corrected)
     print(f"worst corrected error: {worst:.3e}")

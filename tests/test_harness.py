@@ -923,6 +923,17 @@ class TestCli:
         assert err and float(err[1]) < 1e-6
         assert worst == f"worst corrected error: {err[1]}"
 
+    def test_expansion_check_large_t_failure_names_no_term(self, capsys):
+        # at t = 5e9 the chain-rule table fails too: its row names no term
+        # and shows the corrected error that decided it
+        assert cli_main(["expansion-check", "--k", "4", "--t", "1,5e9"]) == 1
+        small, large, _ = capsys.readouterr().out.splitlines()
+        assert small.startswith("[PASS] k=4 t=1: ")
+        assert "isolated to terms H3,H4; corrected max err " in small
+        assert re.fullmatch(
+            r"\[FAIL\] k=4 t=5e\+09: max rel err \S+, median \S+; corrected max err \S+", large
+        )
+
     def test_expansion_check_defaults(self, capsys):
         assert cli_main(["expansion-check"]) == 0
         *lines, worst = capsys.readouterr().out.splitlines()
