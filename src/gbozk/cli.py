@@ -218,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "weights",
         nargs="*",
-        help="weight specs r1[:r2[:N]] (N omitted = untruncated)",
+        help="weight specs r1[:r2[:N]]: the norm of (<x>_N^{2 r1} + <y>_N^{2 r2})^{1/2} u, "
+        "with N = inf or in [1, 1e153] (N omitted = untruncated <x>)",
     )
     p.add_argument("--sobolev", default=None, help="s1:s2 anisotropic orders")
     p.set_defaults(fn=_cmd_norms)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import truncated_weight
+from .diagnostics import WeightSpec
 from .propagator import DispersionParams
 from .snapshot import read_snapshot
 from .solver import SolverConfig
@@ -111,10 +111,12 @@ class DiagnosticsPlan:
         if not self.stride >= 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
         # 2 s is the y-order of E^s and bounds its x-order (1 + a) s
-        if not np.all(np.isfinite((self.r1, self.r2, 2.0 * self.sobolev_s))):
-            raise ValueError("diagnostics r1, r2 and 2 sobolev_s must be finite")
-        for N in self.n_ladder:
-            truncated_weight(0.0, N)  # the level check each ladder column makes
+        if not np.isfinite(2.0 * self.sobolev_s):
+            raise ValueError("diagnostics 2 sobolev_s must be finite")
+        # the exponent and level checks of WeightSpec; N = inf checks r1, r2
+        # for an empty ladder too
+        for N in (np.inf, *self.n_ladder):
+            WeightSpec(self.r1, self.r2, N)
         # each level names its own diagnostics column
         tags = [_ladder_tag(N) for N in self.n_ladder]
         if len(set(tags)) != len(tags):

@@ -6,11 +6,10 @@ Every norm is one of two private sums:
   spectrum v, with a multiplier m even in (xi, eta) and the Hermitian column
   weights w_k of ``spectral.hermitian_weights``;
 * the weighted-L^2 core, sqrt(sum (w u)^2 dx dy) over a broadcast weight w.
-  ``weighted_norm`` takes w^2 = 1 + |x|_N^{2 r1} [+ |y|_N^{2 r2} if r2 > 0],
-  with |.|_N = |.| truncated at level N (plateau 2N, smooth blend; plain |.|
-  for N = inf); the ladders ||<x>_N^r u|| take the smooth truncated weight
-  <x>_N = sqrt(1+x^2) for |x| <= N, 2N for |x| >= 3N, built once per
-  (grid, axis, N).
+  Every decay weight is the smooth truncated weight <x>_N = sqrt(1+x^2) for
+  |x| <= N, 2N for |x| >= 3N (N = inf or 1 <= N <= 1e153), built once per
+  (grid, axis, N): the ladders ||<x>_N^r u|| take w = <x>_N^r, and
+  ``weighted_norm`` takes w^2 = <x>_N^{2 r1} + <y>_N^{2 r2}.
 
 All quadratures are plain box sums (trapezoid on a periodic grid); moments
 of a periodic field are meaningful only for data that decays below roundoff
@@ -32,7 +31,6 @@ __all__ = [
     "WeightSpec",
     "SobolevSpec",
     "truncated_weight",
-    "truncated_abs_weight",
     "weighted_norm",
     "truncated_x_norm",
     "truncated_y_norm",
@@ -49,7 +47,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Decay exponents (r1, r2) and truncation level N (np.inf = untruncated)."""
+    """Decay exponents (r1, r2) and level N of <.>_N (np.inf or in [1, 1e153])."""
 
     r1: float
     r2: float = 0.0
@@ -58,8 +56,7 @@ class WeightSpec:
     def __post_init__(self) -> None:
         if not (0 <= self.r1 < np.inf and 0 <= self.r2 < np.inf):
             raise ValueError("decay exponents r1, r2 must be finite and nonnegative")
-        if not self.N > 0:
-            raise ValueError("truncation level N must be positive")
+        truncated_weight(0.0, self.N)  # the level check
 
 
 @dataclass(frozen=True)
@@ -85,32 +82,6 @@ def _smootherstep(tau: np.ndarray) -> np.ndarray:
     """C^2 step 10 t^3 - 15 t^4 + 6 t^5 on [0, 1], clamped outside."""
     t = np.clip(tau, 0.0, 1.0)
     return t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
-
-
-def _smootherstep_antideriv(tau: np.ndarray) -> np.ndarray:
-    """Antiderivative of 1 - smootherstep on [0, 1]; equals 1/2 at tau = 1."""
-    t = np.clip(tau, 0.0, 1.0)
-    return t - 2.5 * t**4 + 3.0 * t**5 - t**6
-
-
-def truncated_abs_weight(x, N: float):
-    """|x| truncated at level N: equals |x| for |x| <= N, 2N for |x| >= 3N.
-
-    The blend on N <= |x| <= 3N integrates the C^2 profile (1 - step), which
-    meets both endpoint values exactly; the derivative stays in [0, 1].
-    """
-    if not N > 0:
-        raise ValueError("N must be positive")
-    ax = np.abs(np.asarray(x, dtype=float))
-    if np.isinf(N):
-        return ax if ax.shape else float(ax)
-    out = np.where(ax <= N, ax, 2.0 * N)
-    blend = (ax > N) & (ax < 3.0 * N)
-    # halving after the division and doubling the antiderivative keep the
-    # bits of (|x| - N) / (2N) and 2N A(tau) without forming 2N
-    tau = (ax[blend] - N) / N * 0.5
-    out[blend] = N + N * (2.0 * _smootherstep_antideriv(tau))
-    return out if out.shape else float(out)
 
 
 @lru_cache(maxsize=None)
@@ -217,16 +188,16 @@ def _spectral_sums(v: np.ndarray, grid: GridSpec, *mults) -> list[float]:
 # --- norms -------------------------------------------------------------------
 
 def weighted_norm(u: RealField2D, spec: WeightSpec) -> float:
-    """Decay norm sqrt( int (1 + w_x^{2 r1} [+ w_y^{2 r2}]) u^2 dx dy ).
+    """Decay norm sqrt( int (<x>_N^{2 r1} + <y>_N^{2 r2}) u^2 dx dy ).
 
-    The y term participates only for r2 > 0; w is the truncated absolute
-    weight at level N (plain |.| when N is infinite).
+    The weight is equivalent to 1 + |x|^{2 r1} + |y|^{2 r2}; at r2 = 0 its
+    y term is 1, the L^2 part.  It is the ladder columns' <.>_N, so
+    weighted_norm^2 = truncated_x_norm(u, r1, N)^2 + ||<y>_N^{r2} u||^2.
     """
     g = u.grid
-    weight = 1.0 + (truncated_abs_weight(g.x, spec.N) ** (2.0 * spec.r1))[None, :]
-    if spec.r2 > 0:
-        weight = weight + (truncated_abs_weight(g.y, spec.N) ** (2.0 * spec.r2))[:, None]
-    return _weighted_l2(u, np.sqrt(weight))
+    wx = _axis_weight(g, "x", spec.N) ** (2.0 * spec.r1)
+    wy = _axis_weight(g, "y", spec.N) ** (2.0 * spec.r2)
+    return _weighted_l2(u, np.sqrt(wx[None, :] + wy[:, None]))
 
 
 def truncated_x_norm(u: RealField2D, r1: float, N: float) -> float:

@@ -26,11 +26,9 @@ from gbozk import (
 from gbozk.diagnostics import (
     _bracket_exponent,
     _blend_values,
-    _smootherstep_antideriv,
     _spectral_sums,
     directional_sobolev_norms,
     interx_probe,
-    truncated_abs_weight,
     truncated_x_norm,
 )
 from gbozk.spectral import half_spectrum
@@ -145,42 +143,6 @@ class TestTruncatedWeight:
             f = lambda q: float(_blend_values(np.array([3.0 * N]), N, q)[0]) - 2.0 * N
             assert p == pytest.approx(brentq(f, 1.0, 60.0, xtol=1e-15), rel=1e-13)
 
-    def test_abs_weight_plateau_and_identity(self):
-        assert truncated_abs_weight(0.7, 2.0) == 0.7
-        assert truncated_abs_weight(7.0, 2.0) == 4.0
-        assert truncated_abs_weight(3.0, np.inf) == 3.0
-
-    @pytest.mark.parametrize("N", [0.0, -1.0, np.nan])
-    def test_abs_weight_rejects_a_level_that_is_not_positive(self, N):
-        with pytest.raises(ValueError, match="N must be positive"):
-            truncated_abs_weight(1.0, N)
-
-    def test_abs_weight_at_huge_level_is_exact_and_silent(self):
-        # 2N overflows to inf at N = 1e308; no point lies in the blend, so
-        # none may meet the inf * 0 of a blend evaluated everywhere
-        x = np.linspace(-40.0, 40.0, 161)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert np.array_equal(truncated_abs_weight(x, 1e308), np.abs(x))
-
-    def test_abs_weight_blend_at_huge_level(self):
-        # 1e308 < |x| < 3e308 lies in the blend, where 2N = inf
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            w = truncated_abs_weight(1.5e308, 1e308)
-        # the weight is homogeneous of degree one in (x, N)
-        assert w == pytest.approx(1e308 * truncated_abs_weight(1.5, 1.0), rel=1e-15)
-
-    @settings(max_examples=200, deadline=None, database=None)
-    @given(N=st.floats(1e-3, 1e300), t=st.floats(0.0, 4.0))
-    def test_abs_weight_blend_keeps_two_n_bits(self, N, t):
-        # below overflow the blend has the bits of N + 2N A((|x| - N) / (2N))
-        ax = np.array([N * t])
-        ref = np.where(ax <= N, ax, 2.0 * N)
-        blend = (ax > N) & (ax < 3.0 * N)
-        ref[blend] = N + 2.0 * N * _smootherstep_antideriv((ax[blend] - N) / (2.0 * N))
-        assert np.array_equal(truncated_abs_weight(ax, N), ref)
-
 
 class TestWeightedNorm:
     def test_zero_exponents_give_sqrt2_l2(self, grid_box):
@@ -206,8 +168,9 @@ class TestWeightedNorm:
         X, Y = g.meshgrid()
         u = RealField2D(g, np.exp(-(X**2) - Y**2))
         w = weighted_norm(u, WeightSpec(1.0, 0.0, np.inf))
-        # int (1 + x^2) exp(-2x^2 - 2y^2) = (pi/2)(1 + 1/4)
-        exact = np.sqrt((np.pi / 2.0) * 1.25)
+        # the weight is <x>^2 + 1 = 2 + x^2, and
+        # int (2 + x^2) exp(-2x^2 - 2y^2) = (pi/2)(2 + 1/4)
+        exact = np.sqrt((np.pi / 2.0) * 2.25)
         assert abs(w - exact) / exact < 1e-8
 
     def test_monotone_in_truncation_level(self, grid_box):
@@ -224,6 +187,22 @@ class TestWeightedNorm:
             WeightSpec(-1.0, 0.0)
         with pytest.raises(ValueError):
             WeightSpec(1.0, 0.0, 0.0)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        half=st.tuples(st.integers(4, 24), st.integers(4, 24)),
+        box=st.tuples(st.floats(2.0, 60.0), st.floats(2.0, 60.0)),
+        seed=st.integers(0, 2**16),
+        r1=st.floats(0.0, 3.0),
+        r2=st.floats(0.0, 3.0),
+        N=st.one_of(st.just(np.inf), st.floats(1.0, 64.0)),
+    )
+    def test_splits_into_the_ladder_and_transverse_norms(self, half, box, seed, r1, r2, N):
+        g = make_grid(2 * half[0], 2 * half[1], *box)
+        u = random_field(g, seed=seed)
+        wy = truncated_weight(g.y, N)[:, None] ** r2
+        want = truncated_x_norm(u, r1, N) ** 2 + np.sum((wy * u.samples) ** 2) * g.dx * g.dy
+        assert weighted_norm(u, WeightSpec(r1, r2, N)) ** 2 == pytest.approx(want, rel=1e-13)
 
 
 class TestSobolevNorm:

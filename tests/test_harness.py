@@ -629,6 +629,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert "mass," in out and "wnorm_r1=2" in out and "sobolev_s1=1.5" in out
 
+    def test_norms_of_the_final_snapshot_agree_with_the_run(self, tmp_path, capsys):
+        # N = ly / 2 bounds every grid |y|, so there <y>_N has the bits of the
+        # transverse column's <y>
+        text = BASE_CFG.replace("n_ladder = 2,4", "n_ladder = 2,4,8\nr1 = 2\nr2 = 1")
+        assert cli_main(["simulate", str(write_cfg(tmp_path, text=text))]) == 0
+        capsys.readouterr()
+        lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+        last = dict(zip(lines[1].split(","), map(float, lines[-1].split(","))))
+        snap = str(tmp_path / "out" / "snapshot_t0.01.gbzk")
+        assert cli_main(["norms", snap, "2:1:8"]) == 0
+        rows = dict(line.split(",") for line in capsys.readouterr().out.splitlines()[1:])
+        assert float(rows["t"]) == last["t"]
+        assert float(rows["mass"]) == last["mass"]
+        want = math.hypot(last["wnorm_x_N8"], last["wnorm_y"])
+        assert float(rows["wnorm_r1=2_r2=1_N=8"]) == pytest.approx(want, rel=1e-13)
+
     def test_config_error_exit_code(self, tmp_path):
         bad = write_cfg(tmp_path, text=BASE_CFG.replace("nx = 32", "nx = many"))
         assert cli_main(["simulate", str(bad)]) == 2
@@ -720,6 +736,8 @@ class TestCli:
             ("n_ladder = 2,4", "n_ladder = 2,4\nr1 = 1e308"),
             ("n_ladder = 2,4", "n_ladder = 2,4\nr2 = 1e308"),
             ("n_ladder = 2,4", "n_ladder = 2,1e200"),
+            ("n_ladder = 2,4", "n_ladder = 2,4\nr1 = -1"),
+            ("n_ladder = 2,4", "n_ladder = 2,4\nr2 = -1"),
             # the flag only shapes the Gaussian family
             ("family = gaussian", "family = single_mode\nx_mean_removed = true"),
             ("family = gaussian\namplitude = 0.3",
@@ -731,8 +749,8 @@ class TestCli:
              "sigma-x-0", "sigma-y-square-underflow", "amplitude-nan", "path-directory",
              "path-missing", "box-1e150", "box-1e-150", "blowup-factor-key",
              "etdrk4-cube-overflow", "amplitude-1e308", "amplitude-1e150", "r1-1e308",
-             "r2-1e308", "n-ladder-beyond-blend-range", "x-mean-removed-single-mode",
-             "x-mean-removed-file", "family-unknown"],
+             "r2-1e308", "n-ladder-beyond-blend-range", "r1-negative", "r2-negative",
+             "x-mean-removed-single-mode", "x-mean-removed-file", "family-unknown"],
     )
     def test_malformed_config_exit_code(self, tmp_path, capsys, old, new):
         cfg_path = write_cfg(tmp_path, text=BASE_CFG.replace(old, new))
@@ -851,9 +869,9 @@ class TestCli:
     @pytest.mark.parametrize(
         "extra",
         [["2:x"], ["--sobolev", "1.5"], ["1:2:3:4"], ["-1"], ["nan:0:4"], ["2:nan"],
-         ["--sobolev", "nan:2"]],
+         ["--sobolev", "nan:2"], ["2:0:0.5"], ["2:0:1e200"]],
         ids=["bad-number", "short-sobolev", "long-weight", "negative-exponent", "nan-r1",
-             "nan-r2", "nan-sobolev"],
+             "nan-r2", "nan-sobolev", "level-below-1", "level-beyond-1e153"],
     )
     def test_norms_malformed_spec_exit_code(self, tmp_path, capsys, extra):
         path = tmp_path / "f.gbzk"
