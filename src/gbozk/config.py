@@ -11,6 +11,7 @@ failure is a ``ConfigError`` naming the section/key.
 from __future__ import annotations
 
 import configparser
+import hashlib
 from dataclasses import MISSING, Field, dataclass, fields
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .diagnostics import WeightSpec
 from .propagator import DispersionParams
-from .snapshot import read_snapshot
+from .snapshot import _parse_snapshot
 from .solver import SolverConfig
 from .spectral import GridSpec, RealField2D
 
@@ -67,6 +68,11 @@ class InitialData:
             raise ValueError("sigma_x and sigma_y must have a finite nonzero square")
 
     def build(self, grid: GridSpec) -> RealField2D:
+        return self._build(grid)[0]
+
+    def _build(self, grid: GridSpec) -> tuple[RealField2D, str | None]:
+        """The field and, for family = file, the sha256 of the snapshot
+        bytes it was parsed from (the file is read once)."""
         X, Y = grid.meshgrid()
         if self.family == "gaussian":
             # a square that overflows to inf gives exp(-inf) = 0, the
@@ -80,18 +86,19 @@ class InitialData:
                 # odd Hermite factor: the x-average vanishes for every y
                 # while the Gaussian decay is retained
                 env = env * (X - self.center_x) / self.sigma_x
-            return RealField2D(grid, env)
+            return RealField2D(grid, env), None
         if self.family == "single_mode":
             wx = 2.0 * np.pi * self.kx / grid.lx
             wy = 2.0 * np.pi * self.ky / grid.ly
-            return RealField2D(grid, self.amplitude * np.cos(wx * X + wy * Y))
+            return RealField2D(grid, self.amplitude * np.cos(wx * X + wy * Y)), None
         try:
-            snap = read_snapshot(self.path)
+            raw = Path(self.path).read_bytes()
         except OSError as exc:
             raise ConfigError(f"[initial] path {self.path!r}: {exc.strerror or exc}") from exc
+        snap = _parse_snapshot(raw, self.path)
         if snap.field.grid != grid:
             raise ConfigError(f"snapshot grid {snap.field.grid} does not match [grid] section")
-        return snap.field
+        return snap.field, hashlib.sha256(raw).hexdigest()
 
 
 def _ladder_tag(N: float) -> str:

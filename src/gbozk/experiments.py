@@ -2,7 +2,8 @@
 
 Outputs are deterministic: no timestamps, fixed column order, floats printed
 with 17 significant digits.  Every text output carries the manifest hash
-(sha256 over the config echo, code version and numerical settings), so
+(sha256 over the config echo, code version and numerical settings, and for
+a ``family = file`` run the sha256 of the snapshot bytes it read), so
 re-running a manifest reproduces outputs byte for byte.
 
 ``run_scenario`` and both branches of ``uc_compare`` share one scaffold:
@@ -174,8 +175,11 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     On blow-up the rows and snapshots reached so far are still written and
     the manifest records the error before it is re-raised.
     """
-    payload = _payload(cfg.solver.dealias, config=cfg.to_dict())
-    initial = cfg.initial.build(cfg.grid)
+    initial, input_sha256 = cfg.initial._build(cfg.grid)
+    entries = {"config": cfg.to_dict()}
+    if input_sha256 is not None:  # family = file: the bytes, not only the path
+        entries["input_sha256"] = input_sha256
+    payload = _payload(cfg.solver.dealias, **entries)
     row = _recorder(initial, _scenario_observer(cfg))
     out, mhash = _open_run(cfg.output_dir, payload)
     traj, columns, blowup = _run(cfg, initial, row, cfg.snapshot_stride)

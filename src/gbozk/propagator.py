@@ -38,7 +38,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DispersionParams:
-    """Fractional dispersion exponent a in [0, 1] (a=0 BO-ZK, a=1 ZK)."""
+    """Fractional dispersion exponent a in [0, 1]: a = 0 is BO-ZK; a = 1 is
+    u_t - u_xxx + u_xyy + u u_x = 0, whose x- and y-dispersion have opposite
+    signs, not ZK's u_t + u_xxx + u_xyy + u u_x = 0."""
 
     a: float
 

@@ -44,7 +44,11 @@ def write_snapshot(path: str | Path, snap: SnapshotFile) -> None:
 
 
 def read_snapshot(path: str | Path) -> SnapshotFile:
-    raw = Path(path).read_bytes()
+    return _parse_snapshot(Path(path).read_bytes(), path)
+
+
+def _parse_snapshot(raw: bytes, path: str | Path) -> SnapshotFile:
+    """The snapshot in ``raw``, the bytes of the file ``path`` names."""
     if len(raw) < _HEADER.size:
         raise SnapshotFormatError(f"{path}: truncated header")
     magic, version, nx, ny, lx, ly, a, t = _HEADER.unpack_from(raw)

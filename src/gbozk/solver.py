@@ -16,10 +16,11 @@ Two integrators are provided, both exact on the linear flow:
   advection part, half linear phase).
 
 The state is the ``rfft2`` half spectrum, shape (ny, nx//2 + 1), of the
-unshifted samples scaled by dx dy: columns 0..nx/2 of ``to_spectral``'s
-coefficients, with xi in fft order (column nx/2 holds the negative Nyquist
-xi).  The centring shifts cancel under the pointwise square, so the
-quadratic term is one precomputed multiplier times rfft2(irfft2(v)**2),
+unshifted samples scaled by dx dy (``spectral.half_spectrum``), with xi in
+fft order (column nx/2 holds the negative Nyquist xi); ``nonlinear_term``
+and ``Stepper.step`` return its Hermitian fill, as ``to_spectral`` does.
+The centring shifts cancel under the pointwise square, so the quadratic
+term is one precomputed multiplier times rfft2(irfft2(v)**2),
 formed by ``_quadratic`` for the steps and ``nonlinear_term`` alike.  It
 is truncated by the 2/3 rule (Orszag, 1971) by default, which makes the
 discrete L^2 mass an invariant of the semidiscrete flow up to
@@ -42,7 +43,7 @@ import numpy as np
 
 from .propagator import DispersionParams, dispersion_symbol
 from .spectral import GridSpec, RealField2D, SpectralField2D, dealias_mask
-from .spectral import half_spectrum, half_xi, hermitian_weights
+from .spectral import _from_half, _hermitian_fill, half_spectrum, half_xi, hermitian_weights
 
 __all__ = [
     "SolverConfig",
@@ -63,7 +64,7 @@ class BlowUpError(RuntimeError):
         self.mode = mode
         super().__init__(
             f"blow-up detected at t = {time:.6g}: max |u| = {peak:.3e}, "
-            f"fastest-growing mode (kx, ky) = {mode}"
+            f"largest mode (kx, ky) = {mode}"
         )
 
 
@@ -108,24 +109,12 @@ def _nl_multiplier(grid: GridSpec, dealias: bool) -> np.ndarray:
     return m
 
 
-def _full_spectrum(h: np.ndarray, nx: int) -> np.ndarray:
-    """(ny, nx) coefficients from the half spectrum by Hermitian symmetry.
-
-    Columns 0..nx/2 are ``h`` itself; column nx - k is conj(h) at (-l, k).
-    """
-    ny, nh = h.shape
-    out = np.empty((ny, nx), dtype=complex)
-    out[:, :nh] = h
-    out[:, nh:] = np.conj(h[-np.arange(ny) % ny, nh - 2 : 0 : -1])
-    return out
-
-
 def nonlinear_term(u: RealField2D) -> SpectralField2D:
     """Spectral representation of -1/2 d/dx (u^2), 2/3-rule truncated; the
     xi = 0 column is 0."""
     g = u.grid
     half = _quadratic(np.fft.ifftshift(u.samples) * (g.dx * g.dy), _nl_multiplier(g, True))
-    return SpectralField2D(g, _full_spectrum(half, g.nx))
+    return SpectralField2D(g, _hermitian_fill(half, g.nx))
 
 
 def _mul_even(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -218,11 +207,11 @@ class Stepper:
         """Advance full-spectrum (ny, nx) coefficients by dt.
 
         The boundary for ``to_spectral(u).coeffs``: columns nx/2+1.. of the
-        input are ignored and rebuilt from the advanced half spectrum by
-        Hermitian symmetry.  Besides its own two tests, only perfbench's
-        micro timings call it: every other caller steps through ``advance``.
+        input are ignored and rebuilt by ``spectral``'s Hermitian fill.
+        Besides its own two tests, only perfbench's micro timings call it:
+        every other caller steps through ``advance``.
         """
-        return _full_spectrum(self.advance(coeffs[:, : self._nh]), self.grid.nx)
+        return _hermitian_fill(self.advance(coeffs[:, : self._nh]), self.grid.nx)
 
     def advance(self, v: np.ndarray) -> np.ndarray:
         """Advance the half-spectrum state v, shape (ny, nx//2+1), by dt."""
@@ -331,8 +320,6 @@ def evolve(
     # rounding to whole steps lands the final time within dt/2 of T
     n_steps = max(1, int(round(cfg.T / cfg.dt)))
     stepper = Stepper(g, cfg)
-    shape = (g.ny, g.nx)
-    dxdy = g.dx * g.dy
     v = half_spectrum(initial)
     peak0 = float(np.max(np.abs(initial.samples)))
     threshold = _BLOWUP_FACTOR * peak0
@@ -340,9 +327,6 @@ def evolve(
     sup_weights = hermitian_weights(g.nx) / (g.lx * g.ly)
 
     traj = Trajectory()
-
-    def physical() -> RealField2D:
-        return RealField2D(g, np.fft.fftshift(np.fft.irfft2(v, s=shape)) / dxdy)
 
     def record(t: float, u: RealField2D) -> None:
         traj.records.append({"t": t, **(observe(t, u) if observe else {})})
@@ -373,7 +357,7 @@ def evolve(
             raise blow_up(t, float("inf"))
         u = None
         if peak0 > 0 and bound > threshold:
-            u = physical()
+            u = _from_half(v, g)
             peak = float(np.max(np.abs(u.samples)))
             if peak > threshold:
                 raise blow_up(t, peak)
@@ -381,7 +365,7 @@ def evolve(
         is_snapshot = snapshot_stride and (n % snapshot_stride == 0 or n == n_steps)
         if is_record or is_snapshot:
             if u is None:
-                u = physical()
+                u = _from_half(v, g)
             if is_record:
                 record(t, u)
                 last_good = u

@@ -12,6 +12,8 @@ numpy fft order.  With this convention closed-form transforms of Gaussians
 and the value f_hat(0, 0) = int f are directly comparable.  Real fields are
 computed on the ``rfft2`` half spectrum, columns 0..nx/2 of those
 coefficients (``half_spectrum``, ``half_xi``, ``hermitian_weights``).
+``to_spectral`` is its Hermitian fill and ``to_physical`` inverts columns
+0..nx/2 alone, as ``solver.evolve`` does: columns nx/2+1.. are the mirror.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -143,17 +145,31 @@ class SpectralField2D:
 
 
 def to_spectral(field: RealField2D) -> SpectralField2D:
-    """Forward transform with continuous-integral normalization."""
-    g = field.grid
-    coeffs = np.fft.fft2(np.fft.ifftshift(field.samples)) * (g.dx * g.dy)
-    return SpectralField2D(g, coeffs)
+    """Forward transform: the Hermitian fill of ``half_spectrum(field)``."""
+    return SpectralField2D(field.grid, _hermitian_fill(half_spectrum(field), field.grid.nx))
 
 
 def to_physical(field: SpectralField2D) -> RealField2D:
-    """Inverse transform; the imaginary residue of the ifft is discarded."""
-    g = field.grid
-    u = np.fft.fftshift(np.fft.ifft2(field.coeffs)) / (g.dx * g.dy)
-    return RealField2D(g, u.real)
+    """Inverse transform of columns 0..nx/2; the mirror columns are not read."""
+    return _from_half(field.coeffs[:, : field.grid.nx // 2 + 1], field.grid)
+
+
+def _hermitian_fill(h: np.ndarray, nx: int) -> np.ndarray:
+    """(ny, nx) coefficients from the half spectrum by Hermitian symmetry.
+
+    Columns 0..nx/2 are ``h`` itself; column nx - k is conj(h) at (-l, k).
+    """
+    ny, nh = h.shape
+    out = np.empty((ny, nx), dtype=complex)
+    out[:, :nh] = h
+    out[:, nh:] = np.conj(h[-np.arange(ny) % ny, nh - 2 : 0 : -1])
+    return out
+
+
+def _from_half(v: np.ndarray, grid: GridSpec) -> RealField2D:
+    """The real field of the half spectrum v, shape (ny, nx//2+1)."""
+    u = np.fft.fftshift(np.fft.irfft2(v, s=(grid.ny, grid.nx))) / (grid.dx * grid.dy)
+    return RealField2D(grid, u)
 
 
 # rows shifted and x-transformed at a time by half_spectrum

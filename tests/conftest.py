@@ -34,3 +34,15 @@ def hermitian_fill(h, nx):
     out[:, :nh] = h
     out[:, nh:] = np.conj(h[-np.arange(ny) % ny, nh - 2 : 0 : -1])
     return out
+
+
+def complex_spectrum(u):
+    """Full-spectrum reference independent of the package's half spectrum:
+    the complex fft2(ifftshift(samples)) * dx dy."""
+    g = u.grid
+    return np.fft.fft2(np.fft.ifftshift(u.samples)) * (g.dx * g.dy)
+
+
+def complex_samples(grid, coeffs):
+    """The inverse of ``complex_spectrum``: real part of the shifted ifft2."""
+    return (np.fft.fftshift(np.fft.ifft2(coeffs)) / (grid.dx * grid.dy)).real

@@ -721,16 +721,17 @@ class TestProbeBuildBits:
 
 def _full_spectrum_probe_ratio(theta, t, a, f):
     """lemma_df_probe's ratio for one nonzero field from the full complex
-    spectrum: to_spectral, the rows gathered into increasing-xi order and one
-    _grid_stein_sq_sum over all of them."""
+    spectrum: conftest's complex fft2, the rows gathered into increasing-xi
+    order and one _grid_stein_sq_sum over all of them."""
     from gbozk.diagnostics import _spectral_sums, _weighted_l2
     from gbozk.propagator import dispersion_symbol
-    from gbozk.spectral import to_spectral
+
+    from conftest import complex_spectrum
 
     g = f.grid
     order = np.argsort(g.xi)
     phase = np.exp(1j * t * dispersion_symbol(g.xi[order][None, :], g.eta[:, None], a))
-    coeffs = to_spectral(f).coeffs
+    coeffs = complex_spectrum(f)
     rows = phase * coeffs[:, order]
     dxi, deta = 2.0 * np.pi / g.lx, 2.0 * np.pi / g.ly
     lhs = np.sqrt(fraclab._grid_stein_sq_sum(rows, dxi, theta) * dxi * deta) / (2.0 * np.pi)

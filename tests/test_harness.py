@@ -427,6 +427,38 @@ class TestRunScenario:
         manifest = json.loads(res.manifest_path.read_text())
         assert manifest["settings"] == {**NUMERICAL_SETTINGS, "dealias_rule": rule}
 
+    def test_gaussian_manifest_hashes_the_config_echo_alone(self, tmp_path):
+        cfg = load_config(write_cfg(tmp_path))
+        manifest = json.loads(run_scenario(cfg).manifest_path.read_text())
+        payload = {"config": cfg.to_dict(), "code_version": gbozk.__version__,
+                   "settings": NUMERICAL_SETTINGS}
+        assert "input_sha256" not in manifest
+        assert manifest["manifest_sha256"] == manifest_hash(payload)
+
+    def test_file_run_manifest_names_the_snapshot_bytes(self, tmp_path):
+        # one path, rewritten between runs: the hash follows the bytes read
+        snap_path = tmp_path / "init.gbzk"
+        text = BASE_CFG.replace(
+            "family = gaussian\namplitude = 0.3\nsigma_x = 1.0\nsigma_y = 1.0",
+            f"family = file\npath = {snap_path}",
+        )
+        cfg = load_config(write_cfg(tmp_path, text=text))
+        write_snapshot(snap_path, SnapshotFile(gaussian_field(cfg.grid, 0.3), a=0.5, t=0.0))
+
+        def manifest():
+            return json.loads(run_scenario(cfg).manifest_path.read_text())
+
+        first = manifest()
+        raw = snap_path.read_bytes()
+        assert first["input_sha256"] == hashlib.sha256(raw).hexdigest()
+        assert manifest() == first
+        # the lowest mantissa byte of the last sample
+        snap_path.write_bytes(raw[:-8] + bytes([raw[-8] ^ 1]) + raw[-7:])
+        second = manifest()
+        assert second["input_sha256"] == hashlib.sha256(snap_path.read_bytes()).hexdigest()
+        assert second["manifest_sha256"] != first["manifest_sha256"]
+        assert second["config"] == first["config"]
+
     def test_snapshot_written_with_final_time(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path))
         run_scenario(cfg)

@@ -38,7 +38,8 @@ class TestDispersionSymbol:
         assert np.array_equal(w, dispersion_symbol(xi, -eta, 0.4))
 
     def test_zk_symbol_on_lattice(self):
-        # at a = 1 the phase rate is the cubic ZK symbol xi eta^2 - xi^3
+        # at a = 1 the phase rate is the cubic symbol xi eta^2 - xi^3 (ZK's is
+        # xi eta^2 + xi^3: its x- and y-dispersion have one sign)
         g = make_grid(16, 16, 2 * np.pi, 2 * np.pi)
         XI, ETA = np.meshgrid(g.xi, g.eta, indexing="xy")
         w = dispersion_symbol(XI, ETA, 1.0)

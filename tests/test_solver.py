@@ -20,7 +20,9 @@ from gbozk.propagator import dispersion_symbol
 from gbozk.solver import Stepper, _blowup_mode, _nl_multiplier
 from gbozk.spectral import dealias_mask, half_spectrum
 
-from conftest import gaussian_field, hermitian_fill, random_field
+from conftest import (
+    complex_samples, complex_spectrum, gaussian_field, hermitian_fill, random_field,
+)
 
 P = DispersionParams(0.5)
 
@@ -30,8 +32,8 @@ P = DispersionParams(0.5)
 def _nonlinear_term_full(u: RealField2D, dealias: bool = True) -> SpectralField2D:
     """Spectral representation of -1/2 d/dx (u^2); the xi = 0 column is 0."""
     g = u.grid
-    sq = to_spectral(RealField2D(g, u.samples**2))
-    coeffs = (-0.5j) * g.xi[None, :] * sq.coeffs
+    sq = complex_spectrum(RealField2D(g, u.samples**2))
+    coeffs = (-0.5j) * g.xi[None, :] * sq
     coeffs[:, g.nx // 2] = 0.0  # odd symbol: drop the x-Nyquist mode
     if dealias:
         coeffs = coeffs * dealias_mask(g)
@@ -68,7 +70,7 @@ class _FullSpectrumStepper:
     def _nl(self, coeffs: np.ndarray) -> np.ndarray:
         if not self.cfg.nonlinear:
             return np.zeros_like(coeffs)
-        u = to_physical(SpectralField2D(self.grid, coeffs))
+        u = RealField2D(self.grid, complex_samples(self.grid, coeffs))
         return _nonlinear_term_full(u, dealias=self.cfg.dealias).coeffs
 
     def step(self, coeffs: np.ndarray) -> np.ndarray:
@@ -300,7 +302,7 @@ class TestStep:
             nonlinear=nonlinear, dealias=dealias,
         )
         u = random_field(g, seed=seed)
-        got, ref = half_spectrum(u), to_spectral(u).coeffs
+        got, ref = half_spectrum(u), complex_spectrum(u)
         half, full = Stepper(g, cfg), _FullSpectrumStepper(g, cfg)
         for _ in range(3):
             got, ref = half.advance(got), full.step(ref)
@@ -530,11 +532,11 @@ class TestEvolve:
         cfg = SolverConfig(dt=1e-3, T=0.02, params=P, integrator=integrator)
         traj = evolve(u0, cfg, stride=5, snapshot_stride=10)
         full = _FullSpectrumStepper(g, cfg)
-        c = to_spectral(u0).coeffs
+        c = complex_spectrum(u0)
         ref = [u0.samples]
         for _ in range(20):
             c = full.step(c)
-            ref.append(to_physical(SpectralField2D(g, c)).samples)
+            ref.append(complex_samples(g, c))
         assert len(traj.snapshots) == 3
         for t, snap in traj.snapshots:
             assert _max_rel(snap.samples, ref[round(t / cfg.dt)]) < 1e-12

@@ -6,7 +6,7 @@ from gbozk import RealField2D, SpectralField2D, make_grid, to_physical, to_spect
 from gbozk.diagnostics import _spectral_sums, mass
 from gbozk.spectral import dealias_mask, half_spectrum
 
-from conftest import random_field
+from conftest import complex_spectrum, hermitian_fill, random_field
 
 
 def _plancherel_l2(u: RealField2D) -> float:
@@ -132,7 +132,8 @@ class TestHalfSpectrumProperties:
     @settings(max_examples=60, deadline=None, database=None)
     @given(u=grid_fields())
     def test_half_spectrum_is_the_left_half_of_to_spectral(self, u):
-        full = to_spectral(u).coeffs[:, : u.grid.nx // 2 + 1]
+        # the reference is the complex fft2, not to_spectral's Hermitian fill
+        full = complex_spectrum(u)[:, : u.grid.nx // 2 + 1]
         assert np.max(np.abs(half_spectrum(u) - full)) <= 1e-13 * np.max(np.abs(full))
 
     @settings(max_examples=60, deadline=None, database=None)
@@ -191,3 +192,30 @@ class TestFullSpectrumProperties:
     def test_round_trip_returns_the_samples(self, u):
         back = to_physical(to_spectral(u)).samples
         assert np.max(np.abs(back - u.samples)) <= 1e-13 * np.max(np.abs(u.samples))
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(u=grid_fields())
+    def test_to_spectral_is_the_hermitian_fill_of_the_half_spectrum(self, u):
+        nh = u.grid.nx // 2 + 1
+        half, full = half_spectrum(u), to_spectral(u).coeffs
+        assert full[:, :nh].tobytes() == half.tobytes()
+        assert full.tobytes() == hermitian_fill(half, u.grid.nx).tobytes()
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(u=grid_fields(), seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-300, 1e300))
+    def test_to_physical_never_reads_the_mirror_columns(self, u, seed, scale):
+        c = to_spectral(u)
+        want = to_physical(c).samples
+        rng = np.random.default_rng(seed)
+        mirror = c.coeffs[:, u.grid.nx // 2 + 1 :]
+        noise = rng.standard_normal((2, *mirror.shape))
+        mirror[...] = scale * (noise[0] + 1j * noise[1])
+        assert np.all(np.isfinite(c.coeffs))
+        assert to_physical(c).samples.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(u=grid_fields())
+    def test_round_trip_bits_are_irfft2_of_the_half_spectrum(self, u):
+        g = u.grid
+        want = np.fft.fftshift(np.fft.irfft2(half_spectrum(u), s=(g.ny, g.nx))) / (g.dx * g.dy)
+        assert to_physical(to_spectral(u)).samples.tobytes() == want.tobytes()
