@@ -21,7 +21,6 @@ from .propagator import (
     PhiJet,
     dispersion_symbol,
     apply_linear_propagator,
-    xi_expansion_eval,
     xi_expansion_terms,
     xi_expansion_check,
     gaussian_jet,

@@ -73,6 +73,16 @@ class InitialData:
     def _build(self, grid: GridSpec) -> tuple[RealField2D, str | None]:
         """The field and, for family = file, the sha256 of the snapshot
         bytes it was parsed from (the file is read once)."""
+        if self.family == "file":
+            try:
+                raw = Path(self.path).read_bytes()
+            except OSError as exc:
+                raise ConfigError(f"[initial] path {self.path!r}: {exc.strerror or exc}") from exc
+            snap = _parse_snapshot(raw, self.path)
+            if snap.field.grid != grid:
+                raise ConfigError(f"snapshot grid {snap.field.grid} does not match [grid] section")
+            return snap.field, hashlib.sha256(raw).hexdigest()
+        # gaussian or single_mode, the families that read the coordinates
         X, Y = grid.meshgrid()
         if self.family == "gaussian":
             # a square that overflows to inf gives exp(-inf) = 0, the
@@ -87,18 +97,9 @@ class InitialData:
                 # while the Gaussian decay is retained
                 env = env * (X - self.center_x) / self.sigma_x
             return RealField2D(grid, env), None
-        if self.family == "single_mode":
-            wx = 2.0 * np.pi * self.kx / grid.lx
-            wy = 2.0 * np.pi * self.ky / grid.ly
-            return RealField2D(grid, self.amplitude * np.cos(wx * X + wy * Y)), None
-        try:
-            raw = Path(self.path).read_bytes()
-        except OSError as exc:
-            raise ConfigError(f"[initial] path {self.path!r}: {exc.strerror or exc}") from exc
-        snap = _parse_snapshot(raw, self.path)
-        if snap.field.grid != grid:
-            raise ConfigError(f"snapshot grid {snap.field.grid} does not match [grid] section")
-        return snap.field, hashlib.sha256(raw).hexdigest()
+        wx = 2.0 * np.pi * self.kx / grid.lx
+        wy = 2.0 * np.pi * self.ky / grid.ly
+        return RealField2D(grid, self.amplitude * np.cos(wx * X + wy * Y)), None
 
 
 def _ladder_tag(N: float) -> str:

@@ -691,8 +691,8 @@ def grid_stein_rows(values: np.ndarray, dx: float, b: float) -> np.ndarray:
     |g_j|^2 - 2 Re(conj(g_i) g_j), the trapezoid sum sum_j K_{|i-j|}
     |g_i - g_j|^2 is |g_i|^2 S_i + (K*|g|^2)_i - 2 Re(conj(g_i) (K*g)_i),
     S_i = sum_j K_{|i-j|}; both convolutions are FFTs, O(n log n) per row.
-    A caller that needs only the sum of the squares calls
-    ``_grid_stein_sq_sum``, which takes one forward transform per row block.
+    ``lemma_df_probe`` needs only the sum of the squares, which
+    ``_stein_block_sq_sum`` takes with one forward transform per row block.
     """
     values, kernel_sum, kernel_hat, local_coef, tail_coef = _stein_kernel(values, dx, b)
     out = np.empty(values.shape)
@@ -707,28 +707,19 @@ def grid_stein_rows(values: np.ndarray, dx: float, b: float) -> np.ndarray:
     return out
 
 
-def _grid_stein_sq_sum(values: np.ndarray, dx: float, b: float) -> float:
-    """sum(grid_stein_rows(values, dx, b) ** 2) without forming the rows.
+def _stein_block_sq_sum(total, g: np.ndarray, dx: float, kernel):
+    """``total`` plus sum(grid_stein_rows(g, dx, b) ** 2) over block ``g``,
+    ``kernel`` being ``_stein_kernel(values, dx, b)``'s output after ``values``.
 
     K is real and symmetric, so sum_i (K*|g|^2)_i = sum_j |g_j|^2 S_j, and by
     Plancherel g^H K g = sum_k Khat_k |G_k|^2 / (2n) with G the length-2n
-    FFT of the row.  Each block of rows therefore adds
+    FFT of the row.  The block therefore adds
 
         sum |g|^2 (2 S + T) - 2 sum_k Khat_k |G_k|^2 / (2n) + c sum |g'|^2
 
-    (T the tail and c the local-cell coefficient): one forward transform per
-    block, no inverse and no square root.
+    (T the tail and c the local-cell coefficient): one forward transform,
+    no inverse and no square root.
     """
-    values, *kernel = _stein_kernel(values, dx, b)
-    total = 0.0
-    for lo in range(0, values.shape[0], _STEIN_ROW_BLOCK):
-        total = _stein_block_sq_sum(total, values[lo : lo + _STEIN_ROW_BLOCK], dx, kernel)
-    return float(total)
-
-
-def _stein_block_sq_sum(total, g: np.ndarray, dx: float, kernel):
-    """``total`` plus block ``g``'s share of ``_grid_stein_sq_sum`` (``kernel``:
-    ``_stein_kernel``'s output after ``values``)."""
     kernel_sum, kernel_hat, local_coef, tail_coef = kernel
     n2 = kernel_hat.size
     spec = np.abs(np.fft.fft(g, n2)) ** 2
@@ -750,13 +741,6 @@ def _central_slope(g: np.ndarray, dx: float) -> np.ndarray:
     out[:, 0] /= dx
     out[:, -1] /= dx
     return out
-
-
-def rho_weight(t: float, theta: float) -> float:
-    """Growth weight 1 + t^theta + t^{theta/(2+theta)}."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return 1.0 + t**theta + t ** (theta / (2.0 + theta))
 
 
 @dataclass
@@ -810,10 +794,11 @@ def lemma_df_probe(theta: float, t: float, a: float, fields: list[RealField2D]) 
     rows of exp(i t w) fhat are mirrored from v block by block into one
     buffer and summed by Plancherel (``_stein_block_sq_sum``).  The right
     side combines rho(t)(||f|| + ||D_y^{2 theta} f|| + ||D_x^{(1+a) theta}
-    f||) with || |x|^theta f ||.  Both are degree one in f, so each field is
-    scaled by the power of two that brings max |f| into [1/2, 1): exact, and
-    no square overflows or underflows.  Fields may live on different grids.
-    theta, t and a are checked before any field is read.
+    f||), rho(t) = 1 + t^theta + t^{theta/(2+theta)}, with || |x|^theta f ||.
+    Both are degree one in f, so each field is scaled by the power of two
+    that brings max |f| into [1/2, 1): exact, and no square overflows or
+    underflows.  Fields may live on different grids.  theta, t and a are
+    checked before any field is read.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
@@ -823,6 +808,7 @@ def lemma_df_probe(theta: float, t: float, a: float, fields: list[RealField2D]) 
         raise ValueError(f"a must lie in [0, 1], got {a}")
     if len(fields) == 0:
         raise ValueError("fields must hold at least one field")
+    rho = 1.0 + t**theta + t ** (theta / (2.0 + theta))
     per_grid = {}
     ratios = []
     for f in fields:
@@ -850,7 +836,7 @@ def lemma_df_probe(theta: float, t: float, a: float, fields: list[RealField2D]) 
 
         l2, dy, dxn = np.sqrt(_spectral_sums(v, g, 1.0, m_eta, m_xi))
         del v  # freed before the weighted norm and the next member's spectrum
-        rhs = rho_weight(t, theta) * (l2 + dy + dxn) + _weighted_l2(f, wx * scale)
+        rhs = rho * (l2 + dy + dxn) + _weighted_l2(f, wx * scale)
         ratios.append(float(lhs / rhs))
     ratios = np.asarray(ratios)
     return DfProbeResult(float(np.max(ratios)), ratios)

@@ -27,7 +27,6 @@ __all__ = [
     "PhiJet",
     "dispersion_symbol",
     "apply_linear_propagator",
-    "xi_expansion_eval",
     "xi_expansion_terms",
     "xi_expansion_check",
     "gaussian_jet",
@@ -208,13 +207,8 @@ def _term_values(k, jet, t, params, printed=False):
 def xi_expansion_terms(
     k: int, jet: PhiJet, t: float, params: DispersionParams
 ) -> list[tuple[str, complex]]:
-    """Per-term values of d^k/dxi^k (psi phihat); sums to xi_expansion_eval."""
+    """Named terms whose sum is d^k/dxi^k (psi phihat) at the jet's (xi, eta)."""
     return _term_values(k, jet, t, params)
-
-
-def xi_expansion_eval(k: int, jet: PhiJet, t: float, params: DispersionParams) -> complex:
-    """Value of d^k/dxi^k (psi phihat) at the jet's (xi, eta)."""
-    return complex(sum(v for _, v in xi_expansion_terms(k, jet, t, params)))
 
 
 # --- oracle -----------------------------------------------------------------

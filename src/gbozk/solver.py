@@ -208,8 +208,8 @@ class Stepper:
 
         The boundary for ``to_spectral(u).coeffs``: columns nx/2+1.. of the
         input are ignored and rebuilt by ``spectral``'s Hermitian fill.
-        Besides its own two tests, only perfbench's micro timings call it:
-        every other caller steps through ``advance``.
+        Only perfbench's micro timings call it; every other caller, the
+        tests included, steps through ``advance``.
         """
         return _hermitian_fill(self.advance(coeffs[:, : self._nh]), self.grid.nx)
 

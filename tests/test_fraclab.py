@@ -547,6 +547,17 @@ def _stein_test_rows(kind, n_rows, n, seed):
     return rows
 
 
+def _stein_sq_sum(values, dx, b):
+    """sum(grid_stein_rows(values, dx, b) ** 2) by Plancherel: one
+    fraclab._stein_block_sq_sum per 64-row block, as lemma_df_probe sums."""
+    values, *kernel = fraclab._stein_kernel(values, dx, b)
+    block = fraclab._STEIN_ROW_BLOCK
+    total = 0.0
+    for lo in range(0, values.shape[0], block):
+        total = fraclab._stein_block_sq_sum(total, values[lo : lo + block], dx, kernel)
+    return float(total)
+
+
 class TestGridStein:
     @pytest.mark.parametrize("b", [0.25, 0.5, 0.75])
     def test_matches_pointwise_engine_on_gaussian(self, b):
@@ -598,7 +609,7 @@ class TestGridStein:
     def test_square_sum_by_plancherel(self, kind, n_rows, n, b, dx, seed):
         # one forward transform per block gives the sum of the squared rows
         rows = _stein_test_rows(kind, n_rows, n, seed)
-        got = fraclab._grid_stein_sq_sum(rows, dx, b)
+        got = _stein_sq_sum(rows, dx, b)
         assert isinstance(got, float)
         assert got == pytest.approx(np.sum(_grid_stein_rows_dense(rows, dx, b) ** 2), rel=1e-12)
         assert got == pytest.approx(np.sum(grid_stein_rows(rows, dx, b) ** 2), rel=1e-12)
@@ -722,7 +733,7 @@ class TestProbeBuildBits:
 def _full_spectrum_probe_ratio(theta, t, a, f):
     """lemma_df_probe's ratio for one nonzero field from the full complex
     spectrum: conftest's complex fft2, the rows gathered into increasing-xi
-    order and one _grid_stein_sq_sum over all of them."""
+    order and one _stein_sq_sum over all of them."""
     from gbozk.diagnostics import _spectral_sums, _weighted_l2
     from gbozk.propagator import dispersion_symbol
 
@@ -734,11 +745,12 @@ def _full_spectrum_probe_ratio(theta, t, a, f):
     coeffs = complex_spectrum(f)
     rows = phase * coeffs[:, order]
     dxi, deta = 2.0 * np.pi / g.lx, 2.0 * np.pi / g.ly
-    lhs = np.sqrt(fraclab._grid_stein_sq_sum(rows, dxi, theta) * dxi * deta) / (2.0 * np.pi)
+    lhs = np.sqrt(_stein_sq_sum(rows, dxi, theta) * dxi * deta) / (2.0 * np.pi)
     m_eta = np.abs(g.eta[:, None]) ** (4.0 * theta)
     m_xi = np.abs(g.xi[: g.nx // 2 + 1]) ** (2.0 * (1 + a) * theta)
     l2, dy, dxn = np.sqrt(_spectral_sums(coeffs[:, : g.nx // 2 + 1], g, 1.0, m_eta, m_xi))
-    rhs = fraclab.rho_weight(t, theta) * (l2 + dy + dxn) + _weighted_l2(f, np.abs(g.x) ** theta)
+    rho = 1.0 + t**theta + t ** (theta / (2.0 + theta))
+    rhs = rho * (l2 + dy + dxn) + _weighted_l2(f, np.abs(g.x) ** theta)
     return lhs / rhs
 
 
@@ -750,10 +762,6 @@ class TestLemmaDfProbe:
         z = RealField2D(g, np.zeros((32, 32)))
         r = lemma_df_probe(0.5, 1.0, 0.5, [z])
         assert r.max_ratio == 0.0
-
-    def test_rho_weight_rejects_negative_time(self):
-        with pytest.raises(ValueError, match="t must be nonnegative"):
-            fraclab.rho_weight(-1.0, 0.5)
 
     def test_stationary_case_finite(self):
         g = make_grid(64, 64, 24.0, 24.0)
