@@ -210,21 +210,24 @@ def truncated_y_norm(u: RealField2D, r2: float) -> float:
     return _weighted_l2(u, _axis_weight(u.grid, "y", np.inf)[:, None] ** r2)
 
 
-def _sobolev_multipliers(grid: GridSpec, spec: SobolevSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Squared multipliers (1+xi^2)^{s1} and (1+eta^2)^{s2} on the half spectrum."""
-    return (1.0 + half_xi(grid) ** 2) ** spec.s1, (1.0 + grid.eta[:, None] ** 2) ** spec.s2
-
-
 def sobolev_norm(u: RealField2D, spec: SobolevSpec) -> float:
-    """Anisotropic norm sqrt(||u||^2 + ||J_x^{s1} u||^2 + ||J_y^{s2} u||^2)."""
-    mx, my = _sobolev_multipliers(u.grid, spec)
-    (total,) = _spectral_sums(half_spectrum(u), u.grid, 1.0 + mx + my)
-    return float(np.sqrt(total))
+    """Anisotropic norm sqrt(||u||^2 + ||J_x^{s1} u||^2 + ||J_y^{s2} u||^2).
+
+    Composed as a run composes its E^s norm from the row's mass, sob_x and
+    sob_y, so the two have the same bits.  The squares are products, as
+    numpy's array square is: Python's ``x ** 2`` calls pow, which differs
+    from x * x in the last bit for about 0.1% of arguments.
+    """
+    sx, sy = directional_sobolev_norms(u, spec)
+    return float(np.sqrt(mass(u) + sx * sx + sy * sy))
 
 
 def directional_sobolev_norms(u: RealField2D, spec: SobolevSpec) -> tuple[float, float]:
-    """(||J_x^{s1} u||, ||J_y^{s2} u||), the two directional pieces."""
-    sx, sy = _spectral_sums(half_spectrum(u), u.grid, *_sobolev_multipliers(u.grid, spec))
+    """(||J_x^{s1} u||, ||J_y^{s2} u||), the two directional pieces, from the
+    squared multipliers (1+xi^2)^{s1} and (1+eta^2)^{s2} on the half spectrum."""
+    g = u.grid
+    mx, my = (1.0 + half_xi(g) ** 2) ** spec.s1, (1.0 + g.eta[:, None] ** 2) ** spec.s2
+    sx, sy = _spectral_sums(half_spectrum(u), g, mx, my)
     return float(np.sqrt(sx)), float(np.sqrt(sy))
 
 

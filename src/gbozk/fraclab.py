@@ -111,25 +111,12 @@ __all__ = [
 
 # --- smooth cutoff -----------------------------------------------------------
 
-# quad evaluates the profiles once per point on a Python float, so the cutoff
-# and the profiles (make_profile) are written for floats only, the profiles
-# calling the cutoff's core at |x|, _phi_abs, directly.  _elementwise maps any
-# other input (a numpy scalar, a 0-d array, an array) onto the float
-# function, so every input gets the bits a float gets.  The cutoff calls
-# np.exp, not math.exp: numpy's exp differs from libm's in the last bit for a
-# few percent of arguments, and the regression-pinned Stein values were
-# computed with numpy's.
-
-def _elementwise(fn, x):
-    """fn mapped over an array-like x; a 0-d x gives a float."""
-    x = np.asarray(x, dtype=float)
-    if not x.shape:
-        return fn(float(x))
-    # Python float arithmetic leaves IEEE flags (NaN compares) that the ufunc
-    # loop would report as warnings; fn itself raises where it must
-    with np.errstate(all="ignore"):
-        return np.vectorize(fn, otypes=[float])(x)
-
+# quad evaluates the profiles once per point on a Python float: the profiles
+# (make_profile) take a Python float and call the cutoff's core at |x|,
+# _phi_abs, directly; the cutoff reads any real scalar once with float(x), so
+# an array is a TypeError.  The cutoff calls np.exp, not math.exp: numpy's exp
+# differs from libm's in the last bit for a few percent of arguments, and the
+# regression-pinned Stein values were computed with numpy's.
 
 def _bump_s(t: float) -> float:
     """exp(-1/t) for t > 0, else 0; the standard C-infinity glue."""
@@ -146,18 +133,17 @@ def _phi_abs(ax: float) -> float:
     return 0.0 if ax >= 2.0 else math.nan
 
 
-def cutoff_phi(x):
-    """Even C-infinity cutoff: 1 on (-1, 1), 0 outside [-2, 2], monotone between."""
-    if not isinstance(x, float):
-        return _elementwise(cutoff_phi, x)
+def cutoff_phi(x) -> float:
+    """Even C-infinity cutoff at a real scalar x: 1 on (-1, 1), 0 outside
+    [-2, 2], monotone between."""
     return _phi_abs(abs(float(x)))
 
 
-def cutoff_phi_prime(x):
-    """Analytic derivative of the cutoff (needed by the order reduction)."""
-    if not isinstance(x, float):
-        return _elementwise(cutoff_phi_prime, x)
-    ax = abs(float(x))
+def cutoff_phi_prime(x) -> float:
+    """Analytic derivative of the cutoff at a real scalar x (needed by the
+    order reduction)."""
+    x = float(x)
+    ax = abs(x)
     # stay clear of the glue edges where exp(-1/t)/t^2 underflows to 0/0
     if not 1.0 + 1e-12 < ax < 2.0 - 1e-12:
         return 0.0
@@ -314,16 +300,17 @@ class Profile:
     derivative: object | None
     leading_exponent: float  # the local power p at the origin
 
-    def __call__(self, y):
-        return self.fn(y)
-
 
 def _abs_pow(y: float, p: float) -> float:
     """|y| ** p for a float y, with numpy's inf for 0 ** (p < 0) and on
-    overflow, where Python raises."""
+    overflow, where Python raises.  An overflow beyond the support (|y| >= 2)
+    gives 0, so the profile there is the zero the cutoff makes it, not
+    inf * 0."""
     try:
         return abs(y) ** p
     except (ZeroDivisionError, OverflowError):
+        if abs(y) >= 2.0:
+            return 0.0
         with np.errstate(divide="ignore", over="ignore"):
             return float(np.float64(abs(y)) ** p)
 
@@ -339,8 +326,8 @@ def make_profile(kind: str, alpha: float | None = None, gamma: float | None = No
     kind: "power" -> |y|^alpha phi(y); "power_sign" -> |y|^alpha sgn(y) phi(y);
     "gamma" -> |y|^{gamma - 1/2} phi(y).  The family's parameter must be
     finite and the other one unset; ``check_order`` bounds its size for a
-    given order.  Each function is written once, for a Python float;
-    ``_elementwise`` maps other inputs onto it.
+    given order.  ``fn`` and ``derivative`` take a Python float, the one
+    input quad passes them, and return a Python float.
     """
     for name, value in (("alpha", alpha), ("gamma", gamma)):
         if value is not None and not math.isfinite(value):
@@ -357,8 +344,6 @@ def make_profile(kind: str, alpha: float | None = None, gamma: float | None = No
         odd = kind == "power_sign"
 
         def f(y):
-            if type(y) is not float:
-                return _elementwise(f, y)
             ay = abs(y)
             try:
                 pa = ay**a
@@ -369,8 +354,6 @@ def make_profile(kind: str, alpha: float | None = None, gamma: float | None = No
             return pa * _phi_abs(ay)
 
         def fp(y):
-            if type(y) is not float:
-                return _elementwise(fp, y)
             ay = abs(y)
             try:
                 pm, pa = ay**am1, ay**a
@@ -388,8 +371,6 @@ def make_profile(kind: str, alpha: float | None = None, gamma: float | None = No
         g1 = float(gamma) - 0.5
 
         def f(y):
-            if type(y) is not float:
-                return _elementwise(f, y)
             if y == 0.0:
                 return 0.0
             ay = abs(y)
@@ -407,7 +388,7 @@ def _profile_stein(
     profile: Profile, b: float, x: float, epsrel: float = 1e-10, inner_limit: int = 200
 ) -> SteinResult:
     return stein_derivative(
-        profile.fn,  # skip the __call__ indirection on the per-point path
+        profile.fn,
         b,
         x,
         local_scale=min(1.0, abs(x)),
@@ -420,9 +401,11 @@ def _profile_stein(
 
 
 def dstein_profile(profile: Profile, b: float, points) -> np.ndarray:
-    """Pointwise D^b(profile) at ``points``: b in (0, 1), no point at 0."""
+    """Pointwise D^b(profile) at ``points``: b in (0, 1), finite points, none at 0."""
     if not 0.0 < b < 1.0:
         raise ValueError("query order b must lie in (0, 1)")
+    if not all(math.isfinite(p) for p in points):
+        raise ValueError("evaluation points must be finite")
     if any(p == 0.0 for p in points):
         raise ValueError("evaluation points must exclude 0 for singular profiles")
     return np.array([_profile_stein(profile, b, float(x)).value for x in points])
@@ -436,8 +419,8 @@ def fit_exponent(abscissa, values) -> float:
     y = np.asarray(values, dtype=float)
     if len(x) < 8:
         raise ValueError(f"need at least 8 points to fit, got {len(x)}")
-    if np.any(y <= 0) or np.any(x <= 0):
-        raise ValueError("log-log fit needs positive data")
+    if not (np.all((x > 0) & (x < np.inf)) and np.all((y > 0) & (y < np.inf))):
+        raise ValueError("log-log fit needs positive finite data")
     u = np.log(x)
     A = np.vstack([u, np.ones(len(u))]).T
     coef, *_ = np.linalg.lstsq(A, np.log(y), rcond=None)
@@ -460,7 +443,7 @@ class MembershipEvidence:
 def _squared_profile_values(profile: Profile, theta: float, etas: np.ndarray) -> np.ndarray:
     """q(eta) = D^theta(profile)(eta)^2, with D^0 the identity."""
     if theta == 0.0:
-        return np.array([abs(complex(profile(e))) ** 2 for e in etas])
+        return np.array([abs(complex(profile.fn(float(e)))) ** 2 for e in etas])
     vals = np.empty(len(etas))
     for i, e in enumerate(etas):
         vals[i] = _profile_stein(

@@ -223,6 +223,20 @@ class TestSobolevNorm:
         vals = [sobolev_norm(u, SobolevSpec(s, 0.0)) for s in (0.0, 0.5, 1.0, 2.0)]
         assert all(b >= a for a, b in zip(vals[:-1], vals[1:]))
 
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        half_n=st.tuples(st.integers(4, 32), st.integers(4, 32)),
+        s=st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_is_the_run_es_norm(self, half_n, s, seed):
+        # a run's E^s: sqrt(mass + sob_x^2 + sob_y^2) over its row columns
+        u = random_field(make_grid(2 * half_n[0], 2 * half_n[1], 12.0, 9.0), seed=seed)
+        spec = SobolevSpec(*s)
+        sx, sy = (np.array([v]) for v in directional_sobolev_norms(u, spec))
+        es = np.sqrt(np.array([mass(u)]) + sx**2 + sy**2)[0]
+        assert sobolev_norm(u, spec).hex() == float(es).hex()
+
     def test_scalar_pairing(self):
         spec = SobolevSpec.from_scalar(2.0, 0.5)
         assert spec.s1 == 3.0 and spec.s2 == 4.0

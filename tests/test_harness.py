@@ -670,12 +670,16 @@ class TestCli:
         lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
         last = dict(zip(lines[1].split(","), map(float, lines[-1].split(","))))
         snap = str(tmp_path / "out" / "snapshot_t0.01.gbzk")
-        assert cli_main(["norms", snap, "2:1:8"]) == 0
+        assert cli_main(["norms", snap, "2:1:8", "--sobolev", "1.5:2"]) == 0
         rows = dict(line.split(",") for line in capsys.readouterr().out.splitlines()[1:])
         assert float(rows["t"]) == last["t"]
         assert float(rows["mass"]) == last["mass"]
         want = math.hypot(last["wnorm_x_N8"], last["wnorm_y"])
         assert float(rows["wnorm_r1=2_r2=1_N=8"]) == pytest.approx(want, rel=1e-13)
+        # (1+a) s : 2 s at the default sobolev_s = 1 is the run's E^s, bit for bit
+        columns = [np.array([last[k]]) for k in ("mass", "sob_x", "sob_y")]
+        es = np.sqrt(columns[0] + columns[1] ** 2 + columns[2] ** 2)[0]
+        assert float(rows["sobolev_s1=1.5_s2=2"]).hex() == float(es).hex()
 
     def test_config_error_exit_code(self, tmp_path):
         bad = write_cfg(tmp_path, text=BASE_CFG.replace("nx = 32", "nx = many"))
