@@ -9,17 +9,20 @@ passes, and each `[FAIL]` row shows the chain-rule table's error that
 decided it.  That error is the tables' float64 phase rounding, growing in
 proportion to t (5.1e-13 at t = 1e3, 3.5e-8 at 1e8, 3.2e-6 at 1e10), so a
 `[FAIL]` at the default tolerance 1e-6 from about t = 3e9 up names no term.
-Malformed input (configs, batch files, snapshots and snapshot paths that
-cannot be read, `norms` weight and Sobolev specs, also those whose norm
-leaves the float range, `expansion-check` flags other than `--a` in [0, 1],
-`--k` integers in 1..4, finite `--t` whose order-k term tables stay in the
-float range (|t| up to about 1e307, 1e153, 1e101 and 1e76 for k = 1..4) and
-a finite `--tolerance` > 0) or an output directory that cannot be created
-ends in a one-line "config error" and exit 2, before any output
-exists (for `norms` and `expansion-check`, before any row is printed); a run
-config's error names its file, also after loading.  A blow-up in `simulate` or
-`uc-compare` still writes the rows reached before exit 3.  No environment
-variable is read.
+Malformed input (configs, also one whose [solver] step count T / dt
+overflows, batch files, snapshots and snapshot paths that cannot be read,
+`norms` weight and Sobolev specs, also those whose norm leaves the float
+range, `expansion-check` flags other than `--a` in [0, 1], `--k` integers in
+1..4, finite `--t` whose order-k term tables stay in the float range (|t| up
+to about 1e307, 1e153, 1e101 and 1e76 for k = 1..4) and a finite
+`--tolerance` > 0) or an output directory that cannot be created ends in a
+one-line "config error" and exit 2, before any output exists (for `norms`
+and `expansion-check`, before any row is printed); a run config's error
+names its file, also after loading.  An output file that cannot be opened for
+writing (a directory in its place, no write permission) ends in a one-line
+"config error" naming the file and exit 2, after the run.  A blow-up in
+`simulate` or `uc-compare` still writes the rows reached before exit 3.  No
+environment variable is read.
 """
 
 from __future__ import annotations
@@ -232,7 +235,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError, SnapshotFormatError) as exc:
+    except (ConfigError, OSError, SnapshotFormatError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BlowUpError as err:

@@ -324,64 +324,53 @@ def make_profile(kind: str, alpha: float | None = None, gamma: float | None = No
     """Build one of the three cutoff profile families.
 
     kind: "power" -> |y|^alpha phi(y); "power_sign" -> |y|^alpha sgn(y) phi(y);
-    "gamma" -> |y|^{gamma - 1/2} phi(y).  The family's parameter must be
-    finite and the other one unset; ``check_order`` bounds its size for a
-    given order.  ``fn`` and ``derivative`` take a Python float, the one
-    input quad passes them, and return a Python float.
+    "gamma" -> "power" at alpha = gamma - 1/2, with no derivative; |0|^p is
+    inf for p < 0 and 1 for p = 0.  The family's parameter must be finite and
+    the other one unset; ``check_order`` bounds its size for a given order.
+    ``fn`` and ``derivative`` take and return a Python float, as quad calls them.
     """
     for name, value in (("alpha", alpha), ("gamma", gamma)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"profile {name} must be finite, got {value}")
+    if kind == "gamma":
+        if gamma is None or alpha is not None:
+            raise ValueError("gamma profile needs gamma and no alpha")
+        a = float(gamma) - 0.5
+    elif kind in ("power", "power_sign"):
+        if alpha is None or gamma is not None:
+            raise ValueError(f"{kind} profile needs alpha and no gamma")
+        a = float(alpha)
+    else:
+        raise ValueError(f"unknown profile kind {kind!r}")
     # The exponents are bound once and the cutoff's float core is called
     # directly.  |y| ** p stays inline, as the per-point path can afford no
     # extra call; where Python raises (0 ** p with p < 0, overflow) the
     # except clause takes the powers from _abs_pow, which gives numpy's inf.
-    if kind in ("power", "power_sign"):
-        if alpha is None or gamma is not None:
-            raise ValueError(f"{kind} profile needs alpha and no gamma")
-        a = float(alpha)
-        am1 = a - 1.0
-        odd = kind == "power_sign"
+    am1, odd = a - 1.0, kind == "power_sign"
 
-        def f(y):
-            ay = abs(y)
-            try:
-                pa = ay**a
-            except (ZeroDivisionError, OverflowError):
-                pa = _abs_pow(y, a)
-            if odd:
-                pa *= _sign(y)
-            return pa * _phi_abs(ay)
+    def f(y):
+        ay = abs(y)
+        try:
+            pa = ay**a
+        except (ZeroDivisionError, OverflowError):
+            pa = _abs_pow(y, a)
+        if odd:
+            pa *= _sign(y)
+        return pa * _phi_abs(ay)
 
-        def fp(y):
-            ay = abs(y)
-            try:
-                pm, pa = ay**am1, ay**a
-            except (ZeroDivisionError, OverflowError):
-                pm, pa = _abs_pow(y, am1), _abs_pow(y, a)
-            # d/dy |y|^a is a sgn(y) |y|^(a-1); the odd profile moves the
-            # sign onto the cutoff term (a factor 1.0 is exact)
-            s_pow, s_cut = (1.0, _sign(y)) if odd else (_sign(y), 1.0)
-            return a * s_pow * pm * _phi_abs(ay) + pa * s_cut * cutoff_phi_prime(y)
+    def fp(y):
+        ay = abs(y)
+        try:
+            pm, pa = ay**am1, ay**a
+        except (ZeroDivisionError, OverflowError):
+            pm, pa = _abs_pow(y, am1), _abs_pow(y, a)
+        # d/dy |y|^a is a sgn(y) |y|^(a-1); the odd profile moves the
+        # sign onto the cutoff term (a factor 1.0 is exact)
+        s_pow, s_cut = (1.0, _sign(y)) if odd else (_sign(y), 1.0)
+        return a * s_pow * pm * _phi_abs(ay) + pa * s_cut * cutoff_phi_prime(y)
 
-        return Profile(f, f"|y|^{a}*sgn*phi" if odd else f"|y|^{a}*phi", fp, a)
-    if kind == "gamma":
-        if gamma is None or alpha is not None:
-            raise ValueError("gamma profile needs gamma and no alpha")
-        g1 = float(gamma) - 0.5
-
-        def f(y):
-            if y == 0.0:
-                return 0.0
-            ay = abs(y)
-            try:
-                pg = ay**g1
-            except OverflowError:
-                pg = _abs_pow(y, g1)
-            return pg * _phi_abs(ay)
-
-        return Profile(f, f"|y|^{g1}*phi", None, g1)
-    raise ValueError(f"unknown profile kind {kind!r}")
+    label = f"|y|^{a}*sgn*phi" if odd else f"|y|^{a}*phi"
+    return Profile(f, label, None if kind == "gamma" else fp, a)
 
 
 def _profile_stein(

@@ -70,6 +70,12 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Time step, final time and integrator of one run.
+
+    Needs 0 < dt <= T < inf with a finite step count T / dt (a subnormal dt
+    or a T near the float maximum overflows it); else ``ValueError``.
+    """
+
     dt: float
     T: float
     params: DispersionParams
@@ -78,8 +84,9 @@ class SolverConfig:
     nonlinear: bool = True
 
     def __post_init__(self) -> None:
-        if not 0 < self.dt <= self.T < np.inf:
-            raise ValueError(f"need 0 < dt <= T < inf, got dt = {self.dt}, T = {self.T}")
+        if not (0 < self.dt <= self.T < np.inf and self.T / self.dt < np.inf):
+            raise ValueError(f"need 0 < dt <= T < inf and a finite T / dt, "
+                             f"got dt = {self.dt}, T = {self.T}")
         if self.integrator not in ("etdrk4", "strang"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
 
@@ -317,8 +324,9 @@ def evolve(
             f"need stride >= 1 and snapshot_stride >= 0, got {stride} and {snapshot_stride}"
         )
     g = initial.grid
-    # rounding to whole steps lands the final time within dt/2 of T
-    n_steps = max(1, int(round(cfg.T / cfg.dt)))
+    # rounding to whole steps lands the final time within dt/2 of T; cfg
+    # keeps T / dt finite and at least 1
+    n_steps = round(cfg.T / cfg.dt)
     stepper = Stepper(g, cfg)
     v = half_spectrum(initial)
     peak0 = float(np.max(np.abs(initial.samples)))

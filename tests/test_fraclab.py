@@ -214,10 +214,14 @@ class TestProfiles:
         assert np.all(np.isfinite(dstein_profile(prof, 0.5, (10.0, 200.0))))
 
     def test_gamma_profile_on_floats(self):
-        prof = make_profile("gamma", gamma=0.3)
-        out = [prof.fn(y) for y in (-2.5, -1.5, -0.5, 0.0, 0.25, 1.0, 1.7, 3.0)]
-        assert out[3] == 0.0
-        assert all(type(v) is float and math.isfinite(v) for v in out)
+        # the kink value is |0|^{gamma - 1/2}, as for the power family
+        for gamma, kink in ((0.3, math.inf), (0.5, 1.0), (0.8, 0.0)):
+            prof = make_profile("gamma", gamma=gamma)
+            for y in (0.0, -0.0):
+                val = prof.fn(y)
+                assert type(val) is float and val == kink
+            out = [prof.fn(y) for y in (-2.5, -1.5, -0.5, 0.25, 1.0, 1.7, 3.0)]
+            assert all(type(v) is float and math.isfinite(v) for v in out)
 
 
 class TestMembership:
@@ -1066,8 +1070,7 @@ def _ref_family(kind, p):
             lambda y: p * _ref_abs_pow(y, p - 1.0) * _ref_phi(y)
             + _ref_abs_pow(y, p) * _ref_sign(y) * _ref_phi_prime(y),
         )
-    g1 = p - 0.5
-    return (lambda y: _ref_abs_pow(y, g1) * _ref_phi(y) if y != 0.0 else 0.0), None
+    return _ref_family("power", p - 0.5)[0], None
 
 
 # at 0 a negative exponent gives numpy's inf, where Python raises, and 1e308
@@ -1102,6 +1105,19 @@ class TestProfileFloatBranch:
                 val = got(y)
                 assert type(val) is float
                 assert _hex(val) == _hex(want(y)), (kind, p, y)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        g=st.one_of(st.sampled_from([0.3, 0.5, 0.8, -1.5]),
+                    st.floats(allow_nan=False, allow_infinity=False)),
+        ys=st.lists(st.one_of(st.sampled_from(_EDGES), st.floats()), min_size=1, max_size=8),
+    )
+    def test_gamma_is_power_at_gamma_minus_half(self, g, ys):
+        gam, pow_ = make_profile("gamma", gamma=g), make_profile("power", alpha=g - 0.5)
+        assert gam.derivative is None
+        assert (gam.label, gam.leading_exponent) == (pow_.label, pow_.leading_exponent)
+        for y in [0.0, *ys]:
+            assert _hex(gam.fn(y)) == _hex(pow_.fn(y)), (g, y)
 
 
 def _numeric_platform():

@@ -779,6 +779,9 @@ class TestCli:
             ("family = gaussian\namplitude = 0.3",
              "family = file\npath = missing.gbzk\nx_mean_removed = true"),
             ("family = gaussian", "family = sine"),
+            # step counts T / dt beyond the float range
+            ("dt = 1e-3", "dt = 1e-320"),
+            ("T = 0.01", "T = 1e308"),
         ],
         ids=["stride-0", "stride-negative", "snapshot-stride-negative", "n-ladder-below-1",
              "n-ladder-repeated", "n-ladder-tag-collision",
@@ -786,7 +789,8 @@ class TestCli:
              "path-missing", "box-1e150", "box-1e-150", "blowup-factor-key",
              "etdrk4-cube-overflow", "amplitude-1e308", "amplitude-1e150", "r1-1e308",
              "r2-1e308", "n-ladder-beyond-blend-range", "r1-negative", "r2-negative",
-             "x-mean-removed-single-mode", "x-mean-removed-file", "family-unknown"],
+             "x-mean-removed-single-mode", "x-mean-removed-file", "family-unknown",
+             "dt-subnormal", "step-count-overflow"],
     )
     def test_malformed_config_exit_code(self, tmp_path, capsys, old, new):
         cfg_path = write_cfg(tmp_path, text=BASE_CFG.replace(old, new))
@@ -803,8 +807,11 @@ class TestCli:
             ("lx = 16.0\nly = 16.0", "lx = 1e-150\nly = 1e-150", ["[grid]"]),
             ("dt = 1e-3\nT = 0.01", "dt = 1e160\nT = 1e160", ["[grid]", "[solver]"]),
             ("directory = {out}", "directory = {out}\nsnapshot_stride = -1", ["[output]"]),
+            # the step count T / dt overflows
+            ("dt = 1e-3", "dt = 1e-320", ["[solver]"]),
         ],
-        ids=["box-1e150", "box-1e-150", "dt-1e160", "snapshot-stride-negative"],
+        ids=["box-1e150", "box-1e-150", "dt-1e160", "snapshot-stride-negative",
+             "dt-1e-320"],
     )
     def test_config_error_names_the_sections_at_fault(self, tmp_path, capsys, old, new, sections):
         cfg_path = write_cfg(tmp_path, text=BASE_CFG.replace(old, new))
@@ -866,6 +873,35 @@ class TestCli:
         assert err.startswith("config error:")
         assert f"cannot create output directory {out}: " in err
         assert sorted(tmp_path.iterdir()) == before and afile.read_text() == ""
+
+    def test_uc_compare_step_count_overflow_writes_nothing(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, text=BASE_CFG.replace("dt = 1e-3", "dt = 1e-320"))
+        uc = tmp_path / "uc"
+        assert cli_main(["uc-compare", str(cfg_path), "--out", str(uc)]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"config error: {cfg_path}: [solver] ")
+        assert not uc.exists()
+
+    @pytest.mark.parametrize(
+        "command, first",
+        [("simulate", "diagnostics.csv"), ("uc-compare", "uc_compare.csv"),
+         ("stein-profile", "stein_verdicts.csv")],
+    )
+    def test_output_file_that_cannot_be_written(self, tmp_path, capsys, command, first):
+        # a directory where the command's first output file goes: the run
+        # completes, the write fails
+        out = tmp_path / "out"
+        (out / first).mkdir(parents=True)
+        if command == "stein-profile":
+            config = tmp_path / "batch.cfg"
+            config.write_text("[q]\nkind = gamma\ngamma = 0.3\ntheta = 0.3\n")
+        else:
+            config = write_cfg(tmp_path, out=out)
+        argv = [command, str(config)] + (["--out", str(out)] if command != "simulate" else [])
+        assert cli_main(argv) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith("config error:") and str(out / first) in err
+        assert sorted(p.name for p in out.iterdir()) == [first]
 
     def test_missing_file_exit_code(self):
         assert cli_main(["simulate", "/nonexistent/run.cfg"]) == 2

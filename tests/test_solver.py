@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gbozk import (
     BlowUpError,
@@ -285,6 +285,23 @@ class TestStep:
             SolverConfig(dt=2.0, T=1.0, params=P)
         with pytest.raises(ValueError):
             SolverConfig(dt=0.1, T=1.0, params=P, integrator="euler")
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        dt=st.one_of(st.sampled_from([5e-324, 1e-320, 1e-3, 1.0]), st.floats()),
+        T=st.one_of(st.sampled_from([1e-3, 1.0, 1e308]), st.floats()),
+    )
+    @example(dt=1e-320, T=1e-3)
+    @example(dt=1e-3, T=1e308)
+    def test_config_step_count_is_a_finite_int(self, dt, T):
+        # evolve takes round(T / dt) steps: a config either is refused or
+        # leaves that count a finite int >= 1
+        try:
+            SolverConfig(dt=dt, T=T, params=P)
+        except ValueError:
+            return
+        steps = T / dt
+        assert np.isfinite(steps) and round(steps) >= 1
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(
