@@ -18,9 +18,10 @@ to about 1e307, 1e153, 1e101 and 1e76 for k = 1..4) and a finite
 `--tolerance` > 0) or an output directory that cannot be created ends in a
 one-line "config error" and exit 2, before any output exists (for `norms`
 and `expansion-check`, before any row is printed); a run config's error
-names its file, also after loading.  An output file that cannot be opened for
-writing (a directory in its place, no write permission) ends in a one-line
-"config error" naming the file and exit 2, after the run.  A blow-up in
+names its file, also after loading.  An output file that cannot be written
+(a directory in its place, no write permission, a full disk) ends in a
+one-line "config error" naming the file and exit 2, after the run, and
+leaves neither that file nor a partial one.  A blow-up in
 `simulate` or `uc-compare` still writes the rows reached before exit 3.  No
 environment variable is read.
 """

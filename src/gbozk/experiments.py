@@ -17,8 +17,10 @@ reached are written before the error is re-raised.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -80,7 +82,28 @@ def _write_csv(path: Path, header: list[str], rows: list[list], mhash: str) -> N
     lines = [f"# manifest={mhash}", ",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    with _output(path) as tmp:
+        tmp.write_text("\n".join(lines) + "\n")
+
+
+@contextlib.contextmanager
+def _output(path: Path):
+    """Yield a temporary path to write ``path``'s contents to, whole or not at all.
+
+    The temporary file sits in the same directory, and ``os.replace`` moves
+    it onto ``path`` once the block ends.  A failed write or move raises a
+    ConfigError naming ``path``; whatever ends the block, no temporary file
+    is left behind.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+    finally:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
 
 
 def _payload(dealias: bool = True, **entries) -> dict:
@@ -192,10 +215,8 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     sup_es = float(np.max(np.sqrt(es_sq)))
 
     for t_snap, u_snap in traj.snapshots:
-        write_snapshot(
-            out / f"snapshot_t{t_snap:g}.gbzk",
-            SnapshotFile(u_snap, a=cfg.solver.params.a, t=t_snap),
-        )
+        with _output(out / f"snapshot_t{t_snap:g}.gbzk") as tmp:
+            write_snapshot(tmp, SnapshotFile(u_snap, a=cfg.solver.params.a, t=t_snap))
 
     manifest = dict(payload)
     manifest["manifest_sha256"] = mhash
@@ -205,7 +226,8 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
         "blowup": str(blowup) if blowup else None,
     }
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    with _output(manifest_path) as tmp:
+        tmp.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
     if blowup is not None:
         raise blowup
@@ -311,7 +333,8 @@ def uc_compare(cfg: RunConfig, out_dir: str | Path) -> UcCompareResult:
         f"nz = {_fmt(residuals['nz'])}, zm = {_fmt(residuals['zm'])}",
     ]
     report_path = out / "uc_report.txt"
-    report_path.write_text("\n".join(report_lines) + "\n")
+    with _output(report_path) as tmp:
+        tmp.write_text("\n".join(report_lines) + "\n")
 
     return UcCompareResult(
         csv_path=csv_path,

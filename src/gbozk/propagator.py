@@ -5,6 +5,9 @@ variables: each coefficient evolves as exp(i t w(xi, eta)) with phase rate
 
     w(xi, eta) = xi (eta^2 - |xi|^{1+a}).
 
+``apply_linear_propagator`` applies this group U(t) to the ``rfft2`` half
+spectrum, the state ``spectral.half_spectrum`` forms and ``solver`` steps.
+
 This module also evaluates the closed-form expansions of the derivatives
 d^k/dxi^k [ psi(xi, eta, t) phihat(xi, eta) ],  psi = exp(i t w),  k = 1..4,
 as explicit term sums (7, 14 and 25 terms for k = 2, 3, 4) by chain-rule
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import SpectralField2D
+from .spectral import GridSpec, half_xi
 
 __all__ = [
     "DispersionParams",
@@ -58,13 +61,10 @@ def dispersion_symbol(xi, eta, a: float):
     return out if out.shape else float(out)
 
 
-def apply_linear_propagator(
-    field: SpectralField2D, t: float, params: DispersionParams
-) -> SpectralField2D:
-    """Multiply every coefficient by exp(i t w); per-mode modulus preserved."""
-    g = field.grid
-    w = dispersion_symbol(g.xi[None, :], g.eta[:, None], params.a)
-    return SpectralField2D(g, field.coeffs * np.exp(1j * t * w))
+def apply_linear_propagator(v, grid: GridSpec, t: float, params: DispersionParams) -> np.ndarray:
+    """U(t) v: the half spectrum v, shape (ny, nx//2+1), times exp(i t w); moduli kept."""
+    w = dispersion_symbol(half_xi(grid)[None, :], grid.eta[:, None], params.a)
+    return v * np.exp(1j * t * w)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,6 @@ from gbozk import (
     apply_linear_propagator,
     evolve,
     make_grid,
-    to_physical,
-    to_spectral,
     xi_expansion_check,
 )
 from gbozk.config import DiagnosticsPlan, InitialData, RunConfig
@@ -33,7 +31,7 @@ from gbozk.fraclab import (
     stein_derivative,
 )
 from gbozk.solver import Stepper
-from gbozk.spectral import half_spectrum
+from gbozk.spectral import _from_half, half_spectrum
 
 from conftest import gaussian_field, hermitian_fill
 from test_fraclab import brute_force_stein
@@ -75,7 +73,7 @@ class TestCriterion1LinearExactness:
             traj = evolve(u0, cfg, stride=10**9)
             elapsed = time.monotonic() - t0
             final = traj.snapshots[-1][1]
-            exact = to_physical(apply_linear_propagator(to_spectral(u0), 1.0, p))
+            exact = _from_half(apply_linear_propagator(half_spectrum(u0), g, 1.0, p), g)
             err = np.linalg.norm(final.samples - exact.samples) / np.linalg.norm(
                 exact.samples
             )

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -902,6 +903,37 @@ class TestCli:
         (err,) = capsys.readouterr().err.splitlines()
         assert err.startswith("config error:") and str(out / first) in err
         assert sorted(p.name for p in out.iterdir()) == [first]
+
+    def test_full_disk_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        # the disk fills while diagnostics.csv is written: half of the bytes
+        # land, then the write raises ENOSPC, an OSError that names no file
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def full_disk_open(path, mode="r", *args, **kwargs):
+            fh = path_open(path, mode, *args, **kwargs)
+            return FullDisk(fh) if "diagnostics.csv" in path.name and "w" in mode else fh
+
+        out = tmp_path / "out"
+        config = write_cfg(tmp_path, out=out)
+        path_open = Path.open
+        monkeypatch.setattr(Path, "open", full_disk_open)
+        assert cli_main(["simulate", str(config)]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith("config error:") and str(out / "diagnostics.csv") in err
+        assert list(out.iterdir()) == []
 
     def test_missing_file_exit_code(self):
         assert cli_main(["simulate", "/nonexistent/run.cfg"]) == 2

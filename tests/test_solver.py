@@ -13,12 +13,11 @@ from gbozk import (
     make_grid,
     nonlinear_term,
     to_physical,
-    to_spectral,
 )
 from gbozk.diagnostics import mass, zero_mode_slice
 from gbozk.propagator import dispersion_symbol
 from gbozk.solver import Stepper, _blowup_mode, _nl_multiplier
-from gbozk.spectral import dealias_mask, half_spectrum
+from gbozk.spectral import _from_half, dealias_mask, half_spectrum, half_xi
 
 from conftest import (
     complex_samples, complex_spectrum, gaussian_field, hermitian_fill, random_field,
@@ -261,17 +260,15 @@ class TestNonlinearTerm:
 
 class TestStep:
     def test_linear_step_matches_propagator(self, grid_box):
-        u = gaussian_field(grid_box, 0.5, 1.0, 2.0)
-        c = to_spectral(u)
+        v0 = half_spectrum(gaussian_field(grid_box, 0.5, 1.0, 2.0))
         for integrator in ("etdrk4", "strang"):
             cfg = SolverConfig(
                 dt=0.01, T=1.0, params=P, nonlinear=False, integrator=integrator
             )
-            v = Stepper(c.grid, cfg).advance(half_spectrum(u))
-            out = hermitian_fill(v, grid_box.nx)
-            ref = apply_linear_propagator(c, 0.01, P)
-            num = np.max(np.abs(out - ref.coeffs))
-            assert num / np.max(np.abs(c.coeffs)) < 1e-12
+            v = Stepper(grid_box, cfg).advance(v0)
+            ref = apply_linear_propagator(v0, grid_box, 0.01, P)
+            num = np.max(np.abs(v - ref))
+            assert num / np.max(np.abs(v0)) < 1e-12
 
     def test_zero_is_fixed_point(self, grid_2pi):
         u = RealField2D(grid_2pi, np.zeros((grid_2pi.ny, grid_2pi.nx)))
@@ -340,10 +337,10 @@ class TestStep:
     def test_linear_flow_preserves_each_modulus(self, nx, ny, lx, ly, a, t, seed):
         g = make_grid(nx, ny, lx, ly)
         rng = np.random.default_rng(seed)
-        c = rng.standard_normal((ny, nx)) + 1j * rng.standard_normal((ny, nx))
-        out = apply_linear_propagator(SpectralField2D(g, c), t, DispersionParams(a)).coeffs
-        assert np.max(np.abs(np.abs(out) - np.abs(c)) / np.abs(c)) <= 1e-13
-        v0 = c[:, : nx // 2 + 1]
+        shape = (ny, nx // 2 + 1)
+        v0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        out = apply_linear_propagator(v0, g, t, DispersionParams(a))
+        assert np.max(np.abs(np.abs(out) - np.abs(v0)) / np.abs(v0)) <= 1e-13
         for integrator in ("etdrk4", "strang"):
             cfg = SolverConfig(dt=t / 10, T=t, params=DispersionParams(a),
                                integrator=integrator, nonlinear=False)
@@ -489,9 +486,7 @@ class TestEvolve:
         v = half_spectrum(u0)
         for _ in range(50):
             v = st.advance(v)
-        c = SpectralField2D(grid_box, hermitian_fill(v, grid_box.nx))
-        back = apply_linear_propagator(c, -0.5, P)
-        u_back = to_physical(back)
+        u_back = _from_half(apply_linear_propagator(v, grid_box, -0.5, P), grid_box)
         assert np.max(np.abs(u_back.samples - u0.samples)) < 1e-12
 
     def test_zero_mode_column_invariant_exactly(self, grid_box):
@@ -638,18 +633,16 @@ class TestEvolve:
         T, dt = 0.1, 1e-3
         cfg = SolverConfig(dt=dt, T=T, params=P)
         traj = evolve(u0, cfg, stride=5, snapshot_stride=5)
-        rhs = apply_linear_propagator(to_spectral(u0), T, P).coeffs
+        rhs = apply_linear_propagator(half_spectrum(u0), g, T, P)
         samples = traj.snapshots
-        acc = np.zeros_like(rhs)
+        stepper, acc = Stepper(g, cfg), np.zeros_like(rhs)
         for i, (tau, u_tau) in enumerate(samples):
-            n_hat = nonlinear_term(u_tau).coeffs
-            term = apply_linear_propagator(
-                type(to_spectral(u0))(g, n_hat), T - tau, P
-            ).coeffs
+            n_hat = stepper._nl(half_spectrum(u_tau), np.empty_like(rhs))
+            term = apply_linear_propagator(n_hat, g, T - tau, P)
             weight = 0.5 if i in (0, len(samples) - 1) else 1.0
             acc += weight * term
         rhs = rhs + acc * (5 * dt)
-        lhs = to_spectral(samples[-1][1]).coeffs
+        lhs = half_spectrum(samples[-1][1])
         rel = np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs))
         assert rel < 1e-5  # trapezoid truncation in tau dominates
 
@@ -663,3 +656,112 @@ class TestEvolve:
         m, h = traj.column("m"), traj.column("h")
         assert np.max(np.abs(m - m[0])) / m[0] < 1e-8
         assert np.max(np.abs(h - h[0])) / abs(h[0]) < 1e-7
+
+
+# --- exact symmetries of u_t + D_x^{a+1} u_x + u_xyy + u u_x = 0 ----------------
+
+def _final(u0, dt, T, a=0.5, integrator="etdrk4"):
+    cfg = SolverConfig(dt=dt, T=T, params=DispersionParams(a), integrator=integrator)
+    return evolve(u0, cfg, stride=10**9).snapshots[-1][1].samples
+
+
+def _scaled_final(u0, lam, dt, T, a, integrator):
+    """The run of lam^{1+a} u0(lam x, lam^{(1+a)/2} y) over T / lam^{2+a},
+    divided by lam^{1+a}: nx and ny stay, the box and dt scale."""
+    g = u0.grid
+    gs = make_grid(g.nx, g.ny, g.lx / lam, g.ly / lam ** ((1 + a) / 2))
+    us = RealField2D(gs, lam ** (1 + a) * u0.samples)
+    return _final(us, dt / lam ** (2 + a), T / lam ** (2 + a), a, integrator) / lam ** (1 + a)
+
+
+def _two_gaussians(g):
+    u = gaussian_field(g, 0.6, 1.0, np.sqrt(2.0), cx=0.5, cy=-0.3).samples
+    u = u + gaussian_field(g, -0.3, np.sqrt(0.7), 1.0, cx=-1.0, cy=0.8).samples
+    return RealField2D(g, u)
+
+
+def _on_mask(u):
+    """u projected onto the modes the 2/3 rule keeps."""
+    g = u.grid
+    return _from_half(half_spectrum(u) * dealias_mask(g)[:, : g.nx // 2 + 1], g)
+
+
+def _reflect(s, axis):
+    """Samples of u at -x (axis 1) or -y (axis 0) on the centred grid."""
+    return np.roll(np.flip(s, axis), 1, axis)
+
+
+class TestSymmetries:
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(
+        a=st.sampled_from([0.0, 1.0]),
+        k=st.integers(-3, 3),
+        nx=st.integers(8, 32).map(lambda k: 2 * k),
+        ny=st.integers(4, 16).map(lambda k: 2 * k),
+        box=st.tuples(st.floats(8.0, 40.0), st.floats(8.0, 40.0)),
+        integrator=st.sampled_from(["etdrk4", "strang"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_power_of_two_scaling_is_bitwise(self, a, k, nx, ny, box, integrator, seed):
+        # every factor of the step scales by a power of two: lam = 2^k at
+        # a = 1, and lam = 4^k at a = 0, where the y box scales by lam^{1/2}
+        lam = 2.0 ** (k if a == 1.0 else 2 * k)
+        u0 = random_field(make_grid(nx, ny, *box), seed=seed, scale=0.3)
+        ref = _final(u0, 1e-3, 5e-3, a, integrator)
+        got = _scaled_final(u0, lam, 1e-3, 5e-3, a, integrator)
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("integrator", ["etdrk4", "strang"])
+    def test_scaling_at_fractional_a(self, integrator):
+        u0 = _two_gaussians(make_grid(64, 64, 16.0, 16.0))
+        ref = _final(u0, 2e-3, 0.1, 0.5, integrator)
+        for lam in (2.0, 1.7):
+            assert _max_rel(_scaled_final(u0, lam, 2e-3, 0.1, 0.5, integrator), ref) < 1e-14
+
+    @staticmethod
+    def _boost_defect(v0, c, dt, T, integrator):
+        # c + v(t, x - ct, y) against the plain run shifted spectrally by cT
+        g = v0.grid
+        v = half_spectrum(RealField2D(g, _final(v0, dt, T, integrator=integrator)))
+        ref = c + _from_half(v * np.exp(-1j * half_xi(g) * (c * T)), g).samples
+        boosted = _final(RealField2D(g, c + v0.samples), dt, T, integrator=integrator)
+        return np.max(np.abs(boosted - ref)) / np.max(np.abs(v0.samples))
+
+    @pytest.mark.parametrize("integrator, bound", [("etdrk4", 1e-10), ("strang", 1e-12)])
+    def test_galilean_boost_order_four_on_mask_data(self, integrator, bound):
+        # on data the 2/3 rule keeps, the boost is exact in the semi-discrete
+        # flow and only the time step breaks it
+        v0 = _on_mask(_two_gaussians(make_grid(64, 64, 16.0, 16.0)))
+        errs = [self._boost_defect(v0, 0.75, dt, 0.2, integrator) for dt in (4e-3, 2e-3, 1e-3)]
+        orders = np.log2(np.array(errs[:-1]) / errs[1:])
+        assert np.all(np.abs(orders - 4.0) < 0.05), orders
+        assert errs[-1] < bound
+
+    def test_galilean_boost_floor_is_the_data_outside_the_mask(self):
+        # the 2/3 multiplier also truncates the advection 2 c v_x inside
+        # (c + v)^2, so modes outside the mask are never moved by the mean:
+        # the defect stops at a floor set by the data's out-of-mask share
+        u0 = _two_gaussians(make_grid(64, 64, 16.0, 16.0))
+        share = np.max(np.abs(u0.samples - _on_mask(u0).samples)) / np.max(np.abs(u0.samples))
+        floor = [self._boost_defect(u0, 0.75, dt, 0.2, "etdrk4") for dt in (4e-3, 2e-3)]
+        assert abs(floor[0] - floor[1]) < 0.01 * floor[1]
+        assert 0.25 * share < floor[1] < share
+
+    @pytest.mark.parametrize("integrator", ["etdrk4", "strang"])
+    def test_y_reflection(self, integrator):
+        u0 = _two_gaussians(make_grid(64, 64, 16.0, 16.0))
+        ref = _reflect(_final(u0, 2e-3, 0.1, integrator=integrator), 0)
+        got = _final(RealField2D(u0.grid, _reflect(u0.samples, 0)), 2e-3, 0.1,
+                     integrator=integrator)
+        assert _max_rel(got, ref) < 1e-14
+
+    def test_x_reflection_time_reversal_order(self):
+        # u(-t, -x, y) solves the equation: step T, reflect x, step T again
+        # and reflect back returns u0 up to ETDRK4's error
+        u0 = _two_gaussians(make_grid(64, 64, 16.0, 16.0))
+        errs = []
+        for dt in (4e-3, 2e-3):
+            u1 = _final(u0, dt, 0.2)
+            u2 = _final(RealField2D(u0.grid, _reflect(u1, 1)), dt, 0.2)
+            errs.append(_max_rel(_reflect(u2, 1), u0.samples))
+        assert np.log2(errs[0] / errs[1]) > 3.5 and errs[1] < 1e-12
