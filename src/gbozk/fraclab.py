@@ -302,17 +302,13 @@ class Profile:
 
 
 def _abs_pow(y: float, p: float) -> float:
-    """|y| ** p for a float y, with numpy's inf for 0 ** (p < 0) and on
-    overflow, where Python raises.  An overflow beyond the support (|y| >= 2)
-    gives 0, so the profile there is the zero the cutoff makes it, not
-    inf * 0."""
+    """|y| ** p for a float y; where Python raises it is numpy's inf short of
+    the support edge (0 ** (p < 0), overflow at |y| < 2) and 0 beyond it, so
+    the derivative there is the cutoff's zero, not inf * 0."""
     try:
         return abs(y) ** p
     except (ZeroDivisionError, OverflowError):
-        if abs(y) >= 2.0:
-            return 0.0
-        with np.errstate(divide="ignore", over="ignore"):
-            return float(np.float64(abs(y)) ** p)
+        return 0.0 if abs(y) >= 2.0 else math.inf
 
 
 def _sign(y: float) -> float:
@@ -325,7 +321,8 @@ def make_profile(kind: str, alpha: float | None = None, gamma: float | None = No
 
     kind: "power" -> |y|^alpha phi(y); "power_sign" -> |y|^alpha sgn(y) phi(y);
     "gamma" -> "power" at alpha = gamma - 1/2, with no derivative; |0|^p is
-    inf for p < 0 and 1 for p = 0.  The family's parameter must be finite and
+    inf for p < 0 and 1 for p = 0, and ``fn`` is the cutoff's signed zero at
+    |y| >= 2, +-inf included.  The family's parameter must be finite and
     the other one unset; ``check_order`` bounds its size for a given order.
     ``fn`` and ``derivative`` take and return a Python float, as quad calls them.
     """
@@ -344,12 +341,13 @@ def make_profile(kind: str, alpha: float | None = None, gamma: float | None = No
         raise ValueError(f"unknown profile kind {kind!r}")
     # The exponents are bound once and the cutoff's float core is called
     # directly.  |y| ** p stays inline, as the per-point path can afford no
-    # extra call; where Python raises (0 ** p with p < 0, overflow) the
-    # except clause takes the powers from _abs_pow, which gives numpy's inf.
+    # extra call; where Python raises, the except clause asks _abs_pow.
     am1, odd = a - 1.0, kind == "power_sign"
 
     def f(y):
         ay = abs(y)
+        if ay >= 2.0:
+            return -0.0 if odd and y < 0.0 else 0.0
         try:
             pa = ay**a
         except (ZeroDivisionError, OverflowError):

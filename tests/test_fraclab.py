@@ -1103,6 +1103,34 @@ class TestProfileFloatBranch:
         for y in [0.0, *ys]:
             assert _hex(gam.fn(y)) == _hex(pow_.fn(y)), (g, y)
 
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        kind=st.sampled_from(["power", "power_sign", "gamma"]),
+        p=st.one_of(st.sampled_from([-400.0, -1.5, 0.0, 2.0, 400.0]),
+                    st.floats(allow_nan=False, allow_infinity=False)),
+        ay=st.one_of(st.sampled_from([2.0, 1e308, math.inf]), st.floats(min_value=2.0)),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_fn_is_the_signed_zero_beyond_the_support(self, kind, p, ay, sign):
+        # the old composition's bits at every finite |y| >= 2, and at +-inf,
+        # where it read inf * 0 = nan for p > 0
+        y = sign * ay
+        want = -0.0 if kind == "power_sign" and y < 0.0 else 0.0
+        assert _hex(_family_profile(kind, p).fn(y)) == _hex(want), (kind, p, y)
+        if math.isfinite(y):
+            assert _hex(_ref_family(kind, p)[0](y)) == _hex(want), (kind, p, y)
+
+    @pytest.mark.parametrize(
+        "y, p", [(0.0, -1.0), (-0.0, -0.5), (2.0**-1074, -2.0), (1.5, 2000.0), (-1.5, 2000.0),
+                 (0.5, -2000.0), (math.nextafter(2.0, 1.0), 1100.0)],
+    )
+    def test_abs_pow_is_numpy_inf_where_python_raises(self, y, p):
+        with pytest.raises((ZeroDivisionError, OverflowError)):
+            abs(y) ** p
+        with np.errstate(divide="ignore", over="ignore"):
+            want = float(np.float64(abs(y)) ** p)
+        assert fraclab._abs_pow(y, p) == want == math.inf
+
 
 def _numeric_platform():
     """What the last bits of a quadrature result depend on."""

@@ -206,6 +206,22 @@ def snapshots(draw):
     return SnapshotFile(u, a=a, t=t)
 
 
+def _v1_bytes(snap):
+    """The snapshot as a version-1 file: header and payload, no checksum."""
+    g = snap.field.grid
+    header = struct.pack("<4sIII4d", b"GBZK", 1, g.nx, g.ny, g.lx, g.ly, snap.a, snap.t)
+    return header + np.ascontiguousarray(snap.field.samples, dtype="<f8").tobytes()
+
+
+def _norms(path, args=()):
+    """(exit code, stdout, stderr) of ``gbozk norms path *args``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            np.errstate(all="ignore"):
+        code = cli_main(["norms", str(path), *args])
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestSnapshotProperties:
     @settings(max_examples=60, deadline=None)
     @given(snap=snapshots())
@@ -255,6 +271,70 @@ class TestSnapshotProperties:
         if code == 2:
             assert out.getvalue() == ""
             (line,) = err.getvalue().splitlines()
+            assert line.startswith("config error:")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        g=SNAPSHOT_GRIDS,
+        data=st.data(),
+        mask=st.integers(1, 255),
+        args=st.sampled_from([[], ["2:1:4", "1"], ["--sobolev", "1:0.5"]]),
+    )
+    def test_every_byte_flip_of_a_version_2_file_exits_2(self, g, data, mask, args):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.gbzk"
+            write_snapshot(path, SnapshotFile(random_field(g), a=0.5, t=1.0))
+            raw = bytearray(path.read_bytes())
+            assert raw[4:8] == struct.pack("<I", 2)
+            raw[data.draw(st.integers(0, len(raw) - 1))] ^= mask
+            path.write_bytes(bytes(raw))
+            code, out, err = _norms(path, args)
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert line.startswith("config error:")
+
+    def test_each_byte_of_a_version_2_file_is_checked(self, tmp_path):
+        # every position of one small file, with the lowest, the highest
+        # and all bits flipped
+        path = tmp_path / "f.gbzk"
+        write_snapshot(path, SnapshotFile(random_field(make_grid(8, 8, 4.0, 4.0)), a=0.5, t=1.0))
+        raw = path.read_bytes()
+        for pos in range(len(raw)):
+            for mask in (0x01, 0x80, 0xFF):
+                bad = bytearray(raw)
+                bad[pos] ^= mask
+                path.write_bytes(bytes(bad))
+                with pytest.raises(SnapshotFormatError):
+                    read_snapshot(path)
+
+    @settings(max_examples=30, deadline=None)
+    @given(snap=snapshots())
+    def test_version_1_reads_bit_identically(self, snap):
+        with tempfile.TemporaryDirectory() as tmp:
+            v1, v2 = Path(tmp) / "v1.gbzk", Path(tmp) / "v2.gbzk"
+            v1.write_bytes(_v1_bytes(snap))
+            back = read_snapshot(v1)
+            write_snapshot(v2, snap)
+            assert _v1_bytes(back) == v1.read_bytes()
+            assert read_snapshot(v2).field.samples.tobytes() == back.field.samples.tobytes()
+        assert back.field.grid == snap.field.grid
+        assert struct.pack("<2d", back.a, back.t) == struct.pack("<2d", snap.a, snap.t)
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=SNAPSHOT_GRIDS, pos=st.integers(0, 47), mask=st.integers(1, 255))
+    def test_version_1_header_byte_flip_exits_cleanly(self, g, pos, mask):
+        # version 1 has no checksum: exit 0 with the norms, or exit 2 with
+        # one config error line and no output
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.gbzk"
+            raw = bytearray(_v1_bytes(SnapshotFile(random_field(g), a=0.5, t=1.0)))
+            raw[pos] ^= mask
+            path.write_bytes(bytes(raw))
+            code, out, err = _norms(path)
+        assert code in (0, 2)
+        if code == 2:
+            assert out == ""
+            (line,) = err.splitlines()
             assert line.startswith("config error:")
 
 
@@ -444,7 +524,8 @@ class TestRunScenario:
             f"family = file\npath = {snap_path}",
         )
         cfg = load_config(write_cfg(tmp_path, text=text))
-        write_snapshot(snap_path, SnapshotFile(gaussian_field(cfg.grid, 0.3), a=0.5, t=0.0))
+        u = gaussian_field(cfg.grid, 0.3)
+        write_snapshot(snap_path, SnapshotFile(u, a=0.5, t=0.0))
 
         def manifest():
             return json.loads(run_scenario(cfg).manifest_path.read_text())
@@ -453,8 +534,14 @@ class TestRunScenario:
         raw = snap_path.read_bytes()
         assert first["input_sha256"] == hashlib.sha256(raw).hexdigest()
         assert manifest() == first
-        # the lowest mantissa byte of the last sample
+        # the lowest mantissa bit of the last sample: flipped in the file it
+        # breaks the checksum; written as a new snapshot it is a new input
         snap_path.write_bytes(raw[:-8] + bytes([raw[-8] ^ 1]) + raw[-7:])
+        with pytest.raises(SnapshotFormatError, match="checksum"):
+            manifest()
+        samples = u.samples.copy()
+        samples.view(np.uint64)[-1, -1] ^= 1
+        write_snapshot(snap_path, SnapshotFile(RealField2D(cfg.grid, samples), a=0.5, t=0.0))
         second = manifest()
         assert second["input_sha256"] == hashlib.sha256(snap_path.read_bytes()).hexdigest()
         assert second["manifest_sha256"] != first["manifest_sha256"]
@@ -649,6 +736,21 @@ class TestSteinBatch:
             assert code == 0 and err.getvalue() == ""
             values = (Path(tmp) / "out" / "stein_values.csv").read_text().splitlines()[2:]
             assert bool(values) == (0.0 < theta < 1.0 and lead > -0.5)
+
+    def test_unresolved_stein_values_are_written_without_a_fit(self, tmp_path, capsys):
+        # |y|^(gamma - 1/2) at gamma = 1e-5: QUADPACK's bisection reaches the
+        # kink, where the profile is inf, and the values read inf; they are
+        # written, and the large-eta fit is left empty unless all are finite
+        batch = tmp_path / "batch.cfg"
+        batch.write_text("[q]\nkind = gamma\ngamma = 1e-05\ntheta = 0.5\n")
+        assert cli_main(["stein-profile", str(batch), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        rows = (tmp_path / "out" / "stein_verdicts.csv").read_text().splitlines()[2:]
+        (row,) = [line.split(",") for line in rows]
+        values = (tmp_path / "out" / "stein_values.csv").read_text().splitlines()[2:]
+        finite = [math.isfinite(float(line.rsplit(",", 1)[1])) for line in values]
+        assert len(finite) == 12
+        assert (row[6] != "nan", row[7]) == ((True, "10..200") if all(finite) else (False, ""))
 
 
 class TestCli:

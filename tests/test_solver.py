@@ -16,8 +16,10 @@ from gbozk import (
 )
 from gbozk.diagnostics import mass, zero_mode_slice
 from gbozk.propagator import dispersion_symbol
-from gbozk.solver import Stepper, _blowup_mode, _nl_multiplier
-from gbozk.spectral import _from_half, dealias_mask, half_spectrum, half_xi
+from gbozk.solver import Stepper, _blowup_mode, _nl_multiplier, _quadratic
+from gbozk.spectral import (
+    _from_half, dealias_mask, half_spectrum, half_xi, hermitian_weights,
+)
 
 from conftest import (
     complex_samples, complex_spectrum, gaussian_field, hermitian_fill, random_field,
@@ -765,3 +767,89 @@ class TestSymmetries:
             u2 = _final(RealField2D(u0.grid, _reflect(u1, 1)), dt, 0.2)
             errs.append(_max_rel(_reflect(u2, 1), u0.samples))
         assert np.log2(errs[0] / errs[1]) > 3.5 and errs[1] < 1e-12
+
+
+# --- exact traveling waves ----------------------------------------------------
+# y-constant data stay y-constant and solve u_t + D_x^{a+1} u_x + u u_x = 0.
+# Under w = xi (eta^2 - |xi|^{1+a}) its traveling waves are negative and move
+# left.  Acceptance criterion 11 (tests/criterion11_waves.py) steps them.
+
+def _bo_wave(g, t, delta=2.0):
+    """a = 0: the periodic Benjamin-Ono wave of width delta on background 0,
+    -4k sum_n r^n cos(n k (x - ct)) with k = 2 pi / lx and r = exp(-k delta)."""
+    k = 2.0 * np.pi / g.lx
+    r = np.exp(-k * delta)
+    c = k * (1.0 - 3.0 * r * r) / (1.0 - r * r)
+    th = k * (g.meshgrid()[0] - c * t)
+    return -4.0 * k * (r * np.cos(th) - r * r) / (1.0 - 2.0 * r * np.cos(th) + r * r), c
+
+
+def _sech2_wave(g, t, c=1.0):
+    """a = 1, u_t - u_xxx + u u_x = 0: -3c sech^2(sqrt(c) (x + ct) / 2) with
+    its images summed over the box."""
+    x = g.meshgrid()[0] + c * t
+    images = sum(np.cosh(np.sqrt(c) * (x + n * g.lx) / 2.0) ** -2.0 for n in range(-2, 3))
+    return -3.0 * c * images, -c
+
+
+def _petviashvili_wave(g, a, speed=1.0):
+    """Half spectrum of the y-constant wave that moves at -speed.
+
+    psi = -u solves M psi^ = (psi^2)^ / 2 with M = |xi|^{1+a} + speed, the
+    square truncated by the solver's own 2/3-rule multiplier, so the wave
+    translates exactly under the semi-discrete flow.  Petviashvili's
+    iteration psi^ <- s^2 (psi^2)^ / (2M), s = <psi^, M psi^> / <psi^, (psi^2)^ / 2>.
+    """
+    xi = half_xi(g)
+    # m / (-i xi) is the 2/3 mask over 2 dx dy; the xi = 0 column, where m
+    # is 0, takes column 1's factor, which the mask keeps in the same rows
+    half_sq = _nl_multiplier(g, True) / np.where(xi == 0.0, 1.0, -1j * xi)
+    half_sq[:, 0] = half_sq[:, 1]
+    big_m = np.abs(xi) ** (1.0 + a) + speed
+    weights = hermitian_weights(g.nx)
+    psi = half_spectrum(RealField2D(g, 2.0 * speed * np.exp(-g.meshgrid()[0] ** 2)))
+    for _ in range(200):
+        sq = _quadratic(np.fft.irfft2(psi, s=(g.ny, g.nx)), half_sq)
+        s = np.sum(weights * (psi.conj() * big_m * psi).real) / np.sum(
+            weights * (psi.conj() * sq).real
+        )
+        psi, prev = s * s * sq / big_m, psi
+        if np.max(np.abs(psi - prev)) <= 1e-15 * np.max(np.abs(psi)):
+            break
+    return -psi
+
+
+def wave_case(a):
+    """(grid, t -> samples of the exact wave) for a in {0, 1/4, 1/2, 3/4, 1}:
+    the closed forms at a = 0 and 1, Petviashvili's waves between, whose
+    translate by -t is the spectral shift exp(i xi t)."""
+    if a in (0.0, 1.0):
+        g = make_grid(512, 8, 64.0, 8.0)
+        wave = _bo_wave if a == 0.0 else _sech2_wave
+        return g, lambda t: wave(g, t)[0]
+    g = make_grid(1024, 8, 128.0, 8.0)
+    v = _petviashvili_wave(g, a)
+    return g, lambda t: _from_half(v * np.exp(1j * half_xi(g) * t), g).samples
+
+
+def _wave_residual(g, a, c, v):
+    """max |-i xi c v - (i w v + N(v))| over max |i w v|: the translate's time
+    derivative against the solver's right side, on the half spectrum v."""
+    xi = half_xi(g)[None, :]
+    iwv = 1j * dispersion_symbol(xi, g.eta[:, None], a) * v
+    nl = _quadratic(np.fft.irfft2(v, s=(g.ny, g.nx)), _nl_multiplier(g, True))
+    return np.max(np.abs(iwv + nl + 1j * c * xi * v)) / np.max(np.abs(iwv))
+
+
+class TestTravelingWaves:
+    @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
+    def test_petviashvili_wave_translates_under_the_semidiscrete_flow(self, a):
+        g = make_grid(1024, 8, 128.0, 8.0)
+        assert _wave_residual(g, a, -1.0, _petviashvili_wave(g, a)) < 2e-14
+
+    @pytest.mark.parametrize("a, wave", [(0.0, _bo_wave), (1.0, _sech2_wave)])
+    def test_closed_form_solves_the_semidiscrete_wave_equation(self, a, wave):
+        # to its share outside the 2/3 mask, which N never sees
+        g = make_grid(512, 8, 64.0, 8.0)
+        u, c = wave(g, 0.0)
+        assert _wave_residual(g, a, c, half_spectrum(RealField2D(g, u))) < 2e-11
